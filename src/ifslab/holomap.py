@@ -290,10 +290,6 @@ def as_automorphism(f: MapExpr):
     return None
 
 
-def is_automorphism(f: MapExpr) -> bool:
-    return as_automorphism(f) is not None
-
-
 def _as_constant(f: MapExpr):
     if isinstance(f, Constant):
         return f.value

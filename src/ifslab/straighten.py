@@ -221,9 +221,10 @@ def right_straighten(
 ) -> StraightenResult:
     """Straighten a right system along a verified backward orbit.
 
-    Each step rebuilds H_n = R_n o gamma_n^{-1} on the grid from scratch,
-    so the cost is quadratic in the orbit length; backward orbits that
-    double precision can hold are short, which keeps this cheap.
+    Verifying the orbit costs O(N) evaluations.  Each step then rebuilds
+    H_n = R_n o gamma_n^{-1} on the grid from scratch, so that rebuild is
+    quadratic in the orbit length; backward orbits that double precision
+    can hold are short, which keeps this cheap.
     """
     cfg = config or StraightenConfig()
     check = verify_backward_orbit(stream, orbit, verify_tol)

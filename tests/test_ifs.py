@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifslab import holomap, ifs, moebius
-from ifslab.geometry import HyperbolicBall, disc_distance
+from ifslab.geometry import HyperbolicBall, _omega_raw, disc_distance
 from ifslab.holomap import Blaschke, Compose, HalfPlaneAffine, Mobius, Monomial, Scale
 from ifslab.ifs import (
     BackwardOrbit,
@@ -168,6 +168,88 @@ def test_right_depth_cap():
     assert exc.value.diagnostics.get("depth") == 17
 
 
+def _replayed(stream, seeds, N):
+    """R_n(s) for n = 0..N by full replay of f_1 o ... o f_n, f_n first."""
+    rows = [list(seeds)]
+    for n in range(1, N + 1):
+        row = []
+        for v in seeds:
+            for j in range(n, 0, -1):
+                v = holomap.eval_raw(stream.generator_at(j), v)
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+PERIOD3 = [Blaschke((0.3 + 0.2j, -0.4 + 0.1j), 0.5), Scale(0.7 - 0.2j), Monomial(2)]
+MOBIUS_FIRST = [Mobius(moebius.make_disc_auto(0.2 - 0.3j, 0.5)), Blaschke((0.3, -0.2j), 0.1), Scale(0.9)]
+
+
+@pytest.mark.parametrize(
+    "stream, N, matrix_steps",
+    [
+        (GeneratorStream.from_cycle(PERIOD3), 11, 0),
+        (GeneratorStream.from_cycle(PERIOD3), 200, 0),
+        (GeneratorStream.from_cycle([Monomial(2)]), 5, 0),
+        (GeneratorStream.from_cycle([Monomial(2)]), 200, 0),
+        (GeneratorStream.from_cycle(MOBIUS_FIRST), 11, 1),
+        (GeneratorStream.from_cycle(MOBIUS_FIRST), 200, 1),
+        (GeneratorStream.from_list(PERIOD3 * 10), 30, 0),
+    ],
+)
+def test_right_values_bit_identical_to_replay(stream, N, matrix_steps):
+    seeds = (0.4 + 0.3j, -0.999 + 0.01j)
+    state = RightOrbitState(stream, seeds, record=True)
+    ref = _replayed(stream, seeds, N)
+    for n in range(1, N + 1):
+        state.advance()
+        if n <= matrix_steps:
+            # the matrix path rounds unlike a replay and is not under test
+            assert state.values == pytest.approx(ref[n], abs=1e-12)
+            ref[n] = list(state.values)
+    assert state.values == ref[N]
+    history = [
+        (n, s, ref[n][i], _omega_raw(0j, ref[n][i]), _omega_raw(ref[n - 1][i], ref[n][i]) if n else 0.0)
+        for n in range(N + 1)
+        for i, s in enumerate(seeds)
+    ]
+    assert state.history == history
+
+
+def _count_evals(monkeypatch):
+    calls = [0]
+    real = holomap.eval_raw
+
+    def counting(f, z):
+        calls[0] += 1
+        return real(f, z)
+
+    monkeypatch.setattr(ifs.holomap, "eval_raw", counting)
+    return calls
+
+
+def test_right_cycle_cost_is_linear(monkeypatch):
+    calls = _count_evals(monkeypatch)
+    counts = []
+    for N in (200, 400):
+        calls[0] = 0
+        state = RightOrbitState(GeneratorStream.from_cycle(PERIOD3), (0.4 + 0.3j,))
+        for _ in range(N):
+            state.advance()
+        counts.append(calls[0])
+    # a full replay per step would give a ratio near 4
+    assert counts[1] / counts[0] < 2.2
+
+
+def test_backward_orbit_verification_is_linear(monkeypatch):
+    calls = _count_evals(monkeypatch)
+    N = 300
+    orbit = BackwardOrbit(tuple(0.5 * 1j ** -k for k in range(N + 1)))
+    check = verify_backward_orbit(GeneratorStream.from_cycle([Scale(1j)]), orbit)
+    assert check.ok
+    assert calls[0] <= 2 * N
+
+
 def test_backward_orbit_verifies():
     s = GeneratorStream.from_cycle([Monomial(2)])
     orbit = BackwardOrbit(tuple(0.5 ** (2.0 ** -n) for n in range(41)))
@@ -175,7 +257,17 @@ def test_backward_orbit_verifies():
     assert check.ok
     assert check.max_step_residual < 1e-12
     # the recomposed end-to-end residual may be large; it is diagnostic only
-    assert check.max_composed_residual < 1e-3
+    assert check.composed_residual < 1e-3
+
+
+def test_backward_orbit_composed_residual_is_full_replay():
+    s = GeneratorStream.from_cycle([Blaschke((0.3, -0.2j), 0.4), Monomial(2)])
+    pts = tuple((0.3 + 0.1j) * 0.9 ** k for k in range(13))
+    check = verify_backward_orbit(s, BackwardOrbit(pts))
+    v = pts[-1]
+    for n in range(len(pts) - 1, 0, -1):
+        v = holomap.eval_raw(s.generator_at(n), v)
+    assert check.composed_residual == abs(v - pts[0]) > 0
 
 
 def test_backward_orbit_detects_corruption():
