@@ -92,13 +92,14 @@ def distortion_series(
         prod *= d
         prods.append(prod)
         if mode == "along_orbit":
-            deriv *= holomap._deriv_raw(f, v)
-        v = holomap.eval_raw(f, v)
-        orbit.append(v)
-        if mode == "along_orbit":
+            v, dv = f.jet(v)
+            deriv *= dv
             den = 1.0 - abs(v) ** 2
             direct = abs(deriv) * (1.0 - abs(z) ** 2) / den if den > 0 else float("inf")
             resid_max = max(resid_max, abs(direct - prod))
+        else:
+            v = holomap.eval_raw(f, v)
+        orbit.append(v)
     return SeriesReport(
         mode=mode,
         base_point=z,

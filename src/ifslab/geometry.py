@@ -83,8 +83,8 @@ class HyperbolicBall:
         c = _cx(self.center)
         if not abs(c) < 1.0 - EPS_BOUNDARY:
             raise DomainError(f"ball center outside the disc: {c!r}")
-        if not self.radius >= 0.0:
-            raise DomainError(f"ball radius must be >= 0, got {self.radius!r}")
+        if not 0.0 <= self.radius < math.inf:
+            raise DomainError(f"ball radius must be finite and >= 0, got {self.radius!r}")
         object.__setattr__(self, "center", c)
 
 

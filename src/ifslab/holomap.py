@@ -2,8 +2,13 @@
 
 Every primitive is a self-map of the unit disc by construction, so any
 tree built from them is one too; no runtime containment test is needed
-beyond a boundary clamp at evaluation.  Derivatives are analytic, taken
-per primitive and chained through compositions.
+beyond a boundary clamp at evaluation.
+
+Each node class answers for itself: eval(z); jet(z), the pair (f(z),
+f'(z)) chained through compositions in forward mode, with jet(z)[0] equal
+to eval(z) bit for bit; and matrix(), the MoebiusMap of a fractional-linear
+node, else None.  A node is a disc automorphism exactly when its matrix
+carries the DISC domain tag.
 
 The hyperbolic distortion
 
@@ -23,6 +28,10 @@ from typing import Union
 from . import moebius
 from .geometry import DiscPoint, DomainError, clamp_to_disc, disc_point, _omega_raw
 from .moebius import MoebiusMap
+
+# |a| within this of 1 makes Scale(a) a rotation, and Im t within it of 0
+# makes HalfPlaneAffine(t) a real translation: both are automorphisms
+_AUTO_EPS = 1e-15
 
 
 class ConsistencyError(RuntimeError):
@@ -47,8 +56,18 @@ class Monomial:
     power: int
 
     def __post_init__(self):
-        if not (isinstance(self.power, int) and self.power >= 1):
+        if not (type(self.power) is int and self.power >= 1):
             raise DomainError(f"monomial power must be an integer >= 1: {self.power!r}")
+
+    def eval(self, z: complex) -> complex:
+        return z ** self.power
+
+    def jet(self, z: complex):
+        p = self.power
+        return z ** p, (p * z ** (p - 1) if p > 1 else 1.0 + 0.0j)
+
+    def matrix(self) -> MoebiusMap | None:
+        return moebius.identity() if self.power == 1 else None
 
 
 @dataclass(frozen=True)
@@ -59,9 +78,21 @@ class Scale:
 
     def __post_init__(self):
         f = complex(self.factor)
-        if abs(f) > 1.0:
+        if not abs(f) <= 1.0:
             raise DomainError(f"scale factor must satisfy |a| <= 1: {f!r}")
         object.__setattr__(self, "factor", f)
+
+    def eval(self, z: complex) -> complex:
+        return self.factor * z
+
+    def jet(self, z: complex):
+        return self.factor * z, self.factor
+
+    def matrix(self) -> MoebiusMap | None:
+        if self.factor == 0:
+            return None  # constant map, matrix would be singular
+        domain = moebius.DISC if abs(abs(self.factor) - 1.0) <= _AUTO_EPS else moebius.GENERIC
+        return MoebiusMap(self.factor, 0.0, 0.0, 1.0, domain)
 
 
 @dataclass(frozen=True)
@@ -79,8 +110,40 @@ class Blaschke:
         zs = tuple(disc_point(z) for z in self.zeros)
         if not zs:
             raise DomainError("blaschke zero list must be nonempty")
+        phase = float(self.phase)
+        if not math.isfinite(phase):
+            raise DomainError(f"blaschke phase must be finite: {phase!r}")
         object.__setattr__(self, "zeros", zs)
-        object.__setattr__(self, "phase", float(self.phase))
+        object.__setattr__(self, "phase", phase)
+
+    def eval(self, z: complex) -> complex:
+        out = cmath.exp(1j * self.phase)
+        for zj in self.zeros:
+            out *= (z - zj) / (1.0 - zj.conjugate() * z)
+        return out
+
+    def jet(self, z: complex):
+        ph = cmath.exp(1j * self.phase)
+        vals = [(z - zj) / (1.0 - zj.conjugate() * z) for zj in self.zeros]
+        out = ph
+        for w in vals:
+            out *= w
+        total = 0.0 + 0.0j
+        for j, zj in enumerate(self.zeros):
+            dj = (1.0 - abs(zj) ** 2) / (1.0 - zj.conjugate() * z) ** 2
+            rest = 1.0 + 0.0j
+            for i, v in enumerate(vals):
+                if i != j:
+                    rest *= v
+            total += dj * rest
+        return out, ph * total
+
+    def matrix(self) -> MoebiusMap | None:
+        if len(self.zeros) != 1:
+            return None
+        ph = cmath.exp(1j * self.phase)
+        z0 = self.zeros[0]
+        return MoebiusMap(ph, -ph * z0, -z0.conjugate(), 1.0, moebius.DISC)
 
 
 @dataclass(frozen=True)
@@ -92,6 +155,15 @@ class Constant:
     def __post_init__(self):
         object.__setattr__(self, "value", disc_point(self.value))
 
+    def eval(self, z: complex) -> complex:
+        return self.value
+
+    def jet(self, z: complex):
+        return self.value, 0.0 + 0.0j
+
+    def matrix(self) -> MoebiusMap | None:
+        return None
+
 
 @dataclass(frozen=True)
 class Mobius:
@@ -102,6 +174,15 @@ class Mobius:
     def __post_init__(self):
         if self.map.domain != moebius.DISC:
             raise DomainError("Mobius nodes must carry a disc automorphism")
+
+    def eval(self, z: complex) -> complex:
+        return moebius.apply(self.map, z)
+
+    def jet(self, z: complex):
+        return moebius.apply(self.map, z), moebius.deriv(self.map, z)
+
+    def matrix(self) -> MoebiusMap | None:
+        return self.map
 
 
 @dataclass(frozen=True)
@@ -116,15 +197,36 @@ class Compose:
             raise DomainError("compose needs at least one part")
         object.__setattr__(self, "parts", ps)
 
+    def eval(self, z: complex) -> complex:
+        for part in reversed(self.parts):
+            z = part.eval(z)
+        return z
+
+    def jet(self, z: complex):
+        d = 1.0 + 0.0j
+        for part in reversed(self.parts):
+            z, dp = part.jet(z)
+            d *= dp
+        return z, d
+
+    def matrix(self) -> MoebiusMap | None:
+        acc = moebius.identity()
+        for part in self.parts:
+            m = part.matrix()
+            if m is None:
+                return None
+            acc = moebius.compose(acc, m)
+        return acc
+
 
 @dataclass(frozen=True)
 class HalfPlaneAffine:
     """The half-plane map w |-> scale * w + translation, seen on the disc.
 
-    Requires Im(translation) >= 0 and scale > 0 real, which make the map a
-    self-map of the upper half-plane; it is an automorphism exactly when
-    the translation is real.  Internally the map is conjugated through the
-    Cayley transform and stored as a disc-side matrix.
+    Requires a finite translation with Im >= 0 and a finite scale > 0,
+    which make the map a self-map of the upper half-plane.  It is stored
+    as a disc-side matrix through the Cayley transform, tagged DISC (an
+    automorphism) when Im(translation) <= _AUTO_EPS, GENERIC otherwise.
     """
 
     translation: complex
@@ -134,19 +236,28 @@ class HalfPlaneAffine:
     def __post_init__(self):
         t = complex(self.translation)
         s = float(self.scale)
-        if t.imag < 0:
-            raise DomainError(f"half-plane translation needs Im t >= 0: {t!r}")
-        if not s > 0:
-            raise DomainError(f"half-plane scale must be positive: {s!r}")
+        if not (cmath.isfinite(t) and t.imag >= 0):
+            raise DomainError(f"half-plane translation needs to be finite with Im t >= 0: {t!r}")
+        if not 0 < s < math.inf:
+            raise DomainError(f"half-plane scale must be finite and positive: {s!r}")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "scale", s)
         m = moebius._matmul(
             moebius._matmul(moebius._CAYLEY, (s, t, 0.0, 1.0)), moebius._CAYLEY_ADJ
         )
-        domain = moebius.DISC if t.imag == 0 else moebius.GENERIC
+        domain = moebius.DISC if t.imag <= _AUTO_EPS else moebius.GENERIC
         object.__setattr__(
             self, "disc_matrix", MoebiusMap(*moebius._det1(*m), domain=domain)
         )
+
+    def eval(self, z: complex) -> complex:
+        return moebius.apply(self.disc_matrix, z)
+
+    def jet(self, z: complex):
+        return moebius.apply(self.disc_matrix, z), moebius.deriv(self.disc_matrix, z)
+
+    def matrix(self) -> MoebiusMap | None:
+        return self.disc_matrix
 
 
 MapExpr = Union[Monomial, Scale, Blaschke, Constant, Mobius, Compose, HalfPlaneAffine]
@@ -156,33 +267,9 @@ def identity_map() -> MapExpr:
     return Mobius(moebius.identity())
 
 
-def _blaschke_factors(f: Blaschke, z: complex):
-    for zj in f.zeros:
-        yield (z - zj) / (1.0 - zj.conjugate() * z)
-
-
 def eval_raw(f: MapExpr, z: complex) -> complex:
     """Evaluate without wrapping; callers guarantee z is interior."""
-    if isinstance(f, Compose):
-        for part in reversed(f.parts):
-            z = eval_raw(part, z)
-        return z
-    if isinstance(f, Scale):
-        return f.factor * z
-    if isinstance(f, Monomial):
-        return z ** f.power
-    if isinstance(f, Mobius):
-        return moebius.apply(f.map, z)
-    if isinstance(f, Blaschke):
-        out = cmath.exp(1j * f.phase)
-        for w in _blaschke_factors(f, z):
-            out *= w
-        return out
-    if isinstance(f, Constant):
-        return f.value
-    if isinstance(f, HalfPlaneAffine):
-        return moebius.apply(f.disc_matrix, z)
-    raise TypeError(f"not a MapExpr: {f!r}")
+    return f.eval(z)
 
 
 def evaluate(f: MapExpr, z) -> DiscPoint:
@@ -191,50 +278,21 @@ def evaluate(f: MapExpr, z) -> DiscPoint:
 
 
 def derivative(f: MapExpr, z) -> complex:
-    zv = complex(getattr(z, "value", z))
-    return _deriv_raw(f, zv)
+    return _deriv_raw(f, complex(getattr(z, "value", z)))
 
 
 def _deriv_raw(f: MapExpr, z: complex) -> complex:
-    if isinstance(f, Compose):
-        d = 1.0 + 0.0j
-        v = z
-        for part in reversed(f.parts):
-            d *= _deriv_raw(part, v)
-            v = eval_raw(part, v)
-        return d
-    if isinstance(f, Scale):
-        return f.factor
-    if isinstance(f, Monomial):
-        return f.power * z ** (f.power - 1) if f.power > 1 else 1.0 + 0.0j
-    if isinstance(f, Mobius):
-        return moebius.deriv(f.map, z)
-    if isinstance(f, Blaschke):
-        vals = list(_blaschke_factors(f, z))
-        total = 0.0 + 0.0j
-        for j, zj in enumerate(f.zeros):
-            dj = (1.0 - abs(zj) ** 2) / (1.0 - zj.conjugate() * z) ** 2
-            rest = 1.0 + 0.0j
-            for i, v in enumerate(vals):
-                if i != j:
-                    rest *= v
-            total += dj * rest
-        return cmath.exp(1j * f.phase) * total
-    if isinstance(f, Constant):
-        return 0.0 + 0.0j
-    if isinstance(f, HalfPlaneAffine):
-        return moebius.deriv(f.disc_matrix, z)
-    raise TypeError(f"not a MapExpr: {f!r}")
+    return f.jet(z)[1]
 
 
 def distortion(f: MapExpr, z) -> float:
     """Hyperbolic distortion f#(z), clamped to [0, 1]."""
     zv = disc_point(z)
-    w = eval_raw(f, zv)
+    w, d = f.jet(zv)
     den = 1.0 - abs(w) ** 2
     if den <= 0.0:
         raise ConsistencyError(f"self-map evaluation left the disc at {zv!r}")
-    val = abs(_deriv_raw(f, zv)) * (1.0 - abs(zv) ** 2) / den
+    val = abs(d) * (1.0 - abs(zv) ** 2) / den
     # 1 - |z|^2 loses relative accuracy like eps/(1 - |z|) near the unit
     # circle, so the over-unity tolerance has to widen with it; a genuine
     # violation overshoots by orders of magnitude more
@@ -255,56 +313,18 @@ def distortion_via_quotient(f: MapExpr, z, h: float) -> float:
     return num / den
 
 
-_AUTO_EPS = 1e-15
-
-
 def as_automorphism(f: MapExpr):
-    """The MoebiusMap equal to f when f is structurally an automorphism."""
-    if isinstance(f, Mobius):
-        return f.map
-    if isinstance(f, Monomial):
-        return moebius.identity() if f.power == 1 else None
-    if isinstance(f, Scale):
-        if abs(abs(f.factor) - 1.0) <= _AUTO_EPS:
-            return MoebiusMap(f.factor, 0.0, 0.0, 1.0, moebius.DISC)
-        return None
-    if isinstance(f, Blaschke):
-        if len(f.zeros) == 1:
-            ph = cmath.exp(1j * f.phase)
-            z0 = f.zeros[0]
-            return MoebiusMap(ph, -ph * z0, -z0.conjugate(), 1.0, moebius.DISC)
-        return None
-    if isinstance(f, HalfPlaneAffine):
-        if abs(f.translation.imag) <= _AUTO_EPS:
-            m = f.disc_matrix
-            return MoebiusMap(m.a, m.b, m.c, m.d, moebius.DISC)
-        return None
-    if isinstance(f, Compose):
-        acc = moebius.identity()
-        for part in f.parts:
-            m = as_automorphism(part)
-            if m is None:
-                return None
-            acc = moebius.compose(acc, m)
-        return acc
-    return None
+    """The MoebiusMap equal to f when f is structurally a disc automorphism."""
+    m = f.matrix()
+    return m if m is not None and m.domain == moebius.DISC else None
 
 
 def _as_constant(f: MapExpr):
     if isinstance(f, Constant):
         return f.value
-    if isinstance(f, Compose):
-        if any(_constant_inside(p) for p in f.parts):
-            return eval_raw(f, 0.0)
+    if isinstance(f, Compose) and any(_as_constant(p) is not None for p in f.parts):
+        return eval_raw(f, 0.0)
     return None
-
-
-def _constant_inside(f: MapExpr) -> bool:
-    if isinstance(f, Constant):
-        return True
-    if isinstance(f, Compose):
-        return any(_constant_inside(p) for p in f.parts)
-    return False
 
 
 @dataclass(frozen=True)
@@ -325,8 +345,8 @@ def polish_fixed_point(f: MapExpr, z0: complex, steps: int = 60, tol: float = 1e
     """Newton refinement of an interior fixed point of f."""
     z = complex(z0)
     for _ in range(steps):
-        fz = eval_raw(f, z)
-        dz = _deriv_raw(f, z) - 1.0
+        fz, d = f.jet(z)
+        dz = d - 1.0
         if abs(dz) < 1e-14:
             break
         step = (fz - z) / dz
@@ -476,7 +496,7 @@ def map_to_json(f: MapExpr) -> dict:
 def map_from_json(obj: dict) -> MapExpr:
     kind = obj.get("kind")
     if kind == "monomial":
-        return Monomial(int(obj["power"]))
+        return Monomial(obj["power"])
     if kind == "scale":
         re, im = obj["factor"]
         return Scale(complex(re, im))

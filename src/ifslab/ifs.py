@@ -9,15 +9,18 @@ gives nested images and the step bound
 
     omega(R_{n-1} z, R_n z) <= omega(z, f_n z).
 
-Runs of fractional-linear generators are collapsed into a single matrix
-product, which keeps the common scaling and Moebius streams at O(1) per
-right step.  Other right evaluations go through the stored composition:
-O(p) per step on a cycled stream of period p, which reuses R_{n-p}, and
-O(n) per step on list and rule streams.
+Runs of fractional-linear generators, the ones whose f.matrix() is not
+None, are collapsed into a single matrix product, which keeps the common
+scaling and Moebius streams at O(1) per right step.  Other right
+evaluations go through the stored composition: O(p) per step on a cycled
+stream of period p, which reuses R_{n-p}, and O(n) per step on list and
+rule streams.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,8 +44,8 @@ class DepthCapError(RuntimeError):
 
 def _scale_product_rule(params: dict) -> Callable[[int], MapExpr]:
     power = float(params.get("power", 2.0))
-    if power <= 0:
-        raise ValueError("scale_product power must be positive")
+    if not (math.isfinite(power) and power > 0):
+        raise DomainError(f"scale_product power must be finite and positive: {power!r}")
 
     def rule(n: int) -> MapExpr:
         return holomap.Scale(1.0 - 1.0 / (n + 1) ** power)
@@ -132,34 +135,6 @@ def stream_from_json(obj: dict) -> GeneratorStream:
     raise ValueError(f"unknown stream type {kind!r}")
 
 
-def as_fractional_linear(f: MapExpr) -> MoebiusMap | None:
-    """The matrix of f when it is a Moebius map, automorphism or not."""
-    if isinstance(f, holomap.Mobius):
-        return f.map
-    if isinstance(f, holomap.Monomial):
-        return moebius.identity() if f.power == 1 else None
-    if isinstance(f, holomap.Scale):
-        auto = holomap.as_automorphism(f)
-        if auto is not None:
-            return auto
-        if f.factor == 0:
-            return None  # constant map, matrix would be singular
-        return MoebiusMap(f.factor, 0.0, 0.0, 1.0, moebius.GENERIC)
-    if isinstance(f, holomap.Blaschke):
-        return holomap.as_automorphism(f)
-    if isinstance(f, holomap.HalfPlaneAffine):
-        return f.disc_matrix
-    if isinstance(f, holomap.Compose):
-        acc = moebius.identity()
-        for part in f.parts:
-            m = as_fractional_linear(part)
-            if m is None:
-                return None
-            acc = moebius.compose(acc, m)
-        return acc
-    return None
-
-
 class LeftOrbitCursor:
     """Tracks L_n at a fixed set of seeds, one generator application per step.
 
@@ -226,18 +201,18 @@ class LeftOrbitCursor:
 class RightOrbitState:
     """Tracks R_n at fixed seeds, keeping the composed map as it grows.
 
-    While every generator so far is fractional-linear, R_n is one running
-    matrix product and each step costs O(1).  Otherwise R_n(s) is replayed
-    through the stored composition, f_n first and f_1 last, which costs
-    O(n) per step on list and rule streams.  A cycled stream of period p
-    is linear in N: R_n = C o R_{n-p} with C = f_1 o ... o f_p, and the
-    replay of R_n passes through R_{n-p}(s) after its first n - p
-    evaluations, so applying f_p, ..., f_1 to the stored R_{n-p}(s) makes
-    the same evaluations on the same floats and gives R_n(s) bit for bit
-    in O(p).  Values from the matrix path differ in rounding from a
-    replay, so a residue whose last step ran on the matrix is replayed
-    once in full.  The depth cap applies to every stream off the matrix
-    path, cycled or not.
+    While every generator so far is fractional-linear (f.matrix() is not
+    None), R_n is one running matrix product and each step costs O(1).
+    Otherwise R_n(s) is replayed through the stored composition, f_n
+    first and f_1 last, which costs O(n) per step on list and rule
+    streams.  A cycled stream of period p is linear in N: R_n = C o
+    R_{n-p} with C = f_1 o ... o f_p, and the replay of R_n passes
+    through R_{n-p}(s) after its first n - p evaluations, so applying
+    f_p, ..., f_1 to the stored R_{n-p}(s) makes the same evaluations on
+    the same floats and gives R_n(s) bit for bit in O(p).  Values from
+    the matrix path differ in rounding from a replay, so a residue whose
+    last step ran on the matrix is replayed once in full.  The depth cap
+    applies to every stream off the matrix path, cycled or not.
     """
 
     def __init__(self, stream: GeneratorStream, seeds, depth_cap: int = DEPTH_CAP, record: bool = False):
@@ -272,7 +247,7 @@ class RightOrbitState:
         f = self.stream.generator_at(n)
         self.parts.append(f)
         if self.matrix is not None:
-            fm = as_fractional_linear(f)
+            fm = f.matrix()
             if fm is not None:
                 prod = moebius.compose(self.matrix, fm)
                 det = prod.a * prod.d - prod.b * prod.c
@@ -439,9 +414,6 @@ def orbit_bounded(
 
 def ball_samples(ball: HyperbolicBall, ring: int = 8):
     """Center plus a ring on the hyperbolic sphere of the given ball."""
-    import cmath
-    import math
-
     c = ball.center
     move = moebius.make_disc_auto(c, 0.0) if c != 0 else None
     r = math.tanh(ball.radius)

@@ -205,6 +205,15 @@ def test_bad_stream_exits_2(tmp_path):
     assert cli.main(["--out", str(tmp_path), "simulate", "--stream", "{not json"]) == 2
 
 
+def test_non_finite_stream_exits_2(tmp_path):
+    for spec in (
+        '{"type":"cycle","generators":[{"kind":"scale","factor":[NaN,0]}]}',
+        '{"type":"rule","name":"scale_product","params":{"power":NaN}}',
+    ):
+        assert cli.main(["--out", str(tmp_path), "simulate", "--stream", spec]) == 2
+        assert not (tmp_path / "orbit.csv").exists()
+
+
 def test_out_dir_created(tmp_path):
     nested = tmp_path / "deep" / "er"
     rc = cli.main(["--out", str(nested), "simulate", "--stream", BASEL, "-N", "5"])

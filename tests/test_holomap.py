@@ -3,12 +3,13 @@
 import cmath
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifslab import holomap, moebius
-from ifslab.geometry import DomainError, disc_distance
+from ifslab import holomap, ifs, moebius
+from ifslab.geometry import DomainError, HyperbolicBall, disc_distance
 from ifslab.holomap import (
     Blaschke,
     Compose,
@@ -62,6 +63,27 @@ def sample_maps():
     )
 
 
+# maps whose matrix() is not None, with and without the DISC tag, and a
+# constant scale whose matrix would be singular
+_FRACTIONAL = [
+    Monomial(1),
+    Scale(1j),
+    Scale(0.0),
+    Blaschke((0.3,), 0.2),
+    HalfPlaneAffine(1.0),
+    HalfPlaneAffine(0.5 + 1e-16j),
+    HalfPlaneAffine(2.0 + 1.0j, 0.5),
+]
+
+
+def nested_maps():
+    return st.recursive(
+        st.one_of(sample_maps(), st.sampled_from(_FRACTIONAL)),
+        lambda parts: st.lists(parts, min_size=1, max_size=3).map(lambda ps: Compose(tuple(ps))),
+        max_leaves=6,
+    )
+
+
 def test_node_validation():
     with pytest.raises(ValueError):
         Monomial(0)
@@ -77,6 +99,23 @@ def test_node_validation():
         HalfPlaneAffine(0.0 - 1.0j)  # would push the half-plane downward
     with pytest.raises((ValueError, DomainError)):
         HalfPlaneAffine(0.0, -2.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        lambda: Scale(nan),
+        lambda: Blaschke((0.3,), nan),
+        lambda: Monomial(True),
+        lambda: map_from_json({"kind": "monomial", "power": 2.7}),
+        lambda: map_from_json({"kind": "monomial", "power": True}),
+        lambda: ifs.stream_from_json({"type": "rule", "name": "scale_product", "params": {"power": nan}}),
+        lambda: ifs.stream_from_json({"type": "rule", "name": "scale_product", "params": {"power": inf}}),
+        lambda: HyperbolicBall(0, inf),
+        lambda: HalfPlaneAffine(complex(nan, 0.0)),
+        lambda: HalfPlaneAffine(complex(inf, 1.0)),
+        lambda: HalfPlaneAffine(0.0, inf),
+        lambda: HalfPlaneAffine(0.0, nan),
+    ):
+        with pytest.raises(DomainError):
+            bad()
 
 
 def test_monomial_and_scale_evaluation():
@@ -163,6 +202,11 @@ def test_as_automorphism_recognizes_structure():
     assert as_automorphism(HalfPlaneAffine(1.0)) is not None
     comp = Compose((Scale(-1.0), Blaschke((0.2,), 0.0)))
     assert as_automorphism(comp) is not None
+    # an imaginary part at rounding level still reads as a real translation
+    near = HalfPlaneAffine(0.5 + 1e-16j)
+    assert near.matrix().domain == moebius.DISC
+    assert as_automorphism(near) is not None
+    assert as_automorphism(HalfPlaneAffine(0.5 + 1e-14j)) is None
 
 
 def test_polish_fixed_point():
@@ -229,3 +273,42 @@ def test_distortion_near_boundary_stays_clamped():
     g = Mobius(moebius.make_disc_auto(0.3, 0.0))
     z = (1.0 - 7.5e-9) * cmath.exp(2.1j)
     assert 0.0 <= distortion(g, z) <= 1.0
+
+
+@given(nested_maps(), disc_pts())
+def test_jet_value_is_eval_bit_for_bit(f, z):
+    assert f.jet(z)[0] == f.eval(z)
+    assert f.eval(z) == holomap.eval_raw(f, z)
+
+
+@given(nested_maps(), disc_pts())
+def test_automorphism_is_a_disc_matrix(f, z):
+    m = f.matrix()
+    assert (as_automorphism(f) is not None) == (m is not None and m.domain == moebius.DISC)
+    if m is not None:
+        assert moebius.apply(m, z) == pytest.approx(f.eval(z), abs=1e-12)
+
+
+def _counting(calls, name, method):
+    def counted(self, z):
+        calls[name] += 1
+        return method(self, z)
+
+    return counted
+
+
+def test_distortion_of_compose_walks_the_tree_once(monkeypatch):
+    kinds = (Compose, Scale, Blaschke, Monomial, Mobius)
+    jets, evals = Counter(), Counter()
+    for cls in kinds:
+        monkeypatch.setattr(cls, "jet", _counting(jets, cls.__name__, cls.jet))
+        monkeypatch.setattr(cls, "eval", _counting(evals, cls.__name__, cls.eval))
+    f = Compose((
+        Scale(0.8),
+        Blaschke((0.3 + 0.1j, -0.2j), 0.4),
+        Monomial(2),
+        Mobius(moebius.make_disc_auto(0.3, 0.2)),
+    ))
+    distortion(f, 0.25 - 0.1j)
+    assert jets == Counter({cls.__name__: 1 for cls in kinds})
+    assert not evals

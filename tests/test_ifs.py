@@ -16,7 +16,6 @@ from ifslab.ifs import (
     GeneratorStream,
     LeftOrbitCursor,
     RightOrbitState,
-    as_fractional_linear,
     ball_samples,
     compact_divergence,
     orbit_bounded,
@@ -81,13 +80,13 @@ def test_as_fractional_linear():
         Compose((Scale(0.5), Mobius(moebius.make_disc_auto(0.2, 0.0)))),
     ]
     for f in cases:
-        m = as_fractional_linear(f)
+        m = f.matrix()
         assert m is not None
         for z in (0.0, 0.3 + 0.2j, -0.4j):
             assert moebius.apply(m, z) == pytest.approx(holomap.eval_raw(f, z), abs=1e-12)
-    assert as_fractional_linear(Monomial(2)) is None
-    assert as_fractional_linear(Scale(0.0)) is None  # constant, not invertible
-    assert as_fractional_linear(Compose((Monomial(2), Scale(0.5)))) is None
+    assert Monomial(2).matrix() is None
+    assert Scale(0.0).matrix() is None  # constant, not invertible
+    assert Compose((Monomial(2), Scale(0.5))).matrix() is None
 
 
 def test_left_orbit_telescoping_product():
