@@ -44,14 +44,10 @@ def best_automorphism(f: MapExpr, w) -> MoebiusMap:
     if auto is not None:
         return auto
     wv = disc_point(w)
-    fw = holomap.eval_raw(f, wv)
+    fw, d = f.jet(wv)
     phi = moebius.make_disc_auto(wv, 0.0)
     psi = moebius.make_disc_auto(fw, 0.0)
-    gprime = (
-        holomap.derivative(f, wv)
-        * (1.0 - abs(wv) ** 2)
-        / (1.0 - abs(fw) ** 2)
-    )
+    gprime = d * (1.0 - abs(wv) ** 2) / (1.0 - abs(fw) ** 2)
     inner = moebius.inverse(phi)
     if abs(gprime) > 0:
         alpha = math.atan2(gprime.imag, gprime.real)

@@ -11,6 +11,7 @@ an expected outcome near the threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import holomap
@@ -84,21 +85,23 @@ def distortion_series(
         f = stream.generator_at(n)
         if holomap._as_constant(f) is not None:
             raise ValueError(f"generator {n} is constant; the deficit series needs nonconstant maps")
-        at = v if mode == "along_orbit" else z
-        d = holomap.distortion(f, at)
+        if mode == "along_orbit":
+            at = disc_point(v)
+            v, dv = f.jet(at)
+            d = holomap._distortion_from_jet(at, v, dv)
+        else:
+            d = holomap.distortion(f, z)
+            v = holomap.eval_raw(f, v)
         terms.append(1.0 - d)
         total += 1.0 - d
         sums.append(total)
         prod *= d
         prods.append(prod)
         if mode == "along_orbit":
-            v, dv = f.jet(v)
             deriv *= dv
             den = 1.0 - abs(v) ** 2
             direct = abs(deriv) * (1.0 - abs(z) ** 2) / den if den > 0 else float("inf")
             resid_max = max(resid_max, abs(direct - prod))
-        else:
-            v = holomap.eval_raw(f, v)
         orbit.append(v)
     return SeriesReport(
         mode=mode,
@@ -167,21 +170,28 @@ class RightLimitReport:
 
 
 def _right_distortion_product(stream: GeneratorStream, n: int, z0: complex) -> float:
-    """Distortion of R_n at z0 through the reversed evaluation chain.
+    """Distortion of R_n at z0, the product of f_j#(v_j) for j = 1..n.
 
-    v_n = z0 and v_{j-1} = f_j(v_j) visits exactly the points where the
-    chain rule needs each factor, so one O(n) sweep gives the product.
+    v_n = z0 and v_{j-1} = f_j(v_j) visit exactly the points where the
+    chain rule needs each factor.  One descending sweep fetches each f_j
+    once and keeps its jet at v_j, which also gives v_{j-1}; the factors
+    are then multiplied for j = 1..n, the order in which the points are
+    checked.  Raises ValueError for a constant generator, DomainError
+    for a point v_j outside the disc and ConsistencyError for a factor
+    above 1.
     """
-    vs = [z0]
+    jets = []
+    v = z0
     for j in range(n, 0, -1):
         f = stream.generator_at(j)
         if holomap._as_constant(f) is not None:
             raise ValueError(f"generator {j} is constant; the distortion product needs nonconstant maps")
-        vs.append(holomap.eval_raw(f, vs[-1]))
-    vs.reverse()  # vs[j] is now v_j with v_0 = R_n(z0)
+        w, d = f.jet(v)
+        jets.append((v, w, d))
+        v = w
     prod = 1.0
-    for j in range(1, n + 1):
-        prod *= holomap.distortion(stream.generator_at(j), vs[j])
+    for v, w, d in reversed(jets):
+        prod *= holomap._distortion_from_jet(disc_point(v), w, d)
     return prod
 
 
@@ -280,14 +290,16 @@ def track_fixed_points(
                 )
         seed = prev if prev is not None else pz
         p = holomap.polish_fixed_point(f, seed)
-        if abs(p) >= 1.0 or abs(holomap.eval_raw(f, p) - p) > residual_tol:
+        resid = math.inf if abs(p) >= 1.0 else abs(holomap.eval_raw(f, p) - p)
+        if resid > residual_tol:
             report = holomap.denjoy_wolff(f)
             if report.kind not in ("elliptic_strict", "constant"):
                 raise TrackingRefusal(
                     f"generator {n} has no interior attracting point (kind {report.kind!r})"
                 )
             p = report.point
-        resid_max = max(resid_max, abs(holomap.eval_raw(f, p) - p))
+            resid = abs(holomap.eval_raw(f, p) - p)
+        resid_max = max(resid_max, resid)
         points.append(p)
         prev = p
         cur = holomap.eval_raw(f, cur)

@@ -19,9 +19,14 @@ Useful equivalent forms (kept as test oracles, not used in computation):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 EPS_BOUNDARY = 1e-13
+
+# machine epsilon, 2**-52: the gap between 1.0 and the next double (twice
+# the unit roundoff); the rounding-noise floors of the ledgers scale with it
+_EPS = sys.float_info.epsilon
 
 # Clamped points are pulled to this radius, strictly inside the admissible
 # region so the DiscPoint constructor accepts them.
@@ -53,10 +58,7 @@ class DiscPoint:
     clamped: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
-        v = complex(self.value)
-        if not abs(v) < 1.0 - EPS_BOUNDARY:
-            raise DomainError(f"not an interior disc point: {v!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", disc_point(self.value))
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,10 @@ def disc_point(z) -> complex:
     """Validate z as an interior disc point and return it as complex."""
     if isinstance(z, DiscPoint):
         return z.value
-    return DiscPoint(_cx(z)).value
+    v = _cx(z)
+    if not abs(v) < 1.0 - EPS_BOUNDARY:
+        raise DomainError(f"not an interior disc point: {v!r}")
+    return v
 
 
 def halfplane_point(z) -> complex:
@@ -127,12 +132,6 @@ def disc_distance(z, w) -> float:
     return _omega_raw(disc_point(z), disc_point(w))
 
 
-def metric_density(z) -> float:
-    """Density 1/(1 - |z|^2) of the hyperbolic metric at z."""
-    v = disc_point(z)
-    return 1.0 / (1.0 - abs(v) ** 2)
-
-
 def cayley(z) -> DiscPoint:
     """Cayley transform H+ -> D, z |-> (z - i)/(z + i)."""
     v = halfplane_point(z)
@@ -148,8 +147,3 @@ def cayley_inv(w) -> HalfPlanePoint:
 def halfplane_distance(z, w) -> float:
     """Hyperbolic distance on H+, computed as the disc distance of images."""
     return _omega_raw(cayley(z).value, cayley(w).value)
-
-
-def ball_contains(ball: HyperbolicBall, z, slack: float = 1e-12) -> bool:
-    """Membership in a closed hyperbolic ball, with a tiny numeric slack."""
-    return disc_distance(ball.center, z) <= ball.radius + slack

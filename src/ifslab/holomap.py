@@ -23,10 +23,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Union, get_args
 
 from . import moebius
-from .geometry import DiscPoint, DomainError, clamp_to_disc, disc_point, _omega_raw
+from .geometry import _EPS, DiscPoint, DomainError, clamp_to_disc, disc_point, _omega_raw
 from .moebius import MoebiusMap
 
 # |a| within this of 1 makes Scale(a) a rotation, and Im t within it of 0
@@ -195,6 +195,7 @@ class Compose:
         ps = tuple(self.parts)
         if not ps:
             raise DomainError("compose needs at least one part")
+        _require_nodes(ps, "compose parts")
         object.__setattr__(self, "parts", ps)
 
     def eval(self, z: complex) -> complex:
@@ -263,6 +264,14 @@ class HalfPlaneAffine:
 MapExpr = Union[Monomial, Scale, Blaschke, Constant, Mobius, Compose, HalfPlaneAffine]
 
 
+def _require_nodes(parts: tuple, what: str) -> None:
+    """DomainError unless every entry of parts is a map node."""
+    kinds = get_args(MapExpr)
+    for p in parts:
+        if not isinstance(p, kinds):
+            raise DomainError(f"{what} must be map nodes, got {p!r}")
+
+
 def identity_map() -> MapExpr:
     return Mobius(moebius.identity())
 
@@ -286,19 +295,33 @@ def _deriv_raw(f: MapExpr, z: complex) -> complex:
 
 
 def distortion(f: MapExpr, z) -> float:
-    """Hyperbolic distortion f#(z), clamped to [0, 1]."""
+    """Hyperbolic distortion f#(z), clamped to [0, 1].
+
+    z is validated as an interior disc point (DomainError otherwise) and
+    f is walked once, by one jet at z.  Callers that need f(z) or f'(z)
+    as well take that jet themselves, validate z the same way, and pass
+    it to _distortion_from_jet.
+    """
     zv = disc_point(z)
-    w, d = f.jet(zv)
+    return _distortion_from_jet(zv, *f.jet(zv))
+
+
+def _distortion_from_jet(z: complex, w: complex, d: complex) -> float:
+    """f#(z) from the jet (w, d) = (f(z), f'(z)) at an interior point z.
+
+    Clamped to [0, 1]; raises ConsistencyError when w is not inside the
+    disc or the value exceeds 1 by more than rounding can explain.
+    """
     den = 1.0 - abs(w) ** 2
     if den <= 0.0:
-        raise ConsistencyError(f"self-map evaluation left the disc at {zv!r}")
-    val = abs(d) * (1.0 - abs(zv) ** 2) / den
+        raise ConsistencyError(f"self-map evaluation left the disc at {z!r}")
+    val = abs(d) * (1.0 - abs(z) ** 2) / den
     # 1 - |z|^2 loses relative accuracy like eps/(1 - |z|) near the unit
     # circle, so the over-unity tolerance has to widen with it; a genuine
     # violation overshoots by orders of magnitude more
-    tol = 1e-9 + 64.0 * 2.220446049250313e-16 / min(den, 1.0 - abs(zv) ** 2)
+    tol = 1e-9 + 64.0 * _EPS / min(den, 1.0 - abs(z) ** 2)
     if val > 1.0 + tol:
-        raise ConsistencyError(f"distortion {val!r} above 1 at {zv!r}")
+        raise ConsistencyError(f"distortion {val!r} above 1 at {z!r}")
     return min(max(val, 0.0), 1.0)
 
 

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import holomap, moebius
-from .geometry import DomainError, HyperbolicBall, _omega_raw, disc_point
+from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point
 from .holomap import ConsistencyError, MapExpr
 from .moebius import MoebiusMap
 
 LEDGER_SLACK = 1e-10
 DEPTH_CAP = 100_000
-_EPS = 2.220446049250313e-16  # double precision unit roundoff
 
 
 class DepthCapError(RuntimeError):
@@ -75,6 +74,7 @@ class GeneratorStream:
         ms = tuple(maps)
         if not ms:
             raise ValueError("explicit stream needs at least one generator")
+        holomap._require_nodes(ms, "stream generators")
         return cls("list", ms)
 
     @classmethod
@@ -82,6 +82,7 @@ class GeneratorStream:
         ms = tuple(maps)
         if not ms:
             raise ValueError("cycled stream needs at least one generator")
+        holomap._require_nodes(ms, "stream generators")
         return cls("cycle", ms)
 
     @classmethod

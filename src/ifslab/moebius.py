@@ -207,14 +207,6 @@ def to_disc(g: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(*_det1(*m), domain=domain)
 
 
-def to_halfplane(g: MoebiusMap) -> MoebiusMap:
-    if g.domain == HALF_PLANE:
-        return g
-    m = _matmul(_matmul(_CAYLEY_ADJ, g.entries()), _CAYLEY)
-    domain = HALF_PLANE if g.domain == DISC else GENERIC
-    return MoebiusMap(*_det1(*m), domain=domain)
-
-
 @dataclass(frozen=True)
 class AutClass:
     """Classification of a disc (or transported half-plane) automorphism.
@@ -352,25 +344,6 @@ def power(g: MoebiusMap, k: int) -> MoebiusMap:
         base = compose(base, base) if k > 1 else base
         k >>= 1
     return acc
-
-
-def from_three_points(zs, ws) -> MoebiusMap:
-    """The Moebius map with zs[i] |-> ws[i] for three distinct points each."""
-
-    def to_standard(p1, p2, p3):
-        # sends p1, p2, p3 to 0, 1, infinity
-        return (p2 - p3, -p1 * (p2 - p3), p2 - p1, -p3 * (p2 - p1))
-
-    sz = to_standard(*(complex(z) for z in zs))
-    sw = to_standard(*(complex(w) for w in ws))
-    adj = (sw[3], -sw[1], -sw[2], sw[0])
-    m = _matmul(adj, sz)
-    domain = GENERIC
-    if _is_su11(*m):
-        domain = DISC
-    elif _real_rep(*m) is not None:
-        domain = HALF_PLANE
-    return MoebiusMap(*_det1(*m), domain=domain)
 
 
 def random_disc_auto(rng: random.Random, max_center: float = 0.8) -> MoebiusMap:

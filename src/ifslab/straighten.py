@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import holomap, moebius
-from .geometry import DomainError, _omega_raw, disc_point
+from .geometry import _EPS, DomainError, _omega_raw, disc_point
 from .holomap import ConsistencyError, InconclusiveError, MapExpr
 from .ifs import (
     LEDGER_SLACK,
@@ -49,7 +49,6 @@ def make_grid(radii=(0.3, 0.6), per_circle: int = 12, include_origin: bool = Tru
 
 DEFAULT_GRID = make_grid()
 DEFAULT_PROBE = 0.5
-_EPS = 2.220446049250313e-16  # double precision unit roundoff
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,9 @@ def left_straighten(
 
     for n in range(1, N + 1):
         f = stream.generator_at(n)
-        dist0 *= holomap.distortion(f, a)
-        a = holomap.eval_raw(f, a)
+        at = disc_point(a)
+        a, da = f.jet(at)
+        dist0 *= holomap._distortion_from_jet(at, a, da)
         vals = [holomap.eval_raw(f, v) for v in vals]
         v_probe = holomap.eval_raw(f, v_probe)
         v_extra = [holomap.eval_raw(f, v) for v in v_extra]
@@ -267,13 +267,13 @@ def right_straighten(
 
     for n in range(1, N + 1):
         f = gens[n - 1]
-        wn = wpts[n]
-        d = holomap.derivative(f, wn)
+        wn = disc_point(wpts[n])
+        fw, d = f.jet(wn)
         amp *= max(1.0, abs(d))
         prev_theta = theta
         if d != 0:
             theta += math.atan2(d.imag, d.real)
-        dist0 *= holomap.distortion(f, wn)
+        dist0 *= holomap._distortion_from_jet(wn, fw, d)
 
         eith = cmath.exp(1j * theta)
         gamma = MoebiusMap(eith, -eith * wn, -wn.conjugate(), 1.0, moebius.DISC)
@@ -324,7 +324,7 @@ def right_straighten(
         # rebuilding H_n replays the whole chain, so rounding is amplified
         # by the derivative product along the orbit; window moves below
         # that floor are noise, not genuine movement
-        floor = 16.0 * 2.220446049250313e-16 * amp
+        floor = 16.0 * _EPS * amp
         if floor < 0.01 and sum(residual_trace[-cfg.window:]) < max(cfg.tol, cfg.window * floor):
             converged = True
 
@@ -345,39 +345,6 @@ def right_straighten(
         distortion_trace=tuple(dist_trace),
         gn_derivs=tuple(gn_derivs),
     )
-
-
-def limit_distance(stream: GeneratorStream, z, w, N: int):
-    """Trace of omega(L_n z, L_n w); non-increasing, so the last entry
-    estimates the limit from above."""
-    zv, wv = disc_point(z), disc_point(w)
-    trace = [_omega_raw(zv, wv)]
-    prev = trace[0]
-    for n in range(1, N + 1):
-        f = stream.generator_at(n)
-        zv = holomap.eval_raw(f, zv)
-        wv = holomap.eval_raw(f, wv)
-        d = _omega_raw(zv, wv)
-        gap = max(1.0 - abs(zv), 1.0 - abs(wv), _EPS)
-        if d > prev + LEDGER_SLACK + n * 8.0 * _EPS / gap:
-            raise ConsistencyError(f"paired distance grew at step {n}")
-        prev = d
-        trace.append(d)
-    return trace[-1], tuple(trace)
-
-
-def distortion_limit(stream: GeneratorStream, z, N: int):
-    """Trace of the distortion of L_n at z, computed as the running
-    product of single-step distortions along the orbit."""
-    zv = disc_point(z)
-    prod = 1.0
-    trace = [1.0]
-    for n in range(1, N + 1):
-        f = stream.generator_at(n)
-        prod *= holomap.distortion(f, zv)
-        zv = holomap.eval_raw(f, zv)
-        trace.append(prod)
-    return trace[-1], tuple(trace)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from ifslab.ifs import GeneratorStream
 from ifslab.criteria import (
     SeriesConfig,
     TrackingRefusal,
+    _right_distortion_product,
     classify_left_limits,
     classify_right_limits,
     distortion_series,
@@ -112,6 +114,52 @@ def test_left_classification_escaping():
     )
     rep = classify_left_limits(GeneratorStream.from_cycle([g]), 200)
     assert rep.kind == "not_relatively_compact"
+    # fast escapes reach the boundary within a few steps; the escape
+    # check still reads them before any series runs into the boundary
+    for a in (0.9999999, 0.999999999):
+        s = GeneratorStream.from_cycle([Mobius(moebius.make_disc_auto(a, 0.0))])
+        assert classify_left_limits(s, 200).kind == "not_relatively_compact"
+
+
+def _count_scale_calls(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("jet", "eval"):
+
+        def counted(self, z, name=name, method=getattr(Scale, name)):
+            calls[name] += 1
+            return method(self, z)
+
+        monkeypatch.setattr(Scale, name, counted)
+    return calls
+
+
+def test_series_takes_one_jet_per_step(monkeypatch):
+    calls = _count_scale_calls(monkeypatch)
+    distortion_series(scale_product_stream(2), 100, 0.3j)
+    assert calls == Counter({"jet": 100})
+    calls.clear()
+    # one series per base point; the escape check evaluates one orbit
+    classify_left_limits(scale_product_stream(2), 100)
+    assert calls == Counter({"jet": 200, "eval": 100})
+
+
+def test_right_product_fetches_each_generator_once(monkeypatch):
+    s = GeneratorStream.from_cycle([Blaschke((0.3 + 0.1j,), 0.4), Scale(0.9), Monomial(2)])
+    n, z0 = 50, 0.4 - 0.2j
+    # the chain rule product, one evaluation sweep down and one distortion
+    # per factor up
+    vs = [z0]
+    for j in range(n, 0, -1):
+        vs.append(holomap.eval_raw(s.generator_at(j), vs[-1]))
+    vs.reverse()
+    expected = 1.0
+    for j in range(1, n + 1):
+        expected *= holomap.distortion(s.generator_at(j), vs[j])
+    fetches = []
+    fetch = GeneratorStream.generator_at
+    monkeypatch.setattr(GeneratorStream, "generator_at", lambda self, j: fetches.append(j) or fetch(self, j))
+    assert _right_distortion_product(s, n, z0) == expected
+    assert sorted(fetches) == list(range(1, n + 1))
 
 
 def test_right_classification_harmonic():

@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 from ifslab import geometry
 from ifslab.geometry import (
     DomainError,
-    HyperbolicBall,
-    ball_contains,
     cayley,
     cayley_inv,
     clamp_to_disc,
@@ -18,7 +16,6 @@ from ifslab.geometry import (
     disc_point,
     halfplane_distance,
     halfplane_point,
-    metric_density,
 )
 
 ATANH_HALF = 0.5493061443340548  # atanh(0.5)
@@ -45,9 +42,10 @@ def test_distance_formula_against_direct_evaluation():
 
 
 def test_density_convention():
-    # curvature -4 normalization: density 1 at the origin
-    assert metric_density(0.0) == 1.0
-    assert metric_density(0.6) == pytest.approx(1.0 / (1.0 - 0.36), rel=1e-14)
+    # curvature -4 normalization: density 1/(1 - |z|^2), so 1 at the origin
+    h = 1e-7
+    assert disc_distance(0.0, h) / h == pytest.approx(1.0, rel=1e-12)
+    assert disc_distance(0.6, 0.6 + h) / h == pytest.approx(1.0 / (1.0 - 0.36), rel=1e-6)
 
 
 def test_halfplane_vertical_geodesic():
@@ -108,12 +106,6 @@ def test_clamp_to_disc():
     assert not p.clamped and p.value == 0.3 + 0.1j
     q = clamp_to_disc(1.0 + 1e-15)
     assert q.clamped and abs(q.value) < 1.0
-
-
-def test_ball_membership():
-    ball = HyperbolicBall(0.0, 1.0)
-    assert ball_contains(ball, math.tanh(1.0) - 1e-12)
-    assert not ball_contains(ball, math.tanh(1.0) + 1e-6)
 
 
 def test_distance_accepts_wrapped_points():

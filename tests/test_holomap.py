@@ -113,6 +113,10 @@ def test_node_validation():
         lambda: HalfPlaneAffine(complex(inf, 1.0)),
         lambda: HalfPlaneAffine(0.0, inf),
         lambda: HalfPlaneAffine(0.0, nan),
+        lambda: Compose((0.5,)),
+        lambda: Compose((Scale(0.5), moebius.identity())),
+        lambda: ifs.GeneratorStream.from_cycle([0.5]),
+        lambda: ifs.GeneratorStream.from_list([Scale(0.5), None]),
     ):
         with pytest.raises(DomainError):
             bad()
@@ -279,6 +283,7 @@ def test_distortion_near_boundary_stays_clamped():
 def test_jet_value_is_eval_bit_for_bit(f, z):
     assert f.jet(z)[0] == f.eval(z)
     assert f.eval(z) == holomap.eval_raw(f, z)
+    assert holomap._distortion_from_jet(z, *f.jet(z)) == distortion(f, z)
 
 
 @given(nested_maps(), disc_pts())

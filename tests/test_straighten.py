@@ -2,6 +2,7 @@
 boundary-step trichotomy probe."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -15,13 +16,12 @@ from ifslab.holomap import (
     Monomial,
     Scale,
 )
-from ifslab.ifs import BackwardOrbit, GeneratorStream
+from ifslab.criteria import distortion_series
+from ifslab.ifs import BackwardOrbit, GeneratorStream, LeftOrbitCursor
 from ifslab.straighten import (
     DEFAULT_GRID,
     StraightenConfig,
-    distortion_limit,
     left_straighten,
-    limit_distance,
     make_grid,
     mu_step,
     right_straighten,
@@ -94,7 +94,11 @@ def test_left_boundary_drift_stops():
 
 def test_limit_distance_telescoping():
     N = 1000
-    val, trace = limit_distance(scale_product_stream(2), 0.2, -0.2, N)
+    cursor = LeftOrbitCursor(scale_product_stream(2), (0.2, -0.2))
+    trace = [cursor.pair_distances[(0, 1)]]
+    for _ in range(N):
+        trace.append(cursor.advance().pair_distances[(0, 1)])
+    val = trace[-1]
     p = (N + 2) / (2.0 * (N + 1))
     rho = 0.4 * p / (1.0 + 0.04 * p * p)
     assert val == pytest.approx(math.atanh(rho), abs=1e-12)
@@ -103,9 +107,25 @@ def test_limit_distance_telescoping():
 
 def test_distortion_limit_telescoping():
     N = 800
-    val, trace = distortion_limit(scale_product_stream(2), 0.0, N)
+    trace = (1.0,) + distortion_series(scale_product_stream(2), N, 0.0).products
+    val = trace[-1]
     assert val == pytest.approx((N + 2) / (2.0 * (N + 1)), rel=1e-12)
     assert trace[0] == 1.0
+
+
+def test_left_takes_one_jet_per_step_on_its_base_orbit(monkeypatch):
+    calls = Counter()
+    for name in ("jet", "eval"):
+
+        def counted(self, z, name=name, method=getattr(Scale, name)):
+            calls[name] += 1
+            return method(self, z)
+
+        monkeypatch.setattr(Scale, name, counted)
+    res = left_straighten(scale_product_stream(2), 50)
+    # the base orbit a_n = L_n(0) takes a jet; the grid and the probe evaluate
+    assert calls["jet"] == res.steps
+    assert calls["eval"] == res.steps * (len(DEFAULT_GRID) + 1)
 
 
 def test_right_squaring_straightens():
