@@ -419,6 +419,17 @@ _NUMERIC_ABORTS = (
 )
 
 
+def _count(text: str) -> int:
+    """argparse type of every size flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("N must be at least 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ifslab",
@@ -434,13 +445,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a left or right orbit, emit orbit.csv")
     p.add_argument("--stream", required=True, help="stream JSON, inline or a file path")
     p.add_argument("--side", choices=("left", "right"), default="left")
-    p.add_argument("-N", "--horizon", type=int, default=200)
+    p.add_argument("-N", "--horizon", type=_count, default=200)
     p.add_argument("--seed-point", action="append", help="orbit seed, repeatable (default 0)")
 
     p = sub.add_parser("straighten", help="coordinate straightening, emit JSON + CSV")
     p.add_argument("--stream", required=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
-    p.add_argument("-N", "--horizon", type=int, default=400)
+    p.add_argument("-N", "--horizon", type=_count, default=400)
     p.add_argument("--probe", default="0.5")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--orbit", help="backward orbit JSON file ([[re,im],...]), right side only")
@@ -448,25 +459,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="limit-behavior verdict, emit classify.json")
     p.add_argument("--stream", required=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
-    p.add_argument("-N", "--horizon", type=int, default=1000)
+    p.add_argument("-N", "--horizon", type=_count, default=1000)
     p.add_argument("--base-point", action="append", help="evaluation point, repeatable")
 
     p = sub.add_parser("verify", help="fuzz one inequality, emit margins.csv")
     p.add_argument("--kind", required=True, choices=bounds.MARGIN_KINDS)
-    p.add_argument("--fuzz", type=int, default=1000, help="number of random draws")
+    p.add_argument("--fuzz", type=_count, default=1000, help="number of random draws")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coefficient", type=float, default=2.0)
 
     p = sub.add_parser("gallery", help="worked example builds, emit gallery.json")
     p.add_argument("--example", required=True, choices=("escape_return", "dense"))
-    p.add_argument("--nmax", type=int, default=5, help="escape_return stage count")
+    p.add_argument("--nmax", type=_count, default=5, help="escape_return stage count")
     p.add_argument("--targets", help="dense: JSON file of target automorphism matrices")
-    p.add_argument("--count", type=int, default=6, help="dense: number of default targets")
+    p.add_argument("--count", type=_count, default=6, help="dense: number of default targets")
     p.add_argument("--svg", action="store_true", help="also draw the upper half-plane orbit")
 
     p = sub.add_parser("fixed-points", help="track generator fixed points, emit JSON")
     p.add_argument("--stream", required=True)
-    p.add_argument("-N", "--horizon", type=int, default=1000)
+    p.add_argument("-N", "--horizon", type=_count, default=1000)
     p.add_argument("--guard", type=float, default=1e-3)
     return parser
 

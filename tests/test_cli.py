@@ -136,6 +136,24 @@ def test_verify_artifacts_and_determinism(tmp_path):
     assert filecmp.cmp(a / "verify.json", b / "verify.json", shallow=False)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--stream", BASEL, "-N", "-5"],
+    ["straighten", "--stream", BASEL, "-N", "-3"],
+    ["classify", "--stream", BASEL, "-N", "-3"],
+    ["fixed-points", "--stream", BASEL, "-N", "0"],
+    ["verify", "--kind", "transfer", "--fuzz", "0"],
+    ["verify", "--kind", "transfer", "--fuzz", "-1"],
+    ["gallery", "--example", "dense", "--count", "-3"],
+    ["gallery", "--example", "escape_return", "--nmax", "-2"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}{argv[-1]}")
+def test_sizes_below_one_exit_2_before_any_artifact(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert "N must be at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_unknown_kind(tmp_path):
     # argparse rejects at the choices gate before main's own check
     with pytest.raises(SystemExit) as exc:

@@ -2,14 +2,18 @@
 orbit visits every scale yet keeps coming back, and the left system
 whose milestones sweep a dense family of automorphisms."""
 
+import cmath
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifslab import holomap, moebius
 from ifslab.gallery import (
     ANCHOR,
     SHIFT,
+    DenseStageCert,
     build_dense,
     build_escape_return,
     certify_not_compactly_divergent,
@@ -23,8 +27,10 @@ from ifslab.ifs import LeftOrbitCursor
 
 ER_MILESTONES = (0, 1, 7, 8, 30, 32, 116, 119, 396, 400, 1238, 1243)
 ER_RUN_LENGTHS = (6, 22, 84, 277, 838)
-DENSE_MILESTONES = (0, 4, 16, 39, 85, 156, 254, 450, 842, 1948, 5399)
-DENSE_RUN_LENGTHS = (4, 12, 23, 46, 71, 98, 196, 392, 1106, 3451)
+DENSE_RUN_LENGTHS = (
+    4, 12, 23, 46, 71, 98, 196, 392, 1106, 3451, 5401, 13803, 21604, 55209, 86413, 220833,
+)
+DENSE_LAST_DEVIATIONS = (6.103410099858941e-05, 3.0517272885790858e-05, 1.5258732545335276e-05)
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +39,43 @@ def build5():
 
 
 @pytest.fixture(scope="module")
-def dense10():
-    return build_dense(default_dense_targets(10))
+def dense16():
+    return build_dense(default_dense_targets(16))
+
+
+def _sup_deviation_by_loop(m, radius=0.9, samples=128):
+    worst = 0.0
+    for t in range(samples):
+        z = radius * cmath.exp(2j * math.pi * t / samples)
+        worst = max(worst, abs(moebius.apply(m, z) - z))
+    return worst
+
+
+def _dense_by_scan(targets, k_cap=1_000_000):
+    """Reference: build_dense's certificates and exhausted flag with k
+    found by trying k = 1, 2, 3, ... in turn."""
+    certs = []
+    L = moebius.identity()
+    for j, tgt in enumerate(targets, start=1):
+        bridge = moebius.compose(tgt, moebius.inverse(L))
+        delta = 2.0**-j
+        if moebius.matrix_distance(bridge, moebius.identity()) < 1e-15:
+            certs.append(DenseStageCert(j, 0, delta, 0.0, moebius.matrix_distance(L, tgt)))
+            L = tgt
+            continue
+        for k in range(1, k_cap + 1):
+            root = moebius.kth_root(bridge, k)
+            dev = _sup_deviation_by_loop(root)
+            if dev <= delta:
+                break
+        else:
+            return tuple(certs), True
+        residual = moebius.matrix_distance(moebius.compose(moebius.power(root, k), L), tgt)
+        certs.append(DenseStageCert(j, k, delta, dev, residual))
+        if residual > 1e-8:
+            return tuple(certs), True
+        L = tgt
+    return tuple(certs), False
 
 
 def test_anchor_and_shift_shapes():
@@ -123,38 +164,89 @@ def test_sup_deviation():
     small = sup_deviation(moebius.make_disc_auto(0.05, 0.0))
     large = sup_deviation(moebius.make_disc_auto(0.2, 0.0))
     assert 0.0 < small < large
+    rng = random.Random(11)
+    for _ in range(200):
+        m = moebius.random_disc_auto(rng, 0.9)
+        assert sup_deviation(m) == _sup_deviation_by_loop(m)
+    assert sup_deviation(m, 0.5, 7) == _sup_deviation_by_loop(m, 0.5, 7)
+    # the first sample point is z = radius, the pole of this GENERIC map
+    pole = moebius.MoebiusMap(1.0, 0.0, 1.0, -0.9, moebius.GENERIC)
+    with pytest.raises(moebius.SingularityError):
+        sup_deviation(pole)
 
 
-def test_dense_frozen_shape(dense10):
-    assert not dense10.exhausted
-    assert dense10.milestones == DENSE_MILESTONES
-    assert tuple(c.k for c in dense10.certs) == DENSE_RUN_LENGTHS
-    assert len(dense10.maps) == dense10.milestones[-1]
+def test_dense_frozen_shape(dense16):
+    assert not dense16.exhausted
+    assert tuple(c.k for c in dense16.certs) == DENSE_RUN_LENGTHS
+    assert dense16.milestones == (0,) + tuple(
+        sum(DENSE_RUN_LENGTHS[:j]) for j in range(1, 17)
+    )
+    assert len(dense16.maps) == dense16.milestones[-1] == 408_662
+    assert tuple(c.deviation for c in dense16.certs[-3:]) == DENSE_LAST_DEVIATIONS
 
 
-def test_dense_certificates(dense10):
-    for j, cert in enumerate(dense10.certs, start=1):
+def test_dense_probes_logarithmically_many_roots(monkeypatch):
+    calls = []
+    kth_root = moebius.kth_root
+
+    def counted(g, k):
+        calls.append(k)
+        return kth_root(g, k)
+
+    monkeypatch.setattr(moebius, "kth_root", counted)
+    build = build_dense(default_dense_targets(10))
+    assert tuple(c.k for c in build.certs) == DENSE_RUN_LENGTHS[:10]
+    assert len(calls) <= 150  # a scan of k = 1, 2, 3, ... makes 5 399
+
+
+_CENTRES = st.tuples(
+    st.floats(0.0, 0.9), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)
+)
+
+
+@given(st.lists(_CENTRES, min_size=1, max_size=5))
+@settings(deadline=None)
+def test_dense_matches_linear_scan(data):
+    targets = tuple(moebius.make_disc_auto(r * cmath.exp(1j * phi), theta) for r, phi, theta in data)
+    certs, exhausted = _dense_by_scan(targets)
+    build = build_dense(targets)
+    assert tuple(c.k for c in build.certs) == tuple(c.k for c in certs)
+    assert build.certs == certs and build.exhausted == exhausted
+
+
+@pytest.mark.parametrize("k_cap", [0, 10, 23])
+def test_dense_k_cap_is_the_largest_k_tried(k_cap):
+    targets = default_dense_targets(5)
+    certs, exhausted = _dense_by_scan(targets, k_cap)
+    build = build_dense(targets, k_cap=k_cap)
+    assert build.exhausted == exhausted
+    assert build.certs == certs
+    assert len(build.certs) == {0: 0, 10: 1, 23: 3}[k_cap]
+
+
+def test_dense_certificates(dense16):
+    for j, cert in enumerate(dense16.certs, start=1):
         assert cert.index == j
         assert cert.delta == 2.0**-j
         assert cert.deviation <= cert.delta
         assert cert.residual <= 1e-8
-    deltas = [c.delta for c in dense10.certs]
+    deltas = [c.delta for c in dense16.certs]
     assert all(b == a / 2 for a, b in zip(deltas, deltas[1:]))
 
 
-def test_dense_milestones_hit_targets(dense10):
+def test_dense_milestones_hit_targets(dense16):
     # independent replay: multiply out the generator matrices and compare
     # the milestone compositions against the requested automorphisms
-    upto = dense10.milestones[3]
+    upto = dense16.milestones[3]
     L = moebius.identity()
     hits = {}
-    for i, expr in enumerate(dense10.maps[:upto], start=1):
+    for i, expr in enumerate(dense16.maps[:upto], start=1):
         L = moebius.compose(expr.map, L)
         hits[i] = L
     for j in (1, 2, 3):
-        got = hits[dense10.milestones[j]]
+        got = hits[dense16.milestones[j]]
         assert moebius.matrix_distance(
-            moebius.canonical(got), moebius.canonical(dense10.targets[j - 1])
+            moebius.canonical(got), moebius.canonical(dense16.targets[j - 1])
         ) < 1e-6
 
 
