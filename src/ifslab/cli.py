@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
 Artifacts are deterministic by construction: every float goes through
-one fixed format, JSON keys are sorted, and nothing embeds a timestamp
-or machine identifier, so the same configuration and seed produce
-byte-identical files.
+one fixed format (``%.17g``, a complex column ``%.17g%+.17gj``), each
+CSV row is one ``%`` format of its artifact's row layout, JSON keys are
+sorted, and nothing embeds a timestamp or machine identifier, so the
+same configuration and seed produce byte-identical files.
 
 Exit status: 0 on success, 2 on a configuration or input problem, 3 on
 a numerical abort (a diagnostics.json is left in the output directory).
@@ -13,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
 
 from . import bounds, criteria, gallery, holomap, ifs, moebius, straighten
 from .geometry import DomainError
-
-_FLOAT = "%.17g"
 
 ORBIT_HEADER = "n,seed_re,seed_im,value_re,value_im,omega_to_origin,step_omega"
 STRAIGHTEN_HEADER = "n,residual,abs_h_w,distortion_at_0"
@@ -32,17 +32,8 @@ class CLIError(Exception):
     """Invalid configuration or input; maps to exit status 2."""
 
 
-def _f(x) -> str:
-    return _FLOAT % float(x)
-
-
 def _c(z) -> complex:
     return complex(getattr(z, "value", z))
-
-
-def _cfmt(z) -> str:
-    v = _c(z)
-    return "%.17g%+.17gj" % (v.real, v.imag)
 
 
 def _pair(z) -> list:
@@ -75,9 +66,8 @@ def _write_text(path: pathlib.Path, text: str) -> None:
 
 
 def _write_csv(path: pathlib.Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    """rows are formatted lines without their newline."""
+    _write_text(path, "\n".join((header, *rows, "")))
 
 
 def _write_json(path: pathlib.Path, obj) -> None:
@@ -103,10 +93,14 @@ def _load_stream(spec: str) -> ifs.GeneratorStream:
 
 
 def _orbit_rows(history):
+    # keyed by id, not value: 0j == -0j, but the columns differ
+    seed_cols = {}
     rows = []
-    for n, seed, value, omega, step in history:
-        s, v = _c(seed), _c(value)
-        rows.append((str(n), _f(s.real), _f(s.imag), _f(v.real), _f(v.imag), _f(omega), _f(step)))
+    for n, seed, v, omega, step in history:
+        cols = seed_cols.get(id(seed))
+        if cols is None:
+            cols = seed_cols[id(seed)] = "%.17g,%.17g" % (seed.real, seed.imag)
+        rows.append("%d,%s,%.17g,%.17g,%.17g,%.17g" % (n, cols, v.real, v.imag, omega, step))
     return rows
 
 
@@ -125,10 +119,14 @@ def _cmd_simulate(args, out: pathlib.Path) -> int:
 
 def _straighten_rows(res: straighten.StraightenResult):
     rows = []
+    residuals = res.residual_trace
     for i in range(res.steps):
+        probe, dist = res.probe_trace[i], res.distortion_trace[i]
         # residual_trace starts at step 2: entry i-1 belongs to step i+1
-        residual = _f(res.residual_trace[i - 1]) if 0 <= i - 1 < len(res.residual_trace) else ""
-        rows.append((str(i + 1), residual, _f(res.probe_trace[i]), _f(res.distortion_trace[i])))
+        if 0 <= i - 1 < len(residuals):
+            rows.append("%d,%.17g,%.17g,%.17g" % (i + 1, residuals[i - 1], probe, dist))
+        else:
+            rows.append("%d,,%.17g,%.17g" % (i + 1, probe, dist))
     return rows
 
 
@@ -177,20 +175,12 @@ def _cmd_straighten(args, out: pathlib.Path) -> int:
 
 
 def _series_rows(rep: criteria.SeriesReport):
-    rows = []
-    for i in range(len(rep.terms)):
-        pt = _c(rep.orbit[i])
-        rows.append(
-            (
-                str(i + 1),
-                _f(rep.terms[i]),
-                _f(rep.partial_sums[i]),
-                _f(rep.products[i]),
-                _f(pt.real),
-                _f(pt.imag),
-            )
+    return [
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (i + 1, term, total, product, pt.real, pt.imag)
+        for i, (term, total, product, pt) in enumerate(
+            zip(rep.terms, rep.partial_sums, rep.products, rep.orbit)
         )
-    return rows
+    ]
 
 
 def _series_config_json(cfg: criteria.SeriesConfig) -> dict:
@@ -248,7 +238,8 @@ def _cmd_verify(args, out: pathlib.Path) -> int:
         args.kind, args.fuzz, args.seed, coefficient=args.coefficient, keep_rows=args.fuzz
     )
     rows = [
-        (r.kind, str(args.seed), _cfmt(r.z), _cfmt(r.w), _f(r.lhs), _f(r.rhs), _f(r.margin))
+        "%s,%d,%.17g%+.17gj,%.17g%+.17gj,%.17g,%.17g,%.17g"
+        % (r.kind, args.seed, r.z.real, r.z.imag, r.w.real, r.w.imag, r.lhs, r.rhs, r.margin)
         for r in rep.rows
     ]
     _write_csv(out / "margins.csv", MARGINS_HEADER, rows)
@@ -297,7 +288,9 @@ def _svg_halfplane(points, marks) -> str:
         '<line x1="0" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#999" stroke-width="1"/>'
         % (sy(0.0), width, sy(0.0)),
         '<polyline fill="none" stroke="#246" stroke-width="1" points="%s"/>'
-        % " ".join("%.2f,%.2f" % (sx(p.real), sy(p.imag)) for p in points),
+        % " ".join(
+            "%.2f,%.2f" % ((p.real - xmin) * scale, height - (p.imag - ymin) * scale) for p in points
+        ),
     ]
     for m in marks:
         parts.append(
@@ -343,7 +336,7 @@ def _cmd_gallery(args, out: pathlib.Path) -> int:
         if args.svg:
             # raw Cayley image: orbit values hug the boundary, the
             # validating constructor would reject them
-            pts = [1j * (1.0 + _c(r[2])) / (1.0 - _c(r[2])) for r in cur.history]
+            pts = [1j * (1.0 + v) / (1.0 - v) for _, _, v, _, _ in cur.history]
             _write_text(out / "gallery.svg", _svg_halfplane(pts, list(build.milestone_values)))
         return 0
     if args.example == "dense":
@@ -353,6 +346,8 @@ def _cmd_gallery(args, out: pathlib.Path) -> int:
                 targets = [moebius.from_json(obj) for obj in data]
             except (OSError, ValueError, KeyError, TypeError, moebius.NonAutomorphismError) as e:
                 raise CLIError(f"bad targets file: {e}")
+            if not targets:
+                raise CLIError(f"targets file {args.targets!r} lists no targets")
         else:
             targets = gallery.default_dense_targets(args.count)
         build = gallery.build_dense(targets)
@@ -430,6 +425,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite float, no NaN or infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ifslab",
@@ -453,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.add_argument("-N", "--horizon", type=_count, default=400)
     p.add_argument("--probe", default="0.5")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite, default=1e-8)
     p.add_argument("--orbit", help="backward orbit JSON file ([[re,im],...]), right side only")
 
     p = sub.add_parser("classify", help="limit-behavior verdict, emit classify.json")
@@ -466,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=bounds.MARGIN_KINDS)
     p.add_argument("--fuzz", type=_count, default=1000, help="number of random draws")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coefficient", type=float, default=2.0)
+    p.add_argument("--coefficient", type=_finite, default=2.0)
 
     p = sub.add_parser("gallery", help="worked example builds, emit gallery.json")
     p.add_argument("--example", required=True, choices=("escape_return", "dense"))
@@ -478,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-points", help="track generator fixed points, emit JSON")
     p.add_argument("--stream", required=True)
     p.add_argument("-N", "--horizon", type=_count, default=1000)
-    p.add_argument("--guard", type=float, default=1e-3)
+    p.add_argument("--guard", type=_finite, default=1e-3)
     return parser
 
 

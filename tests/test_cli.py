@@ -3,10 +3,12 @@ exit codes, and byte-level reproducibility."""
 
 import filecmp
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
-from ifslab import cli, criteria, holomap, ifs, moebius
+from ifslab import bounds, cli, criteria, holomap, ifs, moebius
 
 BASEL = '{"type": "rule", "name": "scale_product", "params": {"power": 2}}'
 HARMONIC = '{"type": "rule", "name": "scale_product", "params": {"power": 1}}'
@@ -154,6 +156,21 @@ def test_sizes_below_one_exit_2_before_any_artifact(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "transfer", "--fuzz", "5", "--coefficient", "nan"],
+    ["verify", "--kind", "transfer", "--fuzz", "5", "--coefficient=-inf"],
+    ["fixed-points", "--stream", BASEL, "-N", "5", "--guard", "nan"],
+    ["straighten", "--stream", BASEL, "-N", "5", "--tol", "nan"],
+    ["straighten", "--stream", BASEL, "-N", "5", "--tol", "inf"],
+], ids=["coefficient-nan", "coefficient-neg-inf", "guard-nan", "tol-nan", "tol-inf"])
+def test_non_finite_float_flags_exit_2_before_any_artifact(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_unknown_kind(tmp_path):
     # argparse rejects at the choices gate before main's own check
     with pytest.raises(SystemExit) as exc:
@@ -193,6 +210,15 @@ def test_gallery_dense_targets_file(tmp_path):
     assert rc == 0
     doc = _read_json(tmp_path / "gallery.json")
     assert len(doc["targets"]) == 2
+
+
+def test_gallery_dense_empty_targets_file_exits_2(tmp_path):
+    p = tmp_path / "targets.json"
+    p.write_text("[]", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["--out", str(out), "gallery", "--example", "dense", "--targets", str(p)])
+    assert rc == 2
+    assert not (out / "gallery.json").exists()
 
 
 def test_fixed_points(tmp_path):
@@ -237,3 +263,75 @@ def test_out_dir_created(tmp_path):
     rc = cli.main(["--out", str(nested), "simulate", "--stream", BASEL, "-N", "5"])
     assert rc == 0
     assert (nested / "orbit.csv").exists()
+
+
+def _per_field(*fields):
+    """A CSV row as formatted field by field: every number through %.17g."""
+    return ",".join(f if isinstance(f, str) else "%.17g" % float(f) for f in fields)
+
+
+def test_orbit_rows_bytes_match_per_field_format():
+    seeds = (-0j, 0j)  # equal as values, different columns
+    values = (-0.5 + 5e-324j, 1e-310 - 0.25j, -0.0 + 0.0j, 0.1 + 0.2j)
+    omegas = (0.0, float("nan"), float("inf"), 1.2345678901234567e-300)
+    history = [
+        (n, seeds[k], values[(n + k) % 4] * (1.0 - 2.0 ** -n), omegas[n % 4], -omegas[(n + 1) % 4])
+        for n in range(12) for k in range(2)
+    ]
+    rows = cli._orbit_rows(history)
+    assert rows == [
+        _per_field(str(n), s.real, s.imag, v.real, v.imag, omega, step)
+        for n, s, v, omega, step in history
+    ]
+    assert rows[0].startswith("0,-0,-0,") and rows[1].startswith("0,0,0,")
+    assert rows[-1].startswith("11,0,0,")
+
+
+def test_series_and_straighten_rows_bytes_match_per_field_format():
+    odd = (-1.5e-320, float("nan"), -0.0, 0.30000000000000004)
+    rep = SimpleNamespace(terms=odd[:1], partial_sums=odd[1:2], products=odd[2:3],
+                          orbit=(complex(odd[3], odd[0]), 0.5j))
+    assert cli._series_rows(rep) == [_per_field("1", *odd[:3], odd[3], odd[0])]
+    res = SimpleNamespace(steps=2, residual_trace=(odd[0],), probe_trace=odd[1:3],
+                          distortion_trace=(float("inf"), odd[3]))
+    assert cli._straighten_rows(res) == [
+        _per_field("1", "", odd[1], float("inf")),
+        _per_field("2", odd[0], odd[2], odd[3]),
+    ]
+
+
+def test_margins_rows_bytes_match_per_field_format(tmp_path):
+    assert cli.main(["--out", str(tmp_path), "verify", "--kind", "transfer",
+                     "--fuzz", "4", "--seed", "3"]) == 0
+    rep = bounds.fuzz_margins("transfer", 4, 3, coefficient=2.0, keep_rows=4)
+
+    def cfmt(z):
+        return "%.17g%+.17gj" % (z.real, z.imag)
+
+    assert _lines(tmp_path / "margins.csv")[1:] == [
+        _per_field(r.kind, "3", cfmt(r.z), cfmt(r.w), r.lhs, r.rhs, r.margin) for r in rep.rows
+    ]
+
+
+def test_simulate_signed_zero_seeds_keep_their_columns(tmp_path):
+    rc = cli.main(["--out", str(tmp_path), "simulate", "--stream", BASEL, "-N", "2",
+                   "--seed-point=-0", "--seed-point", "0"])
+    assert rc == 0
+    seed_cols = [",".join(line.split(",")[1:3]) for line in _lines(tmp_path / "orbit.csv")[1:]]
+    assert seed_cols == ["-0,0", "0,0"] * 3
+
+
+def test_orbit_rows_hold_one_string_each():
+    stream = ifs.stream_from_json(json.loads(BASEL))
+    cur = ifs.LeftOrbitCursor(stream, (0j, 0.3 + 0.2j), record=True)
+    for _ in range(10_000):
+        cur.advance()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = cli._orbit_rows(cur.history)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2 * 10_001
+    assert held / len(rows) <= 200
