@@ -115,11 +115,7 @@ def boundary_defect(f: MapExpr, tau=1.0, radii=(0.9, 0.99, 0.999, 0.9999)) -> De
     for r in radii:
         z = r * t
         ratios.append((1.0 - holomap.distortion(f, z)) / (1.0 - r) ** 2)
-    vals = list(ratios)
-    for j in range(1, len(vals)):
-        for i in range(len(vals) - j):
-            vals[i] = vals[i + 1] + (vals[i + 1] - vals[i]) / (10.0**j - 1.0)
-    return DefectReport(tuple(radii), tuple(ratios), vals[0])
+    return DefectReport(tuple(radii), tuple(ratios), holomap._richardson(ratios))
 
 
 def random_self_map(rng: Random, max_zeros: int = 4, scale_odds: float = 0.5) -> MapExpr:

@@ -20,7 +20,7 @@ import pathlib
 import sys
 
 from . import bounds, criteria, gallery, holomap, ifs, moebius, straighten
-from .geometry import DomainError
+from .geometry import DomainError, _omega_raw
 
 ORBIT_HEADER = "n,seed_re,seed_im,value_re,value_im,omega_to_origin,step_omega"
 STRAIGHTEN_HEADER = "n,residual,abs_h_w,distortion_at_0"
@@ -92,15 +92,26 @@ def _load_stream(spec: str) -> ifs.GeneratorStream:
         raise CLIError(f"bad stream spec: {e}")
 
 
-def _orbit_rows(history):
-    # keyed by id, not value: 0j == -0j, but the columns differ
-    seed_cols = {}
-    rows = []
-    for n, seed, v, omega, step in history:
-        cols = seed_cols.get(id(seed))
-        if cols is None:
-            cols = seed_cols[id(seed)] = "%.17g,%.17g" % (seed.real, seed.imag)
-        rows.append("%d,%s,%.17g,%.17g,%.17g,%.17g" % (n, cols, v.real, v.imag, omega, step))
+def _orbit_rows(cur, steps: int, trail: list | None = None) -> list:
+    """orbit.csv rows of steps 0..steps, advancing the orbit engine cur.
+
+    The engine replaces its values list on each advance.  trail, if
+    given, collects the first seed's value at every step.
+    """
+    row = "%d,%s,%.17g,%.17g,%.17g,%.17g"
+    seed_cols = ["%.17g,%.17g" % (s.real, s.imag) for s in cur.seeds]
+    old = cur.values
+    rows = [row % (0, cols, v.real, v.imag, _omega_raw(0j, v), 0.0) for cols, v in zip(seed_cols, old)]
+    if trail is not None:
+        trail.append(old[0])
+    for n in range(1, steps + 1):
+        cur.advance()
+        new = cur.values
+        for cols, ov, nv in zip(seed_cols, old, new):
+            rows.append(row % (n, cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(ov, nv)))
+        if trail is not None:
+            trail.append(new[0])
+        old = new
     return rows
 
 
@@ -108,12 +119,10 @@ def _cmd_simulate(args, out: pathlib.Path) -> int:
     stream = _load_stream(args.stream)
     seeds = [_parse_complex(s) for s in (args.seed_point or ["0"])]
     if args.side == "left":
-        cur = ifs.LeftOrbitCursor(stream, seeds, record=True)
+        cur = ifs.LeftOrbitCursor(stream, seeds)
     else:
-        cur = ifs.RightOrbitState(stream, seeds, record=True)
-    for _ in range(args.horizon):
-        cur.advance()
-    _write_csv(out / "orbit.csv", ORBIT_HEADER, _orbit_rows(cur.history))
+        cur = ifs.RightOrbitState(stream, seeds)
+    _write_csv(out / "orbit.csv", ORBIT_HEADER, _orbit_rows(cur, args.horizon))
     return 0
 
 
@@ -329,14 +338,13 @@ def _cmd_gallery(args, out: pathlib.Path) -> int:
                 ],
             },
         )
-        cur = ifs.LeftOrbitCursor(build.stream, (0j,), track_pairs=False, record=True)
-        for _ in range(len(build.maps)):
-            cur.advance()
-        _write_csv(out / "orbit.csv", ORBIT_HEADER, _orbit_rows(cur.history))
+        cur = ifs.LeftOrbitCursor(build.stream, (0j,), track_pairs=False)
+        trail = [] if args.svg else None
+        _write_csv(out / "orbit.csv", ORBIT_HEADER, _orbit_rows(cur, len(build.maps), trail))
         if args.svg:
             # raw Cayley image: orbit values hug the boundary, the
             # validating constructor would reject them
-            pts = [1j * (1.0 + v) / (1.0 - v) for _, _, v, _, _ in cur.history]
+            pts = [1j * (1.0 + v) / (1.0 - v) for v in trail]
             _write_text(out / "gallery.svg", _svg_halfplane(pts, list(build.milestone_values)))
         return 0
     if args.example == "dense":

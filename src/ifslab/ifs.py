@@ -148,7 +148,7 @@ class LeftOrbitCursor:
     would only ledger rounding noise.
     """
 
-    def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True, record: bool = False):
+    def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True):
         self.stream = stream
         self.seeds = tuple(disc_point(z) for z in seeds)
         if not self.seeds:
@@ -162,11 +162,6 @@ class LeftOrbitCursor:
             for i in range(len(self.seeds)):
                 for j in range(i + 1, len(self.seeds)):
                     self.pair_distances[(i, j)] = _omega_raw(self.seeds[i], self.seeds[j])
-        self.record = record
-        self.history = []  # rows (n, seed, value, omega_to_origin, step_omega)
-        if record:
-            for s, v in zip(self.seeds, self.values):
-                self.history.append((0, s, v, _omega_raw(0j, v), 0.0))
 
     def advance(self) -> "LeftOrbitCursor":
         f = self.stream.generator_at(self.n + 1)
@@ -191,11 +186,6 @@ class LeftOrbitCursor:
                 self.pair_distances[(i, j)] = d
         self.n += 1
         self.values = new
-        if self.record:
-            for s, ov, nv in zip(self.seeds, old, new):
-                self.history.append(
-                    (self.n, s, nv, _omega_raw(0j, nv), _omega_raw(ov, nv))
-                )
         return self
 
 
@@ -216,7 +206,7 @@ class RightOrbitState:
     applies to every stream off the matrix path, cycled or not.
     """
 
-    def __init__(self, stream: GeneratorStream, seeds, depth_cap: int = DEPTH_CAP, record: bool = False):
+    def __init__(self, stream: GeneratorStream, seeds, depth_cap: int = DEPTH_CAP):
         self.stream = stream
         self.seeds = tuple(disc_point(z) for z in seeds)
         if not self.seeds:
@@ -226,14 +216,9 @@ class RightOrbitState:
         self.parts = []  # f_1 ... f_n in order
         self.matrix: MoebiusMap | None = moebius.identity()
         self.depth_cap = depth_cap
-        self.record = record
-        self.history = []
         self._period = len(stream.maps) if stream.kind == "cycle" else 0
         # n mod period -> replayed R_n values at the seeds, for the last such n
         self._by_residue: dict[int, list] = {}
-        if record:
-            for s, v in zip(self.seeds, self.values):
-                self.history.append((0, s, v, _omega_raw(0j, v), 0.0))
 
     @property
     def composed(self) -> MapExpr:
@@ -265,9 +250,8 @@ class RightOrbitState:
             )
         residue = n % self._period if self._period else None
         earlier = self._by_residue.get(residue)  # R_{n-p} at the seeds
-        old = self.values
         new = []
-        for i, (s, prev) in enumerate(zip(self.seeds, old)):
+        for i, (s, prev) in enumerate(zip(self.seeds, self.values)):
             inner = holomap.eval_raw(f, s)
             if self.matrix is not None:
                 val = moebius.apply(self.matrix, s)
@@ -291,11 +275,6 @@ class RightOrbitState:
         self.values = new
         if residue is not None and self.matrix is None:
             self._by_residue[residue] = new
-        if self.record:
-            for s, ov, nv in zip(self.seeds, old, new):
-                self.history.append(
-                    (self.n, s, nv, _omega_raw(0j, nv), _omega_raw(ov, nv))
-                )
         return self
 
     def _tail(self, z: complex, k: int) -> complex:
@@ -365,6 +344,15 @@ class OrbitBoundReport:
     exceed_count: int
 
 
+def _engine(stream: GeneratorStream, seeds, side: str):
+    """The orbit engine of one side, without a pair ledger on the left."""
+    if side == "left":
+        return LeftOrbitCursor(stream, seeds, track_pairs=False)
+    if side == "right":
+        return RightOrbitState(stream, seeds)
+    raise ValueError("side must be 'left' or 'right'")
+
+
 def orbit_bounded(
     stream: GeneratorStream,
     z,
@@ -379,15 +367,8 @@ def orbit_bounded(
     which keeps single near-boundary excursions from reading as escape.
     The verdict is explicitly a statement about the first N steps only.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    zv = disc_point(z)
-    engine = (
-        LeftOrbitCursor(stream, (zv,), track_pairs=False)
-        if side == "left"
-        else RightOrbitState(stream, (zv,))
-    )
-    max_omega = _omega_raw(0j, zv)
+    engine = _engine(stream, (z,), side)
+    max_omega = _omega_raw(0j, engine.values[0])
     run = 0
     exceed = 0
     first = None
@@ -445,12 +426,7 @@ def compact_divergence(
     entire tail (within the horizon) has sampled image disjoint from the
     ball.  It says nothing beyond the horizon.
     """
-    pts = ball_samples(ball, ring)
-    engine = (
-        LeftOrbitCursor(stream, pts, track_pairs=False)
-        if side == "left"
-        else RightOrbitState(stream, pts)
-    )
+    engine = _engine(stream, ball_samples(ball, ring), side)
     flags = []
     for _ in range(1, N + 1):
         engine.advance()

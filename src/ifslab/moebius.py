@@ -336,7 +336,7 @@ def power(g: MoebiusMap, k: int) -> MoebiusMap:
     """Matrix power by repeated squaring."""
     if k < 0:
         return power(inverse(g), -k)
-    acc = identity(g.domain) if g.domain != GENERIC else MoebiusMap(1, 0, 0, 1, GENERIC)
+    acc = identity(g.domain)
     base = g
     while k:
         if k & 1:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import holomap, moebius
 from .geometry import _EPS, DomainError, _omega_raw, disc_point
@@ -428,13 +428,7 @@ def semiconjugacy_probe(
     """
     cfg = config or StraightenConfig(tol=2e-5)
     stream = GeneratorStream.constant(f)
-    scan_cfg = StraightenConfig(
-        tol=0.0,
-        tol_zero=cfg.tol_zero,
-        window=cfg.window,
-        phase_freeze=cfg.phase_freeze,
-        boundary_guard=cfg.boundary_guard,
-    )
+    scan_cfg = replace(cfg, tol=0.0)
     scan = left_straighten(stream, N, grid, probe, scan_cfg)
     if scan.degenerate:
         return ProbeReport("none", None, None, None, scan)

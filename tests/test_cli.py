@@ -8,7 +8,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from ifslab import bounds, cli, criteria, holomap, ifs, moebius
+from ifslab import bounds, cli, criteria, gallery, holomap, ifs, moebius
+from ifslab.geometry import _omega_raw
 
 BASEL = '{"type": "rule", "name": "scale_product", "params": {"power": 2}}'
 HARMONIC = '{"type": "rule", "name": "scale_product", "params": {"power": 1}}'
@@ -189,6 +190,16 @@ def test_gallery_escape_return(tmp_path):
     assert (tmp_path / "orbit.csv").exists()
     svg = (tmp_path / "gallery.svg").read_text(encoding="utf-8")
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    # the drawing follows an independently advanced cursor, every step of it
+    build = gallery.build_escape_return(3)
+    cur = ifs.LeftOrbitCursor(build.stream, (0j,), track_pairs=False)
+    orbit = [cur.values[0]]
+    for _ in range(len(build.maps)):
+        orbit.append(cur.advance().values[0])
+    pts = [1j * (1.0 + v) / (1.0 - v) for v in orbit]
+    assert svg == cli._svg_halfplane(pts, list(build.milestone_values))
+    polyline = next(line for line in svg.splitlines() if line.startswith("<polyline"))
+    assert polyline.count(",") == doc["map_count"] + 1
 
 
 def test_gallery_dense(tmp_path):
@@ -270,21 +281,38 @@ def _per_field(*fields):
     return ",".join(f if isinstance(f, str) else "%.17g" % float(f) for f in fields)
 
 
+class _ScriptedOrbit:
+    """Orbit engine stand-in whose advance steps through given value lists."""
+
+    def __init__(self, seeds, steps):
+        self.seeds = seeds
+        self.values = list(seeds)
+        self._steps = iter(steps)
+
+    def advance(self):
+        self.values = list(next(self._steps))
+        return self
+
+
 def test_orbit_rows_bytes_match_per_field_format():
     seeds = (-0j, 0j)  # equal as values, different columns
-    values = (-0.5 + 5e-324j, 1e-310 - 0.25j, -0.0 + 0.0j, 0.1 + 0.2j)
-    omegas = (0.0, float("nan"), float("inf"), 1.2345678901234567e-300)
-    history = [
-        (n, seeds[k], values[(n + k) % 4] * (1.0 - 2.0 ** -n), omegas[n % 4], -omegas[(n + 1) % 4])
-        for n in range(12) for k in range(2)
-    ]
-    rows = cli._orbit_rows(history)
-    assert rows == [
-        _per_field(str(n), s.real, s.imag, v.real, v.imag, omega, step)
-        for n, s, v, omega, step in history
-    ]
+    nan, inf = float("nan"), float("inf")
+    values = (-0.5 + 5e-324j, 1e-310 - 0.25j, complex(-0.0, -0.0), 0.1 + 0.2j,
+              complex(nan, 0.3), complex(-inf, 1e-320))
+    steps = [[values[(n + k) % 6] * (1.0 - 2.0 ** -n) for k in range(2)] for n in range(1, 12)]
+    trail = []
+    rows = cli._orbit_rows(_ScriptedOrbit(seeds, steps), 11, trail)
+    expected, old = [], seeds
+    for n, new in enumerate([seeds, *steps]):
+        for s, ov, nv in zip(seeds, old, new):
+            step = _omega_raw(ov, nv) if n else 0.0
+            expected.append(_per_field(str(n), s.real, s.imag, nv.real, nv.imag, _omega_raw(0j, nv), step))
+        old = new
+    assert rows == expected
     assert rows[0].startswith("0,-0,-0,") and rows[1].startswith("0,0,0,")
     assert rows[-1].startswith("11,0,0,")
+    assert {"nan", "-inf", "4.9406564584124654e-324"} <= {f for r in rows for f in r.split(",")}
+    assert [repr(v) for v in trail] == [repr(new[0]) for new in [seeds, *steps]]
 
 
 def test_series_and_straighten_rows_bytes_match_per_field_format():
@@ -323,15 +351,28 @@ def test_simulate_signed_zero_seeds_keep_their_columns(tmp_path):
 
 def test_orbit_rows_hold_one_string_each():
     stream = ifs.stream_from_json(json.loads(BASEL))
-    cur = ifs.LeftOrbitCursor(stream, (0j, 0.3 + 0.2j), record=True)
-    for _ in range(10_000):
-        cur.advance()
+    cur = ifs.LeftOrbitCursor(stream, (0j, 0.3 + 0.2j))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rows = cli._orbit_rows(cur.history)
+        rows = cli._orbit_rows(cur, 10_000)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(rows) == 2 * 10_001
     assert held / len(rows) <= 200
+
+
+def test_simulate_peak_memory_per_row(tmp_path):
+    # no orbit history besides the rows themselves and the joined text
+    argv = ["--out", str(tmp_path), "simulate", "--stream", BASEL, "-N", "20000",
+            "--seed-point", "0", "--seed-point", "0.3+0.2j"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(_lines(tmp_path / "orbit.csv")) - 1
+    assert rows == 2 * 20_001
+    assert peak / rows <= 350

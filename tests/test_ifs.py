@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifslab import holomap, ifs, moebius
-from ifslab.geometry import HyperbolicBall, _omega_raw, disc_distance
+from ifslab.geometry import HyperbolicBall, disc_distance
 from ifslab.holomap import Blaschke, Compose, HalfPlaneAffine, Mobius, Monomial, Scale
 from ifslab.ifs import (
     BackwardOrbit,
@@ -90,15 +90,13 @@ def test_as_fractional_linear():
 
 
 def test_left_orbit_telescoping_product():
-    cur = LeftOrbitCursor(scale_product_stream(2), (0.3,), record=True)
+    cur = LeftOrbitCursor(scale_product_stream(2), (0.3,))
     N = 100
     for _ in range(N):
         cur.advance()
     expect = 0.3 * (N + 2) / (2.0 * (N + 1))
     assert cur.values[0] == pytest.approx(expect, rel=1e-13)
-    assert len(cur.history) == N + 1
-    n, seed, value, omega, step = cur.history[-1]
-    assert n == N and complex(getattr(seed, "value", seed)) == 0.3
+    assert cur.n == N and cur.seeds == (0.3,)
 
 
 def test_left_pair_ledger_monotone():
@@ -198,21 +196,15 @@ MOBIUS_FIRST = [Mobius(moebius.make_disc_auto(0.2 - 0.3j, 0.5)), Blaschke((0.3, 
 )
 def test_right_values_bit_identical_to_replay(stream, N, matrix_steps):
     seeds = (0.4 + 0.3j, -0.999 + 0.01j)
-    state = RightOrbitState(stream, seeds, record=True)
+    state = RightOrbitState(stream, seeds)
     ref = _replayed(stream, seeds, N)
     for n in range(1, N + 1):
         state.advance()
         if n <= matrix_steps:
             # the matrix path rounds unlike a replay and is not under test
             assert state.values == pytest.approx(ref[n], abs=1e-12)
-            ref[n] = list(state.values)
-    assert state.values == ref[N]
-    history = [
-        (n, s, ref[n][i], _omega_raw(0j, ref[n][i]), _omega_raw(ref[n - 1][i], ref[n][i]) if n else 0.0)
-        for n in range(N + 1)
-        for i, s in enumerate(seeds)
-    ]
-    assert state.history == history
+        else:
+            assert state.values == ref[n]
 
 
 def _count_evals(monkeypatch):
@@ -307,6 +299,14 @@ def test_compact_divergence_hyperbolic():
     rep = compact_divergence(GeneratorStream.from_cycle([g]), HyperbolicBall(0.0, 1.0), 30)
     assert rep.first_permanent == 4
     assert all(rep.disjoint_flags[rep.first_permanent - 1 :])
+
+
+def test_orbit_reports_reject_unknown_side():
+    stream = GeneratorStream.from_cycle([Scale(0.5)])
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        compact_divergence(stream, HyperbolicBall(0.0, 1.0), 5, side="bogus")
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        orbit_bounded(stream, 0.0, 5, 1.0, side="bogus")
 
 
 def test_compact_divergence_rotation_never_leaves():
