@@ -40,6 +40,7 @@ from .ifs import (
     DepthCapError,
     GeneratorStream,
     LeftOrbitCursor,
+    NonFiniteError,
     RightOrbitState,
     compact_divergence,
     orbit_bounded,
@@ -84,6 +85,7 @@ __all__ = [
     "Mobius",
     "MoebiusMap",
     "Monomial",
+    "NonFiniteError",
     "RightOrbitState",
     "Scale",
     "StraightenConfig",

@@ -165,34 +165,19 @@ class RightLimitReport:
     kind: str  # "constant_limit" | "nonconstant_limit" | "inconclusive"
     limit_estimate: complex
     tail_movement: float
-    distortion_checkpoints: tuple  # (n, product along the reversed orbit)
+    distortion_checkpoints: tuple  # (n, distortion of R_n at the base point), before it saturated
     base_point: complex
 
 
-def _right_distortion_product(stream: GeneratorStream, n: int, z0: complex) -> float:
-    """Distortion of R_n at z0, the product of f_j#(v_j) for j = 1..n.
+def _right_distortion_product(state: RightOrbitState) -> float:
+    """Distortion of R_n at the first seed z0 of a jet-carrying engine.
 
-    v_n = z0 and v_{j-1} = f_j(v_j) visit exactly the points where the
-    chain rule needs each factor.  One descending sweep fetches each f_j
-    once and keeps its jet at v_j, which also gives v_{j-1}; the factors
-    are then multiplied for j = 1..n, the order in which the points are
-    checked.  Raises ValueError for a constant generator, DomainError
-    for a point v_j outside the disc and ConsistencyError for a factor
-    above 1.
+    By the chain rule it is the product of f_j#(v_j) for j = 1..n along
+    v_n = z0, v_{j-1} = f_j(v_j); here it is read in one piece from the
+    carried jet (R_n(z0), R_n'(z0)).  Raises ConsistencyError for a
+    value outside the disc or a distortion above 1.
     """
-    jets = []
-    v = z0
-    for j in range(n, 0, -1):
-        f = stream.generator_at(j)
-        if holomap._as_constant(f) is not None:
-            raise ValueError(f"generator {j} is constant; the distortion product needs nonconstant maps")
-        w, d = f.jet(v)
-        jets.append((v, w, d))
-        v = w
-    prod = 1.0
-    for v, w, d in reversed(jets):
-        prod *= holomap._distortion_from_jet(disc_point(v), w, d)
-    return prod
+    return holomap._distortion_from_jet(state.seeds[0], state.values[0], state.derivs[0])
 
 
 def classify_right_limits(
@@ -207,26 +192,36 @@ def classify_right_limits(
     R_n(z0) always converges (nested images); the question is whether
     the limit map is constant.  The distortion of R_n at z0, sampled at
     a few checkpoint horizons, decides: collapse toward zero reads as a
-    constant limit, a stable positive floor as nonconstant.
+    constant limit, a stable positive floor as nonconstant.  One sweep
+    of the right engine, carrying R_n'(z0), gives both the values and
+    the checkpoints.  A base point that saturates near the boundary
+    before the last checkpoint leaves the verdict inconclusive.  Raises
+    ValueError for a constant generator.
     """
     cfg = config or SeriesConfig()
     z = disc_point(z0)
-    state = RightOrbitState(stream, (z,))
+    marks = sorted({max(1, (N * k) // checkpoints) for k in range(1, checkpoints + 1)})
+    state = RightOrbitState(stream, (z,), jets=True)
     values = [z]
-    for _ in range(N):
+    prods = []
+    for n in range(1, N + 1):
         state.advance()
+        if holomap._as_constant(state.parts[-1]) is not None:
+            raise ValueError(f"generator {n} is constant; the distortion product needs nonconstant maps")
         values.append(state.values[0])
+        if n in marks and not state.saturated_seeds:
+            prods.append((n, _right_distortion_product(state)))
     w = min(cfg.summable_window, N)
     tail = max(
         (abs(values[-1] - values[-1 - k]) for k in range(1, w + 1)),
         default=0.0,
     )
-    marks = sorted({max(1, (N * k) // checkpoints) for k in range(1, checkpoints + 1)})
-    prods = tuple((n, _right_distortion_product(stream, n, z)) for n in marks)
-    last = prods[-1][1]
-    if last < cfg.divergence_product_tol:
+    last = prods[-1][1] if len(prods) == len(marks) else None
+    if last is None:
+        kind = "inconclusive"
+    elif last < cfg.divergence_product_tol:
         kind = "constant_limit"
-    elif last > 10 * cfg.divergence_product_tol and prods[-1][1] > 0.5 * prods[0][1]:
+    elif last > 10 * cfg.divergence_product_tol and last > 0.5 * prods[0][1]:
         kind = "nonconstant_limit"
     else:
         kind = "inconclusive"
@@ -234,7 +229,7 @@ def classify_right_limits(
         kind=kind,
         limit_estimate=values[-1],
         tail_movement=tail,
-        distortion_checkpoints=prods,
+        distortion_checkpoints=tuple(prods),
         base_point=z,
     )
 

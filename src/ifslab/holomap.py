@@ -518,6 +518,13 @@ def map_to_json(f: MapExpr) -> dict:
 
 def map_from_json(obj: dict) -> MapExpr:
     kind = obj.get("kind")
+    try:
+        return _map_from_json(kind, obj)
+    except KeyError as e:
+        raise ValueError(f"{kind} map lacks required key {e.args[0]!r}") from None
+
+
+def _map_from_json(kind, obj: dict) -> MapExpr:
     if kind == "monomial":
         return Monomial(obj["power"])
     if kind == "scale":

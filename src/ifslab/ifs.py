@@ -9,12 +9,18 @@ gives nested images and the step bound
 
     omega(R_{n-1} z, R_n z) <= omega(z, f_n z).
 
-Runs of fractional-linear generators, the ones whose f.matrix() is not
-None, are collapsed into a single matrix product, which keeps the common
-scaling and Moebius streams at O(1) per right step.  Other right
-evaluations go through the stored composition: O(p) per step on a cycled
+Right cost model: while every generator is fractional-linear (its
+f.matrix() is not None), R_n is one raw matrix product, rescaled
+exactly by powers of two, at O(1) per step.  Otherwise R_n(s) is
+replayed through the stored composition: O(p) per step on a cycled
 stream of period p, which reuses R_{n-p}, and O(n) per step on list and
-rule streams.
+rule streams.  A cycled stream also computes each position's matrix
+entries and ledger bounds once.  Both engines stop following what
+double precision can no longer resolve: the left cursor freezes a
+pair's distance ledger and the right engine freezes a seed's value once
+it comes within ~1600 ulps of the boundary.  A fully frozen right
+engine costs one fetch per step.  A right value that is not finite is a
+named abort (NonFiniteError), never a silent NaN.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from typing import Callable
 from . import holomap, moebius
 from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point
 from .holomap import ConsistencyError, MapExpr
-from .moebius import MoebiusMap
 
 LEDGER_SLACK = 1e-10
 DEPTH_CAP = 100_000
@@ -35,6 +40,14 @@ DEPTH_CAP = 100_000
 
 class DepthCapError(RuntimeError):
     """Right composition grew past the configured depth cap."""
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
+
+
+class NonFiniteError(ConsistencyError):
+    """A right orbit value, derivative or matrix entry stopped being finite."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -125,6 +138,8 @@ def stream_to_json(stream: GeneratorStream) -> dict:
 def stream_from_json(obj: dict) -> GeneratorStream:
     kind = obj.get("type")
     if kind in ("list", "cycle"):
+        if "generators" not in obj:
+            raise ValueError(f"{kind} stream lacks required key 'generators'")
         maps = [holomap.map_from_json(g) for g in obj["generators"]]
         return GeneratorStream.from_list(maps) if kind == "list" else GeneratorStream.from_cycle(maps)
     if kind == "rule":
@@ -193,7 +208,10 @@ class RightOrbitState:
     """Tracks R_n at fixed seeds, keeping the composed map as it grows.
 
     While every generator so far is fractional-linear (f.matrix() is not
-    None), R_n is one running matrix product and each step costs O(1).
+    None), R_n is one running product of raw matrix entries, a plain
+    4-tuple multiplied by each generator's entries in O(1) per step.
+    When the entries' absolute sum leaves [1/4, 4] the product is
+    rescaled by a power of two, which is exact and never reads the det.
     Otherwise R_n(s) is replayed through the stored composition, f_n
     first and f_1 last, which costs O(n) per step on list and rule
     streams.  A cycled stream of period p is linear in N: R_n = C o
@@ -202,23 +220,45 @@ class RightOrbitState:
     f_p, ..., f_1 to the stored R_{n-p}(s) makes the same evaluations on
     the same floats and gives R_n(s) bit for bit in O(p).  Values from
     the matrix path differ in rounding from a replay, so a residue whose
-    last step ran on the matrix is replayed once in full.  The depth cap
-    applies to every stream off the matrix path, cycled or not.
+    last step ran on the matrix is replayed once in full.  On a cycled
+    stream, what depends only on the position n mod p is computed once:
+    the generator's matrix entries and det, and each seed's step-ledger
+    bound omega(s, f(s)).  The depth cap applies to every stream off the
+    matrix path, cycled or not.
+
+    A seed whose value comes within ~1600 ulps of the boundary, where
+    omega keeps less than two digits, is frozen at its last accurate
+    value and listed in saturated_seeds, as the left cursor does with
+    its pairs.  Once every seed is frozen an advance only stores f_n and
+    applies the depth cap; matrix stops updating.  A value, derivative
+    or matrix entry that is not finite raises NonFiniteError naming n.
+
+    With jets on, derivs carries R_n'(s) at each seed: det/(cs + d)^2 on
+    the matrix path, with the det kept as the running product of the
+    generators' dets times the squared rescale factors, and the chain
+    rule through each f_j's jet on a replay.  Values are the same bits
+    with jets on or off.
     """
 
-    def __init__(self, stream: GeneratorStream, seeds, depth_cap: int = DEPTH_CAP):
+    def __init__(self, stream: GeneratorStream, seeds, depth_cap: int = DEPTH_CAP, jets: bool = False):
         self.stream = stream
         self.seeds = tuple(disc_point(z) for z in seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
         self.n = 0
         self.values = list(self.seeds)
+        self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
+        self.saturated_seeds = set()
         self.parts = []  # f_1 ... f_n in order
-        self.matrix: MoebiusMap | None = moebius.identity()
+        # entries (a, b, c, d) of R_n up to a power-of-two scale, and their det
+        self.matrix: tuple | None = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
+        self._det = 1.0 + 0.0j
         self.depth_cap = depth_cap
         self._period = len(stream.maps) if stream.kind == "cycle" else 0
-        # n mod period -> replayed R_n values at the seeds, for the last such n
-        self._by_residue: dict[int, list] = {}
+        # cycle position (n - 1) mod period -> what _generator_data returns
+        self._by_position: dict[int, tuple] = {}
+        # n mod period -> replayed (values, derivs) of R_n at the seeds, for the last such n
+        self._by_residue: dict[int, tuple] = {}
 
     @property
     def composed(self) -> MapExpr:
@@ -232,57 +272,131 @@ class RightOrbitState:
         n = self.n + 1
         f = self.stream.generator_at(n)
         self.parts.append(f)
-        if self.matrix is not None:
-            fm = f.matrix()
-            if fm is not None:
-                prod = moebius.compose(self.matrix, fm)
-                det = prod.a * prod.d - prod.b * prod.c
-                # renormalize so long products keep entries of order one
-                if abs(det) > 1e-12:
-                    prod = MoebiusMap(*moebius._det1(*prod.entries()), domain=moebius.GENERIC)
-                self.matrix = prod
-            else:
-                self.matrix = None
+        live = len(self.saturated_seeds) < len(self.seeds)
+        if live:
+            entries, det, ledger = self._generator_data(n, f)
+            if self.matrix is not None:
+                if entries is None:
+                    self.matrix = None
+                else:
+                    self._multiply(entries, det, n)
         if self.matrix is None and len(self.parts) > self.depth_cap:
             raise DepthCapError(
                 f"right composition depth {len(self.parts)} exceeds cap {self.depth_cap}",
                 diagnostics={"n": n, "depth": len(self.parts)},
             )
+        if live:
+            self._step(n, ledger)
+        self.n = n
+        return self
+
+    def _generator_data(self, n: int, f: MapExpr) -> tuple:
+        """(matrix entries or None, det, [(f(s), omega(s, f(s))) per seed]).
+
+        The entries are looked up only while R_n is on the matrix path.
+        On a cycled stream the triple depends only on the position
+        (n - 1) mod p and is computed once per position.
+        """
+        pos = (n - 1) % self._period if self._period else None
+        data = self._by_position.get(pos)
+        if data is None:
+            fm = f.matrix() if self.matrix is not None else None
+            entries = None if fm is None else fm.entries()
+            det = None if fm is None else moebius._det(*entries)
+            ledger = []
+            for s in self.seeds:
+                inner = holomap.eval_raw(f, s)
+                ledger.append((inner, _omega_raw(s, inner)))
+            data = (entries, det, ledger)
+            if pos is not None:
+                self._by_position[pos] = data
+        return data
+
+    def _multiply(self, g: tuple, gdet: complex, n: int) -> None:
+        """Right-multiply the running product by the entries g of f_n."""
+        a, b, c, d = self.matrix
+        ga, gb, gc, gd = g
+        a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+        det = self._det * gdet
+        size = abs(a) + abs(b) + abs(c) + abs(d)  # NaN and inf propagate
+        if not 0.25 <= size <= 4.0:
+            if not 0.0 < size < math.inf:
+                raise NonFiniteError(
+                    f"right matrix product has entry sum {size!r} at n = {n}", diagnostics={"n": n}
+                )
+            # a power of two scales every entry exactly; 2.0 ** 1024 overflows
+            scale = 2.0 ** min(-math.frexp(size)[1], 1023)
+            a, b, c, d = a * scale, b * scale, c * scale, d * scale
+            det = det * scale * scale
+        self.matrix = (a, b, c, d)
+        self._det = det
+
+    def _step(self, n: int, ledger: list) -> None:
+        """Move every unfrozen seed from R_{n-1}(s) to R_n(s) under the ledger."""
+        jets = self.derivs is not None
+        old = self.values
+        new = list(old)
+        derivs = list(self.derivs) if jets else None
         residue = n % self._period if self._period else None
-        earlier = self._by_residue.get(residue)  # R_{n-p} at the seeds
-        new = []
-        for i, (s, prev) in enumerate(zip(self.seeds, self.values)):
-            inner = holomap.eval_raw(f, s)
+        earlier = self._by_residue.get(residue) if self.matrix is None else None  # R_{n-p}
+        frozen = self.saturated_seeds
+        for i, (inner, bound) in enumerate(ledger):
+            if i in frozen:
+                continue
+            s, prev = self.seeds[i], old[i]
+            dv = None
             if self.matrix is not None:
-                val = moebius.apply(self.matrix, s)
+                a, b, c, d = self.matrix
+                den = c * s + d
+                val = (a * s + b) / den
+                if jets:
+                    dv = self._det / (den * den)
             elif earlier is not None:
-                val = self._tail(earlier[i], self._period)
+                val, dv = self._tail(earlier[0][i], self._period, earlier[1][i] if jets else None)
+            elif jets:
+                val, dv = self._tail(s, n, 1.0 + 0.0j)
             else:
-                val = self._tail(inner, n - 1)
-            bound = _omega_raw(s, inner)
+                val, _ = self._tail(inner, n - 1)
+            if not (cmath.isfinite(val) and (dv is None or cmath.isfinite(dv))):
+                raise NonFiniteError(
+                    f"right orbit of seed {i} is not finite at n = {n}: {val!r}",
+                    diagnostics={"n": n, "seed": i},
+                )
             # the bound side is seed-anchored and accurate; the step side
             # degrades near the boundary like the left ledger does
             gap = min(1.0 - abs(prev), 1.0 - abs(val))
             noise = 16.0 * _EPS / max(gap, _EPS)
-            if noise <= 0.01:
-                step = _omega_raw(prev, val)
-                if step > bound + LEDGER_SLACK + noise:
-                    raise ConsistencyError(
-                        f"right step {step!r} exceeded its bound {bound!r} at n = {n}"
-                    )
-            new.append(val)
-        self.n = n
+            if noise > 0.01:
+                frozen.add(i)
+                continue
+            step = _omega_raw(prev, val)
+            if step > bound + LEDGER_SLACK + noise:
+                raise ConsistencyError(
+                    f"right step {step!r} exceeded its bound {bound!r} at n = {n}"
+                )
+            new[i] = val
+            if jets:
+                derivs[i] = dv
         self.values = new
+        self.derivs = derivs
         if residue is not None and self.matrix is None:
-            self._by_residue[residue] = new
-        return self
+            self._by_residue[residue] = (new, derivs)
 
-    def _tail(self, z: complex, k: int) -> complex:
-        """f_1 o ... o f_k (z), evaluated f_k first."""
+    def _tail(self, z: complex, k: int, dz: complex | None = None) -> tuple:
+        """f_1 o ... o f_k at z, evaluated f_k first.
+
+        Returns the value and, given the derivative dz of z, the
+        derivative carried along by the chain rule (else None).
+        """
         parts = self.parts
-        for j in range(k - 1, -1, -1):
-            z = holomap.eval_raw(parts[j], z)
-        return z
+        if dz is None:
+            for j in range(k - 1, -1, -1):
+                z = holomap.eval_raw(parts[j], z)
+        else:
+            for j in range(k - 1, -1, -1):
+                z, d = parts[j].jet(z)
+                dz = d * dz
+        return z, dz
 
 
 @dataclass(frozen=True)

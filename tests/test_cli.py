@@ -124,6 +124,65 @@ def test_classify_right_matches_library(tmp_path):
     assert doc["limit_estimate"] == [rep.limit_estimate.real, rep.limit_estimate.imag]
 
 
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+SCALE_07 = '{"type": "cycle", "generators": [{"kind": "scale", "factor": [0.7, 0]}]}'
+# z -> (z + 0.6)/(1 + 0.6 z), a hyperbolic automorphism
+HYPERBOLIC = ('{"type": "cycle", "generators": [{"kind": "mobius", '
+              '"matrix": [[1, 0], [0.6, 0], [0.6, 0], [1, 0]], "domain": "disc"}]}')
+
+
+def test_classify_right_contracting_cycle_writes_strict_json(tmp_path):
+    rc = cli.main(["--out", str(tmp_path), "classify", "--stream", SCALE_07,
+                   "--side", "right", "-N", "4000"])
+    assert rc == 0
+    doc = _strict_json(tmp_path / "classify.json")
+    assert doc["verdict"] == "constant_limit"
+    assert doc["limit_estimate"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+def test_right_hyperbolic_cycle_saturates_and_exits_0(tmp_path, command):
+    rc = cli.main(["--out", str(tmp_path), command, "--stream", HYPERBOLIC,
+                   "--side", "right", "-N", "2000"])
+    assert rc == 0
+    assert not (tmp_path / "diagnostics.json").exists()
+    if command == "classify":
+        doc = _strict_json(tmp_path / "classify.json")
+        # the base point saturates long before the first checkpoint
+        assert doc["verdict"] == "inconclusive"
+        assert doc["distortion_checkpoints"] == []
+    else:
+        lines = _lines(tmp_path / "orbit.csv")
+        assert len(lines) == 1 + 2001
+        assert lines[-1].split(",")[3:5] == lines[-2].split(",")[3:5]
+
+
+class _NaNScale(holomap.Scale):
+    def eval(self, z):
+        return complex("nan")
+
+    def matrix(self):
+        return None
+
+
+def test_right_non_finite_value_exits_3_with_diagnostics(tmp_path, monkeypatch):
+    stream = ifs.GeneratorStream.from_cycle([holomap.Scale(0.5), _NaNScale(0.5)])
+    monkeypatch.setattr(cli.ifs, "stream_from_json", lambda obj: stream)
+    rc = cli.main(["--out", str(tmp_path), "simulate", "--stream", SCALE_07,
+                   "--side", "right", "-N", "10"])
+    assert rc == 3
+    diag = _strict_json(tmp_path / "diagnostics.json")
+    assert diag["error"] == "NonFiniteError"
+    assert diag["partial"]["n"] == 2
+    assert not (tmp_path / "orbit.csv").exists()
+
+
 def test_verify_artifacts_and_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -258,6 +317,20 @@ def test_bad_stream_exits_2(tmp_path):
     assert cli.main(["--out", str(tmp_path), "simulate", "--stream", "missing.json"]) == 2
     assert cli.main(["--out", str(tmp_path), "simulate", "--stream", '{"type": "nope"}']) == 2
     assert cli.main(["--out", str(tmp_path), "simulate", "--stream", "{not json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"type": "cycle", "generators": [{"kind": "scale", "s": [0.7, 0.2]}]}',
+         "scale map lacks required key 'factor'"),
+        ('{"type": "cycle"}', "cycle stream lacks required key 'generators'"),
+    ],
+)
+def test_stream_missing_key_names_key_and_map(tmp_path, capsys, spec, message):
+    assert cli.main(["--out", str(tmp_path), "simulate", "--stream", spec]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "orbit.csv").exists()
 
 
 def test_non_finite_stream_exits_2(tmp_path):

@@ -14,7 +14,6 @@ from ifslab.ifs import GeneratorStream
 from ifslab.criteria import (
     SeriesConfig,
     TrackingRefusal,
-    _right_distortion_product,
     classify_left_limits,
     classify_right_limits,
     distortion_series,
@@ -143,23 +142,32 @@ def test_series_takes_one_jet_per_step(monkeypatch):
     assert calls == Counter({"jet": 200, "eval": 100})
 
 
-def test_right_product_fetches_each_generator_once(monkeypatch):
-    s = GeneratorStream.from_cycle([Blaschke((0.3 + 0.1j,), 0.4), Scale(0.9), Monomial(2)])
-    n, z0 = 50, 0.4 - 0.2j
-    # the chain rule product, one evaluation sweep down and one distortion
-    # per factor up
+def _chain_rule_product(s: GeneratorStream, n: int, z0: complex) -> float:
+    """Distortion of R_n at z0 as the product of f_j#(v_j), one evaluation
+    sweep down to v_0 and one distortion per factor up."""
     vs = [z0]
     for j in range(n, 0, -1):
         vs.append(holomap.eval_raw(s.generator_at(j), vs[-1]))
     vs.reverse()
-    expected = 1.0
+    prod = 1.0
     for j in range(1, n + 1):
-        expected *= holomap.distortion(s.generator_at(j), vs[j])
+        prod *= holomap.distortion(s.generator_at(j), vs[j])
+    return prod
+
+
+def test_right_product_fetches_each_generator_once(monkeypatch):
+    # matrix path for two steps, then cycled replays
+    s = GeneratorStream.from_cycle([Blaschke((0.3 + 0.1j,), 0.4), Scale(0.9), Monomial(2)])
+    n, z0 = 50, 0.4 - 0.2j
+    expected = {m: _chain_rule_product(s, m, z0) for m in (12, 25, 37, 50)}
     fetches = []
     fetch = GeneratorStream.generator_at
     monkeypatch.setattr(GeneratorStream, "generator_at", lambda self, j: fetches.append(j) or fetch(self, j))
-    assert _right_distortion_product(s, n, z0) == expected
-    assert sorted(fetches) == list(range(1, n + 1))
+    rep = classify_right_limits(s, n, z0)
+    assert fetches == list(range(1, n + 1))
+    assert [m for m, _ in rep.distortion_checkpoints] == sorted(expected)
+    for m, p in rep.distortion_checkpoints:
+        assert p == pytest.approx(expected[m], rel=1e-12)
 
 
 def test_right_classification_harmonic():

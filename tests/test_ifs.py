@@ -165,6 +165,77 @@ def test_right_depth_cap():
     assert exc.value.diagnostics.get("depth") == 17
 
 
+@pytest.mark.parametrize("factor, N", [(0.7, 4000), (0.5, 3000)])
+def test_right_contracting_cycle_stays_finite(factor, N):
+    # the product underflows toward 0 and its power-of-two rescaling keeps
+    # every entry finite
+    state = RightOrbitState(GeneratorStream.from_cycle([Scale(factor)]), (0.5, 0.3 - 0.6j))
+    for n in range(1, N + 1):
+        state.advance()
+        assert all(cmath.isfinite(v) for v in state.values), n
+    assert max(abs(v) for v in state.values) < 1e-300
+    assert not state.saturated_seeds
+
+
+def test_right_scale_blaschke_cycle_past_126():
+    s = GeneratorStream.from_cycle([Scale(0.7), Blaschke((0.3 + 0.1j,), 0.4)])
+    state = RightOrbitState(s, (0.4 + 0.3j,))
+    for _ in range(300):
+        state.advance()
+    assert state.matrix is not None
+    v = 0.4 + 0.3j
+    for j in range(300, 0, -1):
+        v = holomap.eval_raw(s.generator_at(j), v)
+    assert state.values[0] == pytest.approx(v, abs=1e-12)
+
+
+def test_right_hyperbolic_cycle_saturates_and_freezes(monkeypatch):
+    s = GeneratorStream.from_cycle([Mobius(moebius.make_disc_auto(0.6, 0.0))])
+    state = RightOrbitState(s, (0.5, -0.2j))
+    for _ in range(200):
+        state.advance()
+    assert state.saturated_seeds == {0, 1}
+    frozen = list(state.values)
+    assert all(1.0 - abs(v) > 1e-13 for v in frozen)
+    calls = _count_evals(monkeypatch)
+    for _ in range(1800):
+        state.advance()
+    # a fully frozen engine only fetches and stores the generators
+    assert calls[0] == 0
+    assert state.values == frozen and state.n == 2000 and len(state.parts) == 2000
+
+
+class _NaNScale(Scale):
+    """A scale node whose evaluations are NaN, off the matrix path."""
+
+    def eval(self, z):
+        return complex("nan")
+
+    def jet(self, z):
+        return complex("nan"), complex("nan")
+
+    def matrix(self):
+        return None
+
+
+class _InfMatrixScale(Scale):
+    """A scale node whose matrix has an infinite entry."""
+
+    def matrix(self):
+        return moebius.MoebiusMap(complex("inf"), 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad, jets", [(_NaNScale, False), (_NaNScale, True), (_InfMatrixScale, False)])
+def test_right_non_finite_is_a_named_abort(bad, jets):
+    s = GeneratorStream.from_cycle([Scale(0.5), bad(0.5)])
+    state = RightOrbitState(s, (0.3,), jets=jets)
+    state.advance()
+    with pytest.raises(ifs.NonFiniteError) as exc:
+        state.advance()
+    assert isinstance(exc.value, holomap.ConsistencyError)
+    assert exc.value.diagnostics["n"] == 2
+
+
 def _replayed(stream, seeds, N):
     """R_n(s) for n = 0..N by full replay of f_1 o ... o f_n, f_n first."""
     rows = [list(seeds)]
@@ -197,9 +268,13 @@ MOBIUS_FIRST = [Mobius(moebius.make_disc_auto(0.2 - 0.3j, 0.5)), Blaschke((0.3, 
 def test_right_values_bit_identical_to_replay(stream, N, matrix_steps):
     seeds = (0.4 + 0.3j, -0.999 + 0.01j)
     state = RightOrbitState(stream, seeds)
+    # carrying derivatives leaves the values' bits alone
+    with_jets = RightOrbitState(stream, seeds, jets=True)
     ref = _replayed(stream, seeds, N)
     for n in range(1, N + 1):
         state.advance()
+        with_jets.advance()
+        assert with_jets.values == state.values
         if n <= matrix_steps:
             # the matrix path rounds unlike a replay and is not under test
             assert state.values == pytest.approx(ref[n], abs=1e-12)
