@@ -95,20 +95,28 @@ def _load_stream(spec: str) -> ifs.GeneratorStream:
 def _orbit_rows(cur, steps: int, trail: list | None = None) -> list:
     """orbit.csv rows of steps 0..steps, advancing the orbit engine cur.
 
-    The engine replaces its values list on each advance.  trail, if
-    given, collects the first seed's value at every step.
+    The engine replaces its values list on each advance.  A value that
+    carries over as the same object (a held right seed) gets the row of
+    its first repeat again, with step_omega 0, under the new n.  trail,
+    if given, collects the first seed's value at every step.
     """
     row = "%d,%s,%.17g,%.17g,%.17g,%.17g"
     seed_cols = ["%.17g,%.17g" % (s.real, s.imag) for s in cur.seeds]
     old = cur.values
     rows = [row % (0, cols, v.real, v.imag, _omega_raw(0j, v), 0.0) for cols, v in zip(seed_cols, old)]
+    repeats = [[None, ""] for _ in seed_cols]  # per seed: [value, its row after "n,"]
     if trail is not None:
         trail.append(old[0])
     for n in range(1, steps + 1):
         cur.advance()
         new = cur.values
-        for cols, ov, nv in zip(seed_cols, old, new):
-            rows.append(row % (n, cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(ov, nv)))
+        for cols, ov, nv, rep in zip(seed_cols, old, new, repeats):
+            if nv is not ov:
+                rows.append(row % (n, cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(ov, nv)))
+                continue
+            if rep[0] is not nv:
+                rep[:] = nv, row[3:] % (cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(nv, nv))
+            rows.append("%d,%s" % (n, rep[1]))
         if trail is not None:
             trail.append(new[0])
         old = new

@@ -15,12 +15,13 @@ exactly by powers of two, at O(1) per step.  Otherwise R_n(s) is
 replayed through the stored composition: O(p) per step on a cycled
 stream of period p, which reuses R_{n-p}, and O(n) per step on list and
 rule streams.  A cycled stream also computes each position's matrix
-entries and ledger bounds once.  Both engines stop following what
+entries and ledger bounds once.  Both engines stop checking what
 double precision can no longer resolve: the left cursor freezes a
-pair's distance ledger and the right engine freezes a seed's value once
-it comes within ~1600 ulps of the boundary.  A fully frozen right
-engine costs one fetch per step.  A right value that is not finite is a
-named abort (NonFiniteError), never a silent NaN.
+pair's distance ledger, and the right engine holds a seed's reported
+value at its last accurate one while the computed value lies within
+~1600 ulps of the boundary, and releases it once the value comes back.
+A right value that is not finite is a named abort (NonFiniteError),
+never a silent NaN.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point
 from .holomap import ConsistencyError, MapExpr
 
 LEDGER_SLACK = 1e-10
+# a boundary gap under which omega keeps less than two digits: a ledger
+# noise term 16 eps / gap above 0.01
+_SATURATED_GAP = 1600.0 * _EPS
 DEPTH_CAP = 100_000
 
 
@@ -226,18 +230,23 @@ class RightOrbitState:
     bound omega(s, f(s)).  The depth cap applies to every stream off the
     matrix path, cycled or not.
 
-    A seed whose value comes within ~1600 ulps of the boundary, where
-    omega keeps less than two digits, is frozen at its last accurate
-    value and listed in saturated_seeds, as the left cursor does with
-    its pairs.  Once every seed is frozen an advance only stores f_n and
-    applies the depth cap; matrix stops updating.  A value, derivative
-    or matrix entry that is not finite raises NonFiniteError naming n.
+    R_n(s) is computed at every step.  While it lies within ~1600 ulps
+    of the boundary, where omega keeps less than two digits and the
+    value may round onto the circle, values (and derivs) hold the seed's
+    last accurate value, its step ledger is skipped and the seed is
+    listed in saturated_seeds for good.  Once the computed value comes
+    back, values follow it again; the ledger resumes a step later, since
+    the one-step bound does not cover the move from the held value.  A
+    value, derivative or matrix entry that is not finite raises
+    NonFiniteError naming n.
 
     With jets on, derivs carries R_n'(s) at each seed: det/(cs + d)^2 on
     the matrix path, with the det kept as the running product of the
     generators' dets times the squared rescale factors, and the chain
     rule through each f_j's jet on a replay.  Values are the same bits
-    with jets on or off.
+    with jets on or off.  Jets stay off by default: simulate reads only
+    values, and carrying derivatives on every run measurably slowed the
+    right_orbit benchmark.
     """
 
     def __init__(self, stream: GeneratorStream, seeds, depth_cap: int = DEPTH_CAP, jets: bool = False):
@@ -249,10 +258,12 @@ class RightOrbitState:
         self.values = list(self.seeds)
         self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
         self.saturated_seeds = set()
+        self._held = set()  # seeds whose value is held at its last accurate one
         self.parts = []  # f_1 ... f_n in order
-        # entries (a, b, c, d) of R_n up to a power-of-two scale, and their det
+        # entries (a, b, c, d) of R_n up to a power-of-two scale, and their
+        # det, which only derivatives read
         self.matrix: tuple | None = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-        self._det = 1.0 + 0.0j
+        self._det = 1.0 + 0.0j if jets else None
         self.depth_cap = depth_cap
         self._period = len(stream.maps) if stream.kind == "cycle" else 0
         # cycle position (n - 1) mod period -> what _generator_data returns
@@ -272,37 +283,35 @@ class RightOrbitState:
         n = self.n + 1
         f = self.stream.generator_at(n)
         self.parts.append(f)
-        live = len(self.saturated_seeds) < len(self.seeds)
-        if live:
-            entries, det, ledger = self._generator_data(n, f)
-            if self.matrix is not None:
-                if entries is None:
-                    self.matrix = None
-                else:
-                    self._multiply(entries, det, n)
+        entries, det, ledger = self._generator_data(n, f)
+        if self.matrix is not None:
+            if entries is None:
+                self.matrix = None
+            else:
+                self._multiply(entries, det, n)
         if self.matrix is None and len(self.parts) > self.depth_cap:
             raise DepthCapError(
                 f"right composition depth {len(self.parts)} exceeds cap {self.depth_cap}",
                 diagnostics={"n": n, "depth": len(self.parts)},
             )
-        if live:
-            self._step(n, ledger)
+        self._step(n, ledger)
         self.n = n
         return self
 
     def _generator_data(self, n: int, f: MapExpr) -> tuple:
-        """(matrix entries or None, det, [(f(s), omega(s, f(s))) per seed]).
+        """(matrix entries or None, det or None, [(f(s), omega(s, f(s))) per seed]).
 
-        The entries are looked up only while R_n is on the matrix path.
-        On a cycled stream the triple depends only on the position
-        (n - 1) mod p and is computed once per position.
+        The entries are looked up only while R_n is on the matrix path,
+        and the det only by an engine that carries derivatives.  On a
+        cycled stream the triple depends only on the position (n - 1)
+        mod p and is computed once per position.
         """
         pos = (n - 1) % self._period if self._period else None
         data = self._by_position.get(pos)
         if data is None:
             fm = f.matrix() if self.matrix is not None else None
             entries = None if fm is None else fm.entries()
-            det = None if fm is None else moebius._det(*entries)
+            det = None if fm is None or self._det is None else moebius._det(*entries)
             ledger = []
             for s in self.seeds:
                 inner = holomap.eval_raw(f, s)
@@ -317,7 +326,7 @@ class RightOrbitState:
         a, b, c, d = self.matrix
         ga, gb, gc, gd = g
         a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
-        det = self._det * gdet
+        det = None if gdet is None else self._det * gdet
         size = abs(a) + abs(b) + abs(c) + abs(d)  # NaN and inf propagate
         if not 0.25 <= size <= 4.0:
             if not 0.0 < size < math.inf:
@@ -327,36 +336,37 @@ class RightOrbitState:
             # a power of two scales every entry exactly; 2.0 ** 1024 overflows
             scale = 2.0 ** min(-math.frexp(size)[1], 1023)
             a, b, c, d = a * scale, b * scale, c * scale, d * scale
-            det = det * scale * scale
+            if det is not None:
+                det = det * scale * scale
         self.matrix = (a, b, c, d)
         self._det = det
 
     def _step(self, n: int, ledger: list) -> None:
-        """Move every unfrozen seed from R_{n-1}(s) to R_n(s) under the ledger."""
+        """Move every seed from R_{n-1}(s) to R_n(s) under the step ledger."""
         jets = self.derivs is not None
-        old = self.values
-        new = list(old)
-        derivs = list(self.derivs) if jets else None
         residue = n % self._period if self._period else None
-        earlier = self._by_residue.get(residue) if self.matrix is None else None  # R_{n-p}
-        frozen = self.saturated_seeds
-        for i, (inner, bound) in enumerate(ledger):
-            if i in frozen:
-                continue
-            s, prev = self.seeds[i], old[i]
-            dv = None
-            if self.matrix is not None:
-                a, b, c, d = self.matrix
+        if self.matrix is not None:
+            a, b, c, d = self.matrix
+            fresh, fresh_derivs = [], []
+            for s in self.seeds:
                 den = c * s + d
-                val = (a * s + b) / den
-                if jets:
-                    dv = self._det / (den * den)
-            elif earlier is not None:
-                val, dv = self._tail(earlier[0][i], self._period, earlier[1][i] if jets else None)
+                fresh.append((a * s + b) / den)
+                fresh_derivs.append(self._det / (den * den) if jets else None)
+        else:
+            earlier = self._by_residue.get(residue)  # R_{n-p} at the seeds
+            if earlier is not None:
+                pairs = [self._tail(z, self._period, dz) for z, dz in zip(*earlier)]
             elif jets:
-                val, dv = self._tail(s, n, 1.0 + 0.0j)
+                pairs = [self._tail(s, n, 1.0 + 0.0j) for s in self.seeds]
             else:
-                val, _ = self._tail(inner, n - 1)
+                pairs = [self._tail(inner, n - 1) for inner, _ in ledger]
+            fresh, fresh_derivs = (list(t) for t in zip(*pairs))
+            if residue is not None:
+                self._by_residue[residue] = (fresh, fresh_derivs)
+        values = list(self.values)
+        derivs = list(self.derivs) if jets else None
+        held = self._held
+        for i, (prev, val, dv, (_, bound)) in enumerate(zip(self.values, fresh, fresh_derivs, ledger)):
             if not (cmath.isfinite(val) and (dv is None or cmath.isfinite(dv))):
                 raise NonFiniteError(
                     f"right orbit of seed {i} is not finite at n = {n}: {val!r}",
@@ -365,22 +375,25 @@ class RightOrbitState:
             # the bound side is seed-anchored and accurate; the step side
             # degrades near the boundary like the left ledger does
             gap = min(1.0 - abs(prev), 1.0 - abs(val))
-            noise = 16.0 * _EPS / max(gap, _EPS)
-            if noise > 0.01:
-                frozen.add(i)
+            if gap < _SATURATED_GAP:
+                self.saturated_seeds.add(i)
+                held.add(i)
                 continue
-            step = _omega_raw(prev, val)
-            if step > bound + LEDGER_SLACK + noise:
-                raise ConsistencyError(
-                    f"right step {step!r} exceeded its bound {bound!r} at n = {n}"
-                )
-            new[i] = val
+            if i in held:
+                # back from the boundary: prev is older than R_{n-1}(s), so
+                # the one-step bound does not apply to this move
+                held.discard(i)
+            else:
+                step = _omega_raw(prev, val)
+                if step > bound + LEDGER_SLACK + 16.0 * _EPS / gap:
+                    raise ConsistencyError(
+                        f"right step {step!r} exceeded its bound {bound!r} at n = {n}"
+                    )
+            values[i] = val
             if jets:
                 derivs[i] = dv
-        self.values = new
+        self.values = values
         self.derivs = derivs
-        if residue is not None and self.matrix is None:
-            self._by_residue[residue] = (new, derivs)
 
     def _tail(self, z: complex, k: int, dz: complex | None = None) -> tuple:
         """f_1 o ... o f_k at z, evaluated f_k first.

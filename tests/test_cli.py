@@ -160,7 +160,9 @@ def test_right_hyperbolic_cycle_saturates_and_exits_0(tmp_path, command):
     else:
         lines = _lines(tmp_path / "orbit.csv")
         assert len(lines) == 1 + 2001
-        assert lines[-1].split(",")[3:5] == lines[-2].split(",")[3:5]
+        # the seed 0 heads to the attracting fixed point 1
+        x, y = (float(t) for t in lines[-1].split(",")[3:5])
+        assert abs(complex(x, y) - 1.0) < 1e-12
 
 
 class _NaNScale(holomap.Scale):
@@ -373,8 +375,10 @@ def test_orbit_rows_bytes_match_per_field_format():
     values = (-0.5 + 5e-324j, 1e-310 - 0.25j, complex(-0.0, -0.0), 0.1 + 0.2j,
               complex(nan, 0.3), complex(-inf, 1e-320))
     steps = [[values[(n + k) % 6] * (1.0 - 2.0 ** -n) for k in range(2)] for n in range(1, 12)]
+    # the same value objects carried over, as for a held right seed
+    steps += [[0.3 - 0.4j, steps[-1][1]]] * 3
     trail = []
-    rows = cli._orbit_rows(_ScriptedOrbit(seeds, steps), 11, trail)
+    rows = cli._orbit_rows(_ScriptedOrbit(seeds, steps), 14, trail)
     expected, old = [], seeds
     for n, new in enumerate([seeds, *steps]):
         for s, ov, nv in zip(seeds, old, new):
@@ -383,7 +387,7 @@ def test_orbit_rows_bytes_match_per_field_format():
         old = new
     assert rows == expected
     assert rows[0].startswith("0,-0,-0,") and rows[1].startswith("0,0,0,")
-    assert rows[-1].startswith("11,0,0,")
+    assert rows[-1].startswith("14,0,0,")
     assert {"nan", "-inf", "4.9406564584124654e-324"} <= {f for r in rows for f in r.split(",")}
     assert [repr(v) for v in trail] == [repr(new[0]) for new in [seeds, *steps]]
 
