@@ -51,7 +51,7 @@ def best_automorphism(f: MapExpr, w) -> MoebiusMap:
     inner = moebius.inverse(phi)
     if abs(gprime) > 0:
         alpha = math.atan2(gprime.imag, gprime.real)
-        rot = MoebiusMap(cmath.exp(1j * alpha), 0.0, 0.0, 1.0, moebius.DISC)
+        rot = moebius._trusted(cmath.exp(1j * alpha), 0j, 0j, 1.0 + 0j, moebius.DISC)
         inner = moebius.compose(rot, inner)
     return moebius.canonical(moebius.compose(psi, inner))
 

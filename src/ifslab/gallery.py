@@ -82,8 +82,11 @@ class EscapeReturnBuild:
 
     @property
     def stream(self) -> GeneratorStream:
-        """The maps as a 1-indexed stream: generator_at(s) is map s - 1."""
-        return GeneratorStream.from_list(self.maps)
+        """The maps as a 1-indexed stream: generator_at(s) is map s - 1.
+
+        The build made every map itself, so they skip from_list's node check.
+        """
+        return GeneratorStream("list", self.maps)
 
 
 def build_escape_return(n_max: int, k_cap: int = 10_000_000) -> EscapeReturnBuild:
@@ -240,7 +243,8 @@ class DenseBuild:
 
     @property
     def stream(self) -> GeneratorStream:
-        return GeneratorStream.from_list(self.maps)
+        """The maps as a stream; the build made them, so from_list's check is skipped."""
+        return GeneratorStream("list", self.maps)
 
 
 def build_dense(

@@ -92,7 +92,14 @@ class Scale:
         if self.factor == 0:
             return None  # constant map, matrix would be singular
         domain = moebius.DISC if abs(abs(self.factor) - 1.0) <= _AUTO_EPS else moebius.GENERIC
-        return MoebiusMap(self.factor, 0.0, 0.0, 1.0, domain)
+        return moebius._trusted(self.factor, 0j, 0j, 1.0 + 0j, domain)
+
+
+def _trusted_scale(factor: complex) -> Scale:
+    """Scale(factor) without the check, for a complex factor known to satisfy |a| <= 1."""
+    f = object.__new__(Scale)
+    object.__setattr__(f, "factor", factor)
+    return f
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ class Blaschke:
             return None
         ph = cmath.exp(1j * self.phase)
         z0 = self.zeros[0]
-        return MoebiusMap(ph, -ph * z0, -z0.conjugate(), 1.0, moebius.DISC)
+        return moebius._trusted(ph, -ph * z0, -z0.conjugate(), 1.0 + 0j, moebius.DISC)
 
 
 @dataclass(frozen=True)
@@ -176,10 +183,11 @@ class Mobius:
             raise DomainError("Mobius nodes must carry a disc automorphism")
 
     def eval(self, z: complex) -> complex:
-        return moebius.apply(self.map, z)
+        m = self.map
+        return (m.a * z + m.b) / (m.c * z + m.d)
 
     def jet(self, z: complex):
-        return moebius.apply(self.map, z), moebius.deriv(self.map, z)
+        return _mobius_jet(self.map, z)
 
     def matrix(self) -> MoebiusMap | None:
         return self.map
@@ -252,16 +260,23 @@ class HalfPlaneAffine:
         )
 
     def eval(self, z: complex) -> complex:
-        return moebius.apply(self.disc_matrix, z)
+        m = self.disc_matrix
+        return (m.a * z + m.b) / (m.c * z + m.d)
 
     def jet(self, z: complex):
-        return moebius.apply(self.disc_matrix, z), moebius.deriv(self.disc_matrix, z)
+        return _mobius_jet(self.disc_matrix, z)
 
     def matrix(self) -> MoebiusMap | None:
         return self.disc_matrix
 
 
 MapExpr = Union[Monomial, Scale, Blaschke, Constant, Mobius, Compose, HalfPlaneAffine]
+
+
+def _mobius_jet(m: MoebiusMap, z: complex):
+    """(m(z), m'(z)) with the float operations of moebius.apply and moebius.deriv."""
+    den = m.c * z + m.d
+    return (m.a * z + m.b) / den, (m.a * m.d - m.b * m.c) / (den * den)
 
 
 def _require_nodes(parts: tuple, what: str) -> None:
@@ -346,7 +361,7 @@ def _as_constant(f: MapExpr):
     if isinstance(f, Constant):
         return f.value
     if isinstance(f, Compose) and any(_as_constant(p) is not None for p in f.parts):
-        return eval_raw(f, 0.0)
+        return eval_raw(f, 0j)
     return None
 
 
@@ -517,6 +532,8 @@ def map_to_json(f: MapExpr) -> dict:
 
 
 def map_from_json(obj: dict) -> MapExpr:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a map must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     try:
         return _map_from_json(kind, obj)

@@ -17,9 +17,9 @@ stream of period p, which reuses R_{n-p}, and O(n) per step on list and
 rule streams.  A cycled stream also computes each position's matrix
 entries and ledger bounds once.  Both engines stop checking what
 double precision can no longer resolve: the left cursor freezes a
-pair's distance ledger, and the right engine holds a seed's reported
-value at its last accurate one while the computed value lies within
-~1600 ulps of the boundary, and releases it once the value comes back.
+pair's distance ledger, and both engines hold a seed's reported value at
+its last accurate one while the computed value lies within ~1600 ulps of
+the boundary, and release it once the value comes back.
 A right value that is not finite is a named abort (NonFiniteError),
 never a silent NaN.
 """
@@ -39,6 +39,7 @@ LEDGER_SLACK = 1e-10
 # a boundary gap under which omega keeps less than two digits: a ledger
 # noise term 16 eps / gap above 0.01
 _SATURATED_GAP = 1600.0 * _EPS
+_HELD_RADIUS = 1.0 - _SATURATED_GAP  # exact: |v| > this iff 1 - |v| < _SATURATED_GAP
 DEPTH_CAP = 100_000
 
 
@@ -58,13 +59,21 @@ class NonFiniteError(ConsistencyError):
         self.diagnostics = diagnostics or {}
 
 
+_UNIT_SCALE = holomap.Scale(1.0)
+
+
 def _scale_product_rule(params: dict) -> Callable[[int], MapExpr]:
     power = float(params.get("power", 2.0))
     if not (math.isfinite(power) and power > 0):
         raise DomainError(f"scale_product power must be finite and positive: {power!r}")
 
     def rule(n: int) -> MapExpr:
-        return holomap.Scale(1.0 - 1.0 / (n + 1) ** power)
+        # 0 <= 1 - 1/(n+1)^power < 1 for the checked power, so the Scale
+        # needs no check; past overflow 1.0 is that value correctly rounded
+        try:
+            return holomap._trusted_scale(complex(1.0 - 1.0 / (n + 1) ** power))
+        except OverflowError:
+            return _UNIT_SCALE
 
     return rule
 
@@ -165,6 +174,13 @@ class LeftOrbitCursor:
     ulps, where omega keeps less than two digits) is frozen at its last
     accurate value and listed in saturated_pairs; monitoring it further
     would only ledger rounding noise.
+
+    Seeds follow the right engine's hold rule: L_n(s) is computed from
+    L_{n-1}(s) at every step, but while it lies within ~1600 ulps of the
+    boundary, where it may round onto the circle, values keeps the seed's
+    last accurate value (the same object) and the seed is listed in
+    saturated_seeds for good.  Once the computed value comes back, values
+    follows it again.
     """
 
     def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True):
@@ -174,6 +190,8 @@ class LeftOrbitCursor:
             raise ValueError("need at least one seed")
         self.n = 0
         self.values = list(self.seeds)
+        self._computed = self.values  # L_n at the seeds, held or not
+        self.saturated_seeds = set()
         self.track_pairs = track_pairs
         self.pair_distances = {}
         self.saturated_pairs = set()
@@ -184,7 +202,7 @@ class LeftOrbitCursor:
 
     def advance(self) -> "LeftOrbitCursor":
         f = self.stream.generator_at(self.n + 1)
-        old = self.values
+        old = self._computed
         new = [holomap.eval_raw(f, v) for v in old]
         if self.track_pairs:
             for (i, j), prev in self.pair_distances.items():
@@ -203,8 +221,16 @@ class LeftOrbitCursor:
                         f"left pair distance grew at step {self.n + 1}: {prev!r} -> {d!r}"
                     )
                 self.pair_distances[(i, j)] = d
+        values = new
+        if max(map(abs, new)) > _HELD_RADIUS:
+            values = list(new)
+            for i, v in enumerate(new):
+                if abs(v) > _HELD_RADIUS:
+                    values[i] = self.values[i]
+                    self.saturated_seeds.add(i)
         self.n += 1
-        self.values = new
+        self._computed = new
+        self.values = values
         return self
 
 

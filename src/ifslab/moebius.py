@@ -9,6 +9,15 @@ representative has the SU(1,1) shape
 and half-plane automorphisms the ones with a real det-1 representative
 (SL(2,R)).  Classification goes by the absolute trace of that
 representative: < 2 elliptic, = 2 parabolic, > 2 hyperbolic.
+
+Validation happens once, at the boundary: MoebiusMap(...) and from_json
+check that the matrix is nonsingular and has the structure its domain
+tag promises, and make_disc_auto and translate_to_zero check their point
+with disc_point.  A map derived from maps (or points) that passed those
+checks keeps its structure up to rounding, so it is built by _trusted,
+which sets the fields without re-proving SU(1,1) or SL(2,R) structure:
+compose, inverse, canonical, to_disc, kth_root, power, identity and the
+two point-built automorphisms all return trusted maps.
 """
 
 from __future__ import annotations
@@ -113,27 +122,55 @@ class MoebiusMap:
         return (self.a, self.b, self.c, self.d)
 
 
+_setattr = object.__setattr__
+
+
+def _trusted(a: complex, b: complex, c: complex, d: complex, domain: str) -> MoebiusMap:
+    """A MoebiusMap built without __post_init__'s checks.
+
+    Only for complex entries derived from validated maps or points, whose
+    structure the derivation preserves; everything else goes through
+    MoebiusMap(...).
+    """
+    g = object.__new__(MoebiusMap)
+    # object.__setattr__ keeps the instance's compact attribute storage;
+    # writing through g.__dict__ would give every map its own dict
+    _setattr(g, "a", a)
+    _setattr(g, "b", b)
+    _setattr(g, "c", c)
+    _setattr(g, "d", d)
+    _setattr(g, "domain", domain)
+    return g
+
+
+_IDENTITY = {tag: _trusted(1.0 + 0j, 0j, 0j, 1.0 + 0j, tag) for tag in (DISC, HALF_PLANE, GENERIC)}
+
+
 def identity(domain: str = DISC) -> MoebiusMap:
-    return MoebiusMap(1.0, 0.0, 0.0, 1.0, domain)
+    """The identity matrix, one shared frozen instance per domain tag."""
+    g = _IDENTITY.get(domain)
+    return g if g is not None else MoebiusMap(1.0, 0.0, 0.0, 1.0, domain)
 
 
 def make_disc_auto(a, theta: float) -> MoebiusMap:
     """gamma(z) = e^{i theta} (z + a)/(1 + conj(a) z), so gamma(0) = e^{i theta} a."""
     av = disc_point(a)
+    if not math.isfinite(theta):
+        raise DomainError(f"rotation angle must be finite: {theta!r}")
     ph = cmath.exp(1j * theta)
-    return MoebiusMap(ph, ph * av, av.conjugate(), 1.0, DISC)
+    return _trusted(ph, ph * av, av.conjugate(), 1.0 + 0j, DISC)
 
 
 def translate_to_zero(w) -> MoebiusMap:
     """The automorphism (z - w)/(1 - conj(w) z) sending w to 0."""
     wv = disc_point(w)
-    return MoebiusMap(1.0, -wv, -wv.conjugate(), 1.0, DISC)
+    return _trusted(1.0 + 0j, -wv, -wv.conjugate(), 1.0 + 0j, DISC)
 
 
 def compose(g: MoebiusMap, f: MoebiusMap) -> MoebiusMap:
     """Matrix product: (g o f)(z) = g(f(z))."""
     domain = g.domain if g.domain == f.domain else GENERIC
-    return MoebiusMap(
+    return _trusted(
         g.a * f.a + g.b * f.c,
         g.a * f.b + g.b * f.d,
         g.c * f.a + g.d * f.c,
@@ -143,7 +180,7 @@ def compose(g: MoebiusMap, f: MoebiusMap) -> MoebiusMap:
 
 
 def inverse(g: MoebiusMap) -> MoebiusMap:
-    return MoebiusMap(g.d, -g.b, -g.c, g.a, g.domain)
+    return _trusted(g.d, -g.b, -g.c, g.a, g.domain)
 
 
 def apply(g: MoebiusMap, z) -> complex:
@@ -175,7 +212,7 @@ def canonical(g: MoebiusMap) -> MoebiusMap:
             if e.real < -1e-12 * m or (abs(e.real) <= 1e-12 * m and e.imag < 0):
                 a, b, c, d = -a, -b, -c, -d
             break
-    return MoebiusMap(a, b, c, d, g.domain)
+    return _trusted(a, b, c, d, g.domain)
 
 
 def matrix_distance(g: MoebiusMap, h: MoebiusMap) -> float:
@@ -204,7 +241,7 @@ def to_disc(g: MoebiusMap) -> MoebiusMap:
         return g
     m = _matmul(_matmul(_CAYLEY, g.entries()), _CAYLEY_ADJ)
     domain = DISC if g.domain == HALF_PLANE else GENERIC
-    return MoebiusMap(*_det1(*m), domain=domain)
+    return _trusted(*_det1(*m), domain)
 
 
 @dataclass(frozen=True)
@@ -301,13 +338,13 @@ def kth_root(g: MoebiusMap, k: int) -> MoebiusMap:
     if (a + d).real < 0:
         a, b, c, d = -a, -b, -c, -d
     if k == 1:
-        return MoebiusMap(a, b, c, d, g.domain)
+        return _trusted(a, b, c, d, g.domain)
     tr = (a + d).real
 
     if abs(tr - 2.0) <= PARABOLIC_TOL:
         na, nb, nc, nd = a - 1.0, b, c, d - 1.0
         ra, rb, rc, rd = 1.0 + na / k, nb / k, nc / k, 1.0 + nd / k
-        return MoebiusMap(*_det1(ra, rb, rc, rd), domain=g.domain)
+        return _trusted(*_det1(ra, rb, rc, rd), g.domain)
 
     disc = cmath.sqrt(complex(tr * tr / 4.0 - 1.0))
     lam1 = tr / 2.0 + disc
@@ -329,7 +366,7 @@ def kth_root(g: MoebiusMap, k: int) -> MoebiusMap:
     rb = (root2 - root1) * x1 * x2 / det_v
     rc = (root1 - root2) * y1 * y2 / det_v
     rd = (root2 * x1 * y2 - root1 * x2 * y1) / det_v
-    return MoebiusMap(*_det1(ra, rb, rc, rd), domain=g.domain)
+    return _trusted(*_det1(ra, rb, rc, rd), g.domain)
 
 
 def power(g: MoebiusMap, k: int) -> MoebiusMap:

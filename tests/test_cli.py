@@ -3,6 +3,7 @@ exit codes, and byte-level reproducibility."""
 
 import filecmp
 import json
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -333,6 +334,49 @@ def test_stream_missing_key_names_key_and_map(tmp_path, capsys, spec, message):
     assert cli.main(["--out", str(tmp_path), "simulate", "--stream", spec]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "orbit.csv").exists()
+
+
+def test_non_object_generator_exits_2_naming_it(tmp_path, capsys):
+    spec = '{"type": "cycle", "generators": [{"kind": "scale", "factor": [0.5, 0]}, 1]}'
+    assert cli.main(["--out", str(tmp_path), "simulate", "--stream", spec]) == 2
+    assert "a map must be a JSON object, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "orbit.csv").exists()
+
+
+OVERFLOWING = '{"type": "rule", "name": "scale_product", "params": {"power": 100}}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--side", "left", "-N", "2000"],
+    ["simulate", "--side", "right", "-N", "2000"],
+    ["classify", "--side", "left", "-N", "2000"],
+    ["classify", "--side", "right", "-N", "2000"],
+    ["straighten", "-N", "2000"],
+], ids=["simulate-left", "simulate-right", "classify-left", "classify-right", "straighten"])
+def test_scale_product_past_overflow_exits_0(tmp_path, argv):
+    # (n + 1) ** 100 overflows a float from n = 1209 on
+    rc = cli.main(["--out", str(tmp_path), argv[0], "--stream", OVERFLOWING] + argv[1:])
+    assert rc == 0
+    assert not (tmp_path / "diagnostics.json").exists()
+
+
+def test_scale_product_overflow_at_the_first_step(tmp_path):
+    spec = '{"type": "rule", "name": "scale_product", "params": {"power": 2000}}'
+    rc = cli.main(["--out", str(tmp_path), "simulate", "--stream", spec, "-N", "3",
+                   "--seed-point", "0.5"])
+    assert rc == 0
+    assert all(row.split(",")[3] == "0.5" for row in _lines(tmp_path / "orbit.csv")[1:])
+
+
+def test_left_orbit_rounding_onto_the_circle_exits_0(tmp_path):
+    spec = ('{"type": "cycle", "generators": [{"kind": "mobius", "domain": "disc",'
+            ' "matrix": [[1, 0], [0.6, 0], [0.6, 0], [1, 0]]}]}')
+    rc = cli.main(["--out", str(tmp_path), "simulate", "--stream", spec, "-N", "200"])
+    assert rc == 0
+    rows = [[float(t) for t in row.split(",")] for row in _lines(tmp_path / "orbit.csv")[1:]]
+    assert len(rows) == 201
+    assert all(math.isfinite(t) for row in rows for t in row)
+    assert 0.0 < 1.0 - rows[-1][3] < 1e-12 and rows[-1][6] == 0.0
 
 
 def test_non_finite_stream_exits_2(tmp_path):

@@ -112,6 +112,56 @@ def test_left_pair_ledger_monotone():
         prev = dict(cur.pair_distances)
 
 
+def test_left_orbit_rounding_onto_the_circle_is_held():
+    # L_n(0) heads to the attracting fixed point 1 of z -> (z + 0.6)/(1 + 0.6 z)
+    # and rounds onto it; the seed is held at its last accurate value
+    cur = LeftOrbitCursor(GeneratorStream.from_cycle([Mobius(moebius.make_disc_auto(0.6, 0.0))]), (0j,))
+    held = None
+    for _ in range(200):
+        prev = cur.values[0]
+        cur.advance()
+        if cur.saturated_seeds and held is None:
+            held = prev
+    assert cur.saturated_seeds == {0}
+    assert cur.values[0] is held
+    assert 1.0 - abs(held) >= ifs._SATURATED_GAP and abs(held - 1.0) < 1e-12
+
+
+def test_left_orbit_returns_from_the_boundary():
+    # 22 steps of A = z -> (z + 0.6)/(1 + 0.6 z) and 22 of its inverse, so
+    # L_n = A^k with k = min(j, 44 - j), j = n mod 44, and L_n(0) comes
+    # within 1.1e-13 of the boundary at k = 22
+    out, back = (Mobius(moebius.make_disc_auto(a, 0.0)) for a in (0.6, -0.6))
+    # L_22(-0.9) stays 2e-12 away from it
+    cur = LeftOrbitCursor(GeneratorStream.from_cycle([out] * 22 + [back] * 22), (0j, -0.9))
+    for n in range(1, 133):
+        cur.advance()
+        j = n % 44
+        exact = [math.tanh(min(j, 44 - j) * math.atanh(0.6) + math.atanh(s)) for s in (0.0, -0.9)]
+        # a held value is off by at most the turn's last step; a value
+        # advanced from a held one would lag a step, off by up to 0.6
+        assert abs(cur.values[0] - exact[0]) < 1e-2, n
+        assert abs(cur.values[1] - exact[1]) < 1e-2, n
+    assert cur.saturated_seeds == {0}
+    assert cur.saturated_pairs == {(0, 1)}
+    assert abs(cur.values[0]) < 1e-2
+
+
+def test_scale_product_rule_builds_checked_scales():
+    rule = ifs.RULES["scale_product"]({"power": 2.5})
+    for n in (1, 2, 7, 1000):
+        f = rule(n)
+        assert type(f) is Scale and type(f.factor) is complex
+        assert f == Scale(1.0 - 1.0 / (n + 1) ** 2.5)
+
+
+@pytest.mark.parametrize("power, n", [(100.0, 2000), (2000.0, 1), (1e300, 5)])
+def test_scale_product_rule_overflow_gives_unit_scale(power, n):
+    with pytest.raises(OverflowError):
+        (n + 1) ** power
+    assert ifs.RULES["scale_product"]({"power": power})(n) == Scale(1.0)
+
+
 def test_right_matrix_fast_path_matches_tree():
     maps = [
         Mobius(moebius.make_disc_auto(0.2, 0.5)),

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifslab import moebius
+from ifslab import holomap, moebius
 from ifslab.geometry import disc_distance
 from ifslab.moebius import (
     DISC,
@@ -104,6 +104,59 @@ def test_deriv_matches_difference_quotient(g, z):
     h = 1e-7
     num = (apply(g, z + h) - apply(g, z - h)) / (2.0 * h)
     assert deriv(g, z) == pytest.approx(num, rel=1e-5, abs=1e-8)
+
+
+def _centred_autos(max_center=0.9):
+    return st.integers(min_value=0, max_value=10_000).map(
+        lambda s: random_disc_auto(random.Random(s), max_center)
+    )
+
+
+@given(
+    _centred_autos(),
+    _centred_autos(),
+    st.integers(min_value=1, max_value=64),
+    # the public check normalises by sqrt(det), which loses accuracy like
+    # |entries|^3 eps: it rejects true powers with entries above ~1e3
+    # (k = 7 of some centre-0.9 maps), so the powers stay small
+    st.integers(min_value=-3, max_value=3),
+    disc_pts(0.9),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_trusted_derivations_pass_the_public_check(g, h, k, p, z0, theta):
+    maps = [
+        compose(g, h),
+        inverse(g),
+        canonical(compose(h, g)),
+        power(g, p),
+        kth_root(g, k),
+        make_disc_auto(z0, theta),
+        translate_to_zero(z0),
+        holomap.Blaschke((z0,), theta).matrix(),
+    ]
+    u = cmath.exp(1j * theta)
+    if abs(u) <= 1.0:  # Scale takes |factor| <= 1 only
+        maps.append(holomap.Scale(u).matrix())
+    for m in maps:
+        assert m.domain == DISC
+        MoebiusMap(*m.entries(), m.domain)  # raises NonAutomorphismError if not SU(1,1)
+
+
+def test_identity_is_shared_and_frozen():
+    for tag in (DISC, HALF_PLANE, GENERIC):
+        assert identity(tag) is identity(tag)
+        assert identity(tag).domain == tag
+    assert identity() is identity(DISC)
+    with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        identity().a = 2.0
+    assert identity().entries() == (1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        identity("nowhere")
+
+
+def test_make_disc_auto_rejects_a_non_finite_angle():
+    with pytest.raises(ValueError):
+        make_disc_auto(0.2, math.nan)
 
 
 def test_classify_rotation():
