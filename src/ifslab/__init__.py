@@ -29,6 +29,7 @@ from .holomap import (
     MapExpr,
     Mobius,
     Monomial,
+    NonFiniteError,
     Scale,
     denjoy_wolff,
     derivative,
@@ -40,7 +41,6 @@ from .ifs import (
     DepthCapError,
     GeneratorStream,
     LeftOrbitCursor,
-    NonFiniteError,
     RightOrbitState,
     compact_divergence,
     orbit_bounded,

@@ -25,7 +25,7 @@ from random import Random
 
 from . import holomap, moebius
 from .geometry import _omega_raw, disc_point
-from .holomap import MapExpr
+from .holomap import MapExpr, NonFiniteError
 from .moebius import MoebiusMap
 
 MARGIN_KINDS = ("euclid_gap", "lipschitz_2", "transfer", "approx_auto")
@@ -68,7 +68,12 @@ class MarginReport:
 
 
 def margin(kind: str, f: MapExpr | None, z, w, coefficient: float = 2.0) -> MarginReport:
-    """Signed slack rhs - lhs of one bound at one pair of points."""
+    """Signed slack rhs - lhs of one bound at one pair of points.
+
+    Raises NonFiniteError when either side is not finite (a coefficient
+    near the float maximum makes rhs overflow), since no margin read
+    from an infinite or NaN side means anything.
+    """
     zv, wv = disc_point(z), disc_point(w)
     om = _omega_raw(zv, wv)
     if kind == "euclid_gap":
@@ -91,6 +96,8 @@ def margin(kind: str, f: MapExpr | None, z, w, coefficient: float = 2.0) -> Marg
         rhs = coefficient * math.exp(4.0 * om) * (1.0 - holomap.distortion(f, wv))
     else:
         raise ValueError(f"unknown margin kind {kind!r}")
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NonFiniteError(f"{kind} margin at z = {zv!r}, w = {wv!r} has lhs {lhs!r} and rhs {rhs!r}")
     return MarginReport(kind, zv, wv, lhs, rhs, rhs - lhs, coefficient)
 
 

@@ -6,18 +6,27 @@ CSV row is one ``%`` format of its artifact's row layout, JSON keys are
 sorted, and nothing embeds a timestamp or machine identifier, so the
 same configuration and seed produce byte-identical files.
 
-Exit status: 0 on success, 2 on a configuration or input problem, 3 on
+Every JSON artifact is a report dataclass's fields, walked by one
+serializer (``_report``/``_json``: a complex becomes ``[re, im]``, a
+Moebius map its ``moebius.to_json`` payload), and is written strictly:
+a JSON artifact never holds NaN or Infinity.
+
+Exit status: 0 on success, 2 on a configuration or input problem (a
+size below 1, or a float or complex flag that is NaN or infinite), 3 on
 a numerical abort (a diagnostics.json is left in the output directory).
+A result that is not finite is such an abort, named NonFiniteError.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
 import pathlib
 import sys
+from dataclasses import fields, is_dataclass
 
 from . import bounds, criteria, gallery, holomap, ifs, moebius, straighten
 from .geometry import DomainError, _omega_raw
@@ -32,33 +41,38 @@ class CLIError(Exception):
     """Invalid configuration or input; maps to exit status 2."""
 
 
-def _c(z) -> complex:
-    return complex(getattr(z, "value", z))
-
-
-def _pair(z) -> list:
-    v = _c(z)
-    return [v.real, v.imag]
-
-
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise CLIError(f"not a complex number: {text!r}")
+    if not cmath.isfinite(value):
+        raise CLIError(f"must be finite, got {text!r}")
+    return value
 
 
-def _jsonable(obj):
-    """Best-effort conversion of report payloads for the diagnostics file."""
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)
+def _json(v):
+    """JSON value of a report field: a complex as [re, im], a Moebius map
+    as its moebius.to_json payload, a dataclass as its fields, a tuple or
+    list as a list, a dict by its values; anything else as it is."""
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, (tuple, list)):
+        return [_json(x) for x in v]
+    if isinstance(v, moebius.MoebiusMap):
+        return moebius.to_json(v)
+    if is_dataclass(v):
+        return _report(v)
+    if isinstance(v, dict):
+        return {k: _json(x) for k, x in v.items()}
+    return v
+
+
+def _report(obj, drop=(), **extra) -> dict:
+    """The fields of the report dataclass obj, minus drop, plus extra."""
+    out = {f.name: _json(getattr(obj, f.name)) for f in fields(obj) if f.name not in drop}
+    out.update((k, _json(v)) for k, v in extra.items())
+    return out
 
 
 def _write_text(path: pathlib.Path, text: str) -> None:
@@ -71,7 +85,12 @@ def _write_csv(path: pathlib.Path, header: str, rows) -> None:
 
 
 def _write_json(path: pathlib.Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Sorted-key, indented, strict JSON: NaN or infinity is a NonFiniteError."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise holomap.NonFiniteError(f"{path.name} would hold a non-finite number: {e}")
+    _write_text(path, text + "\n")
 
 
 def _load_stream(spec: str) -> ifs.GeneratorStream:
@@ -147,26 +166,6 @@ def _straighten_rows(res: straighten.StraightenResult):
     return rows
 
 
-def _straighten_json(res: straighten.StraightenResult, side: str, horizon: int) -> dict:
-    return {
-        "command": "straighten",
-        "side": side,
-        "horizon": horizon,
-        "steps": res.steps,
-        "converged": res.converged,
-        "degenerate": res.degenerate,
-        "stopped_at_boundary": res.stopped_at_boundary,
-        "window_residual": res.window_residual,
-        "probe": _pair(res.probe),
-        "h_at_probe": _pair(res.h_at_probe),
-        "grid": [_pair(z) for z in res.grid],
-        "h_grid": [_pair(z) for z in res.h_grid],
-        "gammas": [moebius.to_json(g) for g in res.gammas],
-        "phases": list(res.phases),
-        "gn_derivs": [_pair(g) for g in res.gn_derivs],
-    }
-
-
 def _cmd_straighten(args, out: pathlib.Path) -> int:
     stream = _load_stream(args.stream)
     probe = _parse_complex(args.probe)
@@ -186,7 +185,14 @@ def _cmd_straighten(args, out: pathlib.Path) -> int:
                 f"orbit has {len(orbit.points)} points, horizon {args.horizon} needs {args.horizon + 1}"
             )
         res = straighten.right_straighten(stream, orbit, probe=probe, config=cfg)
-    _write_json(out / "straighten.json", _straighten_json(res, args.side, args.horizon))
+    doc = _report(
+        res,
+        drop=("probe_trace", "residual_trace", "distortion_trace", "h_extra"),
+        command=args.command,
+        side=args.side,
+        horizon=args.horizon,
+    )
+    _write_json(out / "straighten.json", doc)
     _write_csv(out / "straighten.csv", STRAIGHTEN_HEADER, _straighten_rows(res))
     return 0
 
@@ -200,51 +206,31 @@ def _series_rows(rep: criteria.SeriesReport):
     ]
 
 
-def _series_config_json(cfg: criteria.SeriesConfig) -> dict:
-    return {
-        "divergence_threshold": cfg.divergence_threshold,
-        "divergence_product_tol": cfg.divergence_product_tol,
-        "summable_window": cfg.summable_window,
-        "summable_tol": cfg.summable_tol,
-        "product_cauchy_tol": cfg.product_cauchy_tol,
-    }
-
-
 def _cmd_classify(args, out: pathlib.Path) -> int:
     stream = _load_stream(args.stream)
     cfg = criteria.SeriesConfig()
     if args.side == "left":
         base = tuple(_parse_complex(s) for s in (args.base_point or ["0", "0.3+0.2j"]))
         rep = criteria.classify_left_limits(stream, args.horizon, base_points=base, config=cfg)
-        verdict = {
-            "command": "classify",
-            "side": "left",
-            "horizon": args.horizon,
-            "verdict": rep.kind,
-            "agreement": rep.agreement,
-            "bound_check_radius": rep.bound_check_radius,
-            "base_points": [_pair(z) for z in base],
-            "series_verdicts": [s.verdict for s in rep.series],
-            "limit_estimates": [_pair(z) for z in rep.limit_estimates],
-            "config": _series_config_json(cfg),
-        }
+        extra = {"series_verdicts": [s.verdict for s in rep.series], "base_points": base}
         if rep.series:
             _write_csv(out / "series.csv", SERIES_HEADER, _series_rows(rep.series[0]))
     else:
         z0 = _parse_complex((args.base_point or ["0.5"])[0])
         rep = criteria.classify_right_limits(stream, args.horizon, z0=z0, config=cfg)
-        verdict = {
-            "command": "classify",
-            "side": "right",
-            "horizon": args.horizon,
-            "verdict": rep.kind,
-            "base_point": _pair(rep.base_point),
-            "limit_estimate": _pair(rep.limit_estimate),
-            "tail_movement": rep.tail_movement,
-            "distortion_checkpoints": [[n, v] for n, v in rep.distortion_checkpoints],
-            "config": _series_config_json(cfg),
-        }
-    _write_json(out / "classify.json", verdict)
+        extra = {}
+    # a left report's series go out as their verdicts (and series.csv)
+    doc = _report(
+        rep,
+        drop=("kind", "series"),
+        command=args.command,
+        side=args.side,
+        horizon=args.horizon,
+        verdict=rep.kind,
+        config=cfg,
+        **extra,
+    )
+    _write_json(out / "classify.json", doc)
     return 0
 
 
@@ -260,25 +246,14 @@ def _cmd_verify(args, out: pathlib.Path) -> int:
         for r in rep.rows
     ]
     _write_csv(out / "margins.csv", MARGINS_HEADER, rows)
-    _write_json(
-        out / "verify.json",
-        {
-            "command": "verify",
-            "kind": rep.kind,
-            "draws": rep.draws,
-            "seed": rep.seed,
-            "coefficient": args.coefficient,
-            "min_margin": rep.min_margin,
-            "empirical_coefficient": rep.empirical_coefficient,
-            "worst": {
-                "z": _pair(rep.worst.z),
-                "w": _pair(rep.worst.w),
-                "lhs": rep.worst.lhs,
-                "rhs": rep.worst.rhs,
-                "margin": rep.worst.margin,
-            },
-        },
+    doc = _report(
+        rep,
+        drop=("rows",),
+        command=args.command,
+        coefficient=args.coefficient,
+        worst=_report(rep.worst, drop=("kind", "coefficient")),
     )
+    _write_json(out / "verify.json", doc)
     return 0
 
 
@@ -317,35 +292,18 @@ def _svg_halfplane(points, marks) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _gallery_report(args, build) -> dict:
+    """gallery.json: a build's fields, with the count of its maps in
+    place of the maps (a dense build can emit hundreds of thousands)."""
+    return _report(
+        build, drop=("maps",), command=args.command, example=args.example, map_count=len(build.maps)
+    )
+
+
 def _cmd_gallery(args, out: pathlib.Path) -> int:
     if args.example == "escape_return":
         build = gallery.build_escape_return(args.nmax)
-        _write_json(
-            out / "gallery.json",
-            {
-                "command": "gallery",
-                "example": "escape_return",
-                "requested_n": build.requested_n,
-                "achieved_n": build.achieved_n,
-                "exhausted": build.exhausted,
-                "map_count": len(build.maps),
-                "milestones": list(build.milestones),
-                "milestone_values": [_pair(v) for v in build.milestone_values],
-                "certs": [
-                    {
-                        "n": c.n,
-                        "k": c.k,
-                        "value_before": _pair(c.value_before),
-                        "value_out": _pair(c.value_out),
-                        "target_gap": c.target_gap,
-                        "value_back": _pair(c.value_back),
-                        "return_residual": c.return_residual,
-                        "shift_rate": c.shift_rate,
-                    }
-                    for c in build.certs
-                ],
-            },
-        )
+        _write_json(out / "gallery.json", _gallery_report(args, build))
         cur = ifs.LeftOrbitCursor(build.stream, (0j,), track_pairs=False)
         trail = [] if args.svg else None
         _write_csv(out / "orbit.csv", ORBIT_HEADER, _orbit_rows(cur, len(build.maps), trail))
@@ -367,27 +325,7 @@ def _cmd_gallery(args, out: pathlib.Path) -> int:
         else:
             targets = gallery.default_dense_targets(args.count)
         build = gallery.build_dense(targets)
-        _write_json(
-            out / "gallery.json",
-            {
-                "command": "gallery",
-                "example": "dense",
-                "exhausted": build.exhausted,
-                "map_count": len(build.maps),
-                "milestones": list(build.milestones),
-                "targets": [moebius.to_json(t) for t in build.targets],
-                "certs": [
-                    {
-                        "index": c.index,
-                        "k": c.k,
-                        "delta": c.delta,
-                        "deviation": c.deviation,
-                        "residual": c.residual,
-                    }
-                    for c in build.certs
-                ],
-            },
-        )
+        _write_json(out / "gallery.json", _gallery_report(args, build))
         return 0
     raise CLIError(f"unknown gallery example {args.example!r}")
 
@@ -395,19 +333,8 @@ def _cmd_gallery(args, out: pathlib.Path) -> int:
 def _cmd_fixed_points(args, out: pathlib.Path) -> int:
     stream = _load_stream(args.stream)
     rep = criteria.track_fixed_points(stream, args.horizon, guard=args.guard)
-    _write_json(
-        out / "fixed_points.json",
-        {
-            "command": "fixed-points",
-            "horizon": args.horizon,
-            "guard": args.guard,
-            "points": [_pair(p) for p in rep.points],
-            "residual_max": rep.residual_max,
-            "limit_estimate": _pair(rep.limit_estimate),
-            "orbit_gap": rep.orbit_gap,
-            "min_deficit": rep.min_deficit,
-        },
-    )
+    doc = _report(rep, command=args.command, horizon=args.horizon, guard=args.guard)
+    _write_json(out / "fixed_points.json", doc)
     return 0
 
 
@@ -521,7 +448,7 @@ def main(argv=None) -> int:
         }
         partial = getattr(e, "partial", None) or getattr(e, "diagnostics", None)
         if partial:
-            diag["partial"] = _jsonable(partial)
+            diag["partial"] = _json(partial)
         _write_json(out / "diagnostics.json", diag)
         print(f"ifslab: numerical abort: {e} (diagnostics.json written)", file=sys.stderr)
         return 3

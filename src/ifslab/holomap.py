@@ -38,6 +38,15 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed (for example distortion above 1)."""
 
 
+class NonFiniteError(ConsistencyError):
+    """A computed value stopped being finite: a right orbit value,
+    derivative or matrix entry, a margin side, or an artifact number."""
+
+    def __init__(self, message: str, diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
+
+
 class InconclusiveError(RuntimeError):
     """Iteration budget exhausted without a classification.
 

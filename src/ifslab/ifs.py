@@ -33,7 +33,7 @@ from typing import Callable
 
 from . import holomap, moebius
 from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point
-from .holomap import ConsistencyError, MapExpr
+from .holomap import ConsistencyError, MapExpr, NonFiniteError
 
 LEDGER_SLACK = 1e-10
 # a boundary gap under which omega keeps less than two digits: a ledger
@@ -45,14 +45,6 @@ DEPTH_CAP = 100_000
 
 class DepthCapError(RuntimeError):
     """Right composition grew past the configured depth cap."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
-
-class NonFiniteError(ConsistencyError):
-    """A right orbit value, derivative or matrix entry stopped being finite."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

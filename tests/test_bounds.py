@@ -23,6 +23,14 @@ from ifslab.bounds import (
 ATANH_08 = 1.0986122886681098  # atanh(0.8) = 2 atanh(0.5) = ln 3
 
 
+def test_overflowing_side_is_a_named_abort():
+    # coefficient * e^(4 omega) overflows; a margin read from inf means nothing
+    with pytest.raises(holomap.NonFiniteError, match="rhs inf"):
+        margin("approx_auto", Scale(0.5), 0.1, 0.2, coefficient=1.7e308)
+    with pytest.raises(holomap.NonFiniteError):
+        fuzz_margins("approx_auto", 3, seed=0, coefficient=1e308)
+
+
 def test_margin_kinds_frozen():
     assert MARGIN_KINDS == ("euclid_gap", "lipschitz_2", "transfer", "approx_auto")
     with pytest.raises(ValueError):

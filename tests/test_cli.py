@@ -234,6 +234,38 @@ def test_non_finite_float_flags_exit_2_before_any_artifact(tmp_path, capsys, arg
     assert not any(tmp_path.iterdir())
 
 
+# point flags are parsed inside the subcommand, so they exit 2 through
+# main's return value rather than through argparse's SystemExit
+@pytest.mark.parametrize("argv", [
+    ["classify", "--stream", BASEL, "-N", "5", "--base-point", "nan"],
+    ["classify", "--stream", BASEL, "--side", "right", "-N", "5", "--base-point", "inf"],
+    ["simulate", "--stream", BASEL, "-N", "5", "--seed-point", "nan+nanj"],
+    ["straighten", "--stream", BASEL, "-N", "5", "--probe", "nan"],
+    ["straighten", "--stream", BASEL, "-N", "5", "--probe=-infj"],
+], ids=["base-point-nan", "right-base-point-inf", "seed-point-nan", "probe-nan", "probe-neg-inf"])
+def test_non_finite_point_flags_exit_2_before_any_artifact(tmp_path, capsys, argv):
+    assert cli.main(["--out", str(tmp_path)] + argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_write_json_rejects_non_finite_numbers(tmp_path):
+    for payload in ({"x": math.nan}, {"pair": [0.5, -math.inf]}):
+        with pytest.raises(ifs.NonFiniteError, match="non-finite"):
+            cli._write_json(tmp_path / "x.json", payload)
+        assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("fuzz, coefficient", [("1", "1.7e308"), ("50", "1e308")])
+def test_verify_overflowing_coefficient_is_a_named_abort(tmp_path, fuzz, coefficient):
+    # every approx_auto margin overflows: its rhs is coefficient * e^(4 omega) * (...)
+    rc = cli.main(["--out", str(tmp_path), "verify", "--kind", "approx_auto",
+                   "--fuzz", fuzz, "--coefficient", coefficient])
+    assert rc == 3
+    assert _strict_json(tmp_path / "diagnostics.json")["error"] == "NonFiniteError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.json"]
+
+
 def test_verify_unknown_kind(tmp_path):
     # argparse rejects at the choices gate before main's own check
     with pytest.raises(SystemExit) as exc:
@@ -314,6 +346,61 @@ def test_refusal_writes_diagnostics(tmp_path):
     assert diag["command"] == "fixed-points"
     assert diag["error"] == "TrackingRefusal"
     assert diag["message"]
+
+
+SCALE_05 = '{"type": "cycle", "generators": [{"kind": "scale", "factor": [0.5, 0]}]}'
+_STRAIGHTEN = ["straighten", "--stream", BASEL, "-N", "30"]
+_CLASSIFY_LEFT = ["classify", "--stream", BASEL, "-N", "200"]
+_CLASSIFY_RIGHT = ["classify", "--stream", HARMONIC, "--side", "right", "-N", "200"]
+_VERIFY = ["verify", "--kind", "approx_auto", "--fuzz", "5"]
+_ESCAPE = ["gallery", "--example", "escape_return", "--nmax", "1"]
+_DENSE = ["gallery", "--example", "dense", "--count", "1"]
+_FIXED = ["fixed-points", "--stream", SCALE_05, "-N", "20"]
+
+
+# the JSON artifacts are report dataclass fields walked generically, so a
+# field added to a report would reach its artifact unseen without these
+@pytest.mark.parametrize("argv, artifact, path, keys", [
+    (_STRAIGHTEN, "straighten.json", (), [
+        "command", "converged", "degenerate", "gammas", "gn_derivs", "grid", "h_at_probe",
+        "h_grid", "horizon", "phases", "probe", "side", "steps", "stopped_at_boundary",
+        "window_residual"]),
+    (_CLASSIFY_LEFT, "classify.json", (), [
+        "agreement", "base_points", "bound_check_radius", "command", "config", "horizon",
+        "limit_estimates", "series_verdicts", "side", "verdict"]),
+    (_CLASSIFY_LEFT, "classify.json", ("config",), [
+        "divergence_product_tol", "divergence_threshold", "product_cauchy_tol", "summable_tol",
+        "summable_window"]),
+    (_CLASSIFY_RIGHT, "classify.json", (), [
+        "base_point", "command", "config", "distortion_checkpoints", "horizon", "limit_estimate",
+        "side", "tail_movement", "verdict"]),
+    (_VERIFY, "verify.json", (), [
+        "coefficient", "command", "draws", "empirical_coefficient", "kind", "min_margin", "seed",
+        "worst"]),
+    (_VERIFY, "verify.json", ("worst",), ["lhs", "margin", "rhs", "w", "z"]),
+    (_ESCAPE, "gallery.json", (), [
+        "achieved_n", "certs", "command", "example", "exhausted", "map_count", "milestone_values",
+        "milestones", "requested_n"]),
+    (_ESCAPE, "gallery.json", ("certs", 0), [
+        "k", "n", "return_residual", "shift_rate", "target_gap", "value_back", "value_before",
+        "value_out"]),
+    (_DENSE, "gallery.json", (), [
+        "certs", "command", "example", "exhausted", "map_count", "milestones", "targets"]),
+    (_DENSE, "gallery.json", ("certs", 0), ["delta", "deviation", "index", "k", "residual"]),
+    (_FIXED, "fixed_points.json", (), [
+        "command", "guard", "horizon", "limit_estimate", "min_deficit", "orbit_gap", "points",
+        "residual_max"]),
+], ids=["straighten", "classify-left", "classify-config", "classify-right", "verify",
+        "verify-worst", "escape-return", "escape-return-cert", "dense", "dense-cert",
+        "fixed-points"])
+def test_json_artifact_key_sets(tmp_path, argv, artifact, path, keys):
+    assert cli.main(["--out", str(tmp_path)] + argv) == 0
+    doc = _strict_json(tmp_path / artifact)
+    if "certs" in doc:
+        assert len(doc["certs"]) == 1
+    for step in path:
+        doc = doc[step]
+    assert sorted(doc) == keys
 
 
 def test_bad_stream_exits_2(tmp_path):

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifslab
 from ifslab import holomap, ifs, moebius
 from ifslab.geometry import HyperbolicBall, disc_distance
 from ifslab.holomap import Blaschke, Compose, HalfPlaneAffine, Mobius, Monomial, Scale
@@ -299,6 +300,7 @@ def test_right_non_finite_is_a_named_abort(bad, jets):
     with pytest.raises(ifs.NonFiniteError) as exc:
         state.advance()
     assert isinstance(exc.value, holomap.ConsistencyError)
+    assert ifs.NonFiniteError is holomap.NonFiniteError is ifslab.NonFiniteError
     assert exc.value.diagnostics["n"] == 2
 
 
