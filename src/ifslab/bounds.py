@@ -2,15 +2,15 @@
 
 Every bound is exposed as a signed margin, rhs - lhs, so that a fuzzer
 can assert non-negativity and sharpness witnesses can show margins that
-vanish.  The four bounds:
+vanish.  The four bounds, each with the leading constant c (2 by
+default):
 
-  euclid_gap      |z - w| <= 2 (1 - |w|) sinh(2 omega(z, w))
-  lipschitz_2     omega(f#(z), f#(w)) <= 2 omega(z, w), reading the
+  euclid_gap      |z - w| <= c (1 - |w|) sinh(2 omega(z, w))
+  lipschitz_2     omega(f#(z), f#(w)) <= c omega(z, w), reading the
                   distortion values as points of [0, 1) in the disc
-  transfer        1 - f#(z) <= 2 e^{4 omega(z, w)} (1 - f#(w))
+  transfer        1 - f#(z) <= c e^{4 omega(z, w)} (1 - f#(w))
   approx_auto     omega(f(z), gamma(z)) <= c e^{4 omega(z, w)} (1 - f#(w))
                   with gamma the automorphism built by best_automorphism
-                  and c = 2 by default
 
 The margins hold for every holomorphic self-map; automorphisms make
 lipschitz_2, transfer and approx_auto degenerate (both sides vanish).
@@ -78,7 +78,7 @@ def margin(kind: str, f: MapExpr | None, z, w, coefficient: float = 2.0) -> Marg
     om = _omega_raw(zv, wv)
     if kind == "euclid_gap":
         lhs = abs(zv - wv)
-        rhs = 2.0 * (1.0 - abs(wv)) * math.sinh(2.0 * om)
+        rhs = coefficient * (1.0 - abs(wv)) * math.sinh(2.0 * om)
     elif kind == "lipschitz_2":
         dz = holomap.distortion(f, zv)
         dw = holomap.distortion(f, wv)
@@ -86,10 +86,10 @@ def margin(kind: str, f: MapExpr | None, z, w, coefficient: float = 2.0) -> Marg
             lhs = 0.0  # distortion pinned at 1 everywhere means f is an automorphism
         else:
             lhs = _omega_raw(complex(dz), complex(dw))
-        rhs = 2.0 * om
+        rhs = coefficient * om
     elif kind == "transfer":
         lhs = 1.0 - holomap.distortion(f, zv)
-        rhs = 2.0 * math.exp(4.0 * om) * (1.0 - holomap.distortion(f, wv))
+        rhs = coefficient * math.exp(4.0 * om) * (1.0 - holomap.distortion(f, wv))
     elif kind == "approx_auto":
         gamma = best_automorphism(f, wv)
         lhs = _omega_raw(holomap.eval_raw(f, zv), moebius.apply(gamma, zv))
@@ -171,8 +171,8 @@ def fuzz_margins(
     """Hammer one bound with random maps and point pairs.
 
     empirical_coefficient is the smallest constant that would have
-    covered every draw of the coefficient-bearing bounds, a sharpness
-    probe for the default 2.
+    covered every draw of transfer or approx_auto, a sharpness probe for
+    the default 2.
     """
     if kind not in MARGIN_KINDS:
         raise ValueError(f"unknown margin kind {kind!r}")
@@ -190,7 +190,7 @@ def fuzz_margins(
             min_margin = rep.margin
             worst = rep
         if kind in ("transfer", "approx_auto"):
-            unit = rep.rhs / coefficient if kind == "approx_auto" else rep.rhs / 2.0
+            unit = rep.rhs / coefficient
             # draws with a vanishing right side only measure rounding noise
             if unit > 1e-9:
                 emp = max(emp, rep.lhs / unit)

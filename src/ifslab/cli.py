@@ -184,6 +184,8 @@ def _cmd_straighten(args, out: pathlib.Path) -> int:
             raise CLIError(
                 f"orbit has {len(orbit.points)} points, horizon {args.horizon} needs {args.horizon + 1}"
             )
+        # -N bounds the run: w_0 ... w_N only, later points neither verified nor used
+        orbit = ifs.BackwardOrbit(orbit.points[: args.horizon + 1])
         res = straighten.right_straighten(stream, orbit, probe=probe, config=cfg)
     doc = _report(
         res,

@@ -62,13 +62,20 @@ def _scale(entries):
 
 
 def _is_su11(a, b, c, d, tol=STRUCT_TOL) -> bool:
-    """SU(1,1) structure of the det-1 representative, up to sign."""
-    try:
-        a, b, c, d = _det1(a, b, c, d)
-    except NonAutomorphismError:
-        return False
-    m = max(1.0, _scale((a, b, c, d)))
-    return abs(d - a.conjugate()) <= tol * m and abs(c - b.conjugate()) <= tol * m
+    """A complex multiple of an SU(1,1) matrix, tested without rescaling.
+
+    That shape means d = u conj(a) and c = u conj(b) for one unit u, with
+    |a| > |b|; equivalently |d| = |a| and c conj(a) = d conj(b).  Both
+    residuals are held relative to the largest entry m (tol m and tol m^2),
+    so the test is as sharp for entries of size 1e3 as of size 1; dividing
+    by sqrt(det) first would leave an error of about m^3 eps.
+    """
+    m = _scale((a, b, c, d))
+    return (
+        abs(a) > abs(b)
+        and abs(abs(a) - abs(d)) <= tol * m
+        and abs(c * a.conjugate() - d * b.conjugate()) <= tol * m * m
+    )
 
 
 def _real_rep(a, b, c, d, tol=STRUCT_TOL):
@@ -263,10 +270,9 @@ class AutClass:
 def _disc_rep(g: MoebiusMap):
     """Det-1 SU(1,1) representative with nonnegative real trace."""
     h = to_disc(g)
-    a, b, c, d = _det1(*h.entries())
-    m = max(1.0, _scale((a, b, c, d)))
-    if abs(d - a.conjugate()) > STRUCT_TOL * m or abs(c - b.conjugate()) > STRUCT_TOL * m:
+    if not _is_su11(*h.entries()):
         raise NonAutomorphismError("not (conjugate to) a disc automorphism")
+    a, b, c, d = _det1(*h.entries())
     if (a + d).real < 0:
         a, b, c, d = -a, -b, -c, -d
     return a, b, c, d

@@ -94,6 +94,66 @@ def _pairwise_window_max(snapshots) -> float | None:
     return worst
 
 
+class _Trail:
+    """The per-step record, stopping rule and result shared by both sides.
+
+    Each step records H_n on the grid and at the probe, the probe-modulus
+    and distortion traces, gamma_n with its phase, and the grid-max omega
+    move from the previous step.  A step ends the run as degenerate when
+    its collapse size drops below tol_zero, and as converged when the
+    last `window` moves sum below tol.
+    """
+
+    def __init__(self, cfg: StraightenConfig, grid: tuple, probe: complex, gammas=(), phases=()):
+        self.cfg, self.grid, self.probe = cfg, grid, probe
+        self.h_grid, self.h_probe = grid, probe
+        self.probe_trace, self.residual_trace, self.dist_trace = [], [], []
+        self.gammas, self.phases = list(gammas), list(phases)
+        self.snapshots = deque(maxlen=cfg.window + 1)
+        self.converged = self.degenerate = False
+
+    def record(self, h_grid, h_probe, probe_abs, dist, gamma, theta, size) -> bool:
+        """Record one step; True when the stopping rule ends the run."""
+        if self.probe_trace:
+            self.residual_trace.append(max(_omega_raw(u, v) for u, v in zip(h_grid, self.h_grid)))
+        self.h_grid = h_grid
+        self.h_probe = h_probe
+        self.probe_trace.append(probe_abs)
+        self.dist_trace.append(dist)
+        self.gammas.append(gamma)
+        self.phases.append(theta)
+        self.snapshots.append(h_grid)
+        if size < self.cfg.tol_zero:
+            self.converged = self.degenerate = True
+        elif self.settled(self.cfg.tol):
+            self.converged = True
+        return self.converged
+
+    def settled(self, tol: float) -> bool:
+        """The last `window` moves sum below tol."""
+        w = self.cfg.window
+        return len(self.residual_trace) >= w and sum(self.residual_trace[-w:]) < tol
+
+    def result(self, stopped_at_boundary: bool = False, **extra) -> StraightenResult:
+        return StraightenResult(
+            converged=self.converged,
+            degenerate=self.degenerate,
+            stopped_at_boundary=stopped_at_boundary,
+            steps=len(self.probe_trace),
+            grid=self.grid,
+            h_grid=self.h_grid,
+            probe=self.probe,
+            h_at_probe=self.h_probe,
+            probe_trace=tuple(self.probe_trace),
+            residual_trace=tuple(self.residual_trace),
+            window_residual=_pairwise_window_max(self.snapshots),
+            gammas=tuple(self.gammas),
+            phases=tuple(self.phases),
+            distortion_trace=tuple(self.dist_trace),
+            **extra,
+        )
+
+
 def left_straighten(
     stream: GeneratorStream,
     N: int,
@@ -110,31 +170,16 @@ def left_straighten(
     cfg = config or StraightenConfig()
     grid = tuple(disc_point(z) for z in grid)
     probe = disc_point(probe)
-    extra = tuple(disc_point(z) for z in extra_points)
+    h_extra = tuple(disc_point(z) for z in extra_points)
+    trail = _Trail(cfg, grid, probe)
 
     vals = list(grid)
     v_probe = probe
-    v_extra = list(extra)
+    v_extra = list(h_extra)
     a = 0j  # L_n(0)
     dist0 = 1.0
     theta = 0.0
-    prev_probe_abs = None
-    prev_h = None
-
-    probe_trace = []
-    residual_trace = []
-    dist_trace = []
-    gammas = []
-    phases = []
-    snapshots = deque(maxlen=cfg.window + 1)
-
-    h_grid = tuple(grid)
-    h_probe = probe
-    h_extra = tuple(extra)
-    converged = False
-    degenerate = False
     boundary_stop = False
-    steps = 0
 
     for n in range(1, N + 1):
         f = stream.generator_at(n)
@@ -156,59 +201,25 @@ def left_straighten(
         # orbit rounding accumulates over n steps; scale the slack so the
         # honest noise floor does not read as a monotonicity violation
         slack = LEDGER_SLACK + n * 8.0 * _EPS / max(1.0 - abs(a), _EPS)
-        if prev_probe_abs is not None and pa > prev_probe_abs + slack:
+        if trail.probe_trace and pa > trail.probe_trace[-1] + slack:
             raise ConsistencyError(
-                f"|H_n(probe)| grew at step {n}: {prev_probe_abs!r} -> {pa!r}"
+                f"|H_n(probe)| grew at step {n}: {trail.probe_trace[-1]!r} -> {pa!r}"
             )
-        prev_probe_abs = pa
         if pa > cfg.phase_freeze:
             theta = math.atan2(u_probe.imag, u_probe.real)
         rot = cmath.exp(-1j * theta)
 
         h_grid = tuple(rot * unrotated(v) for v in vals)
-        h_probe = rot * u_probe
         h_extra = tuple(rot * unrotated(v) for v in v_extra)
         eitheta = cmath.exp(1j * theta)
-        gammas.append(MoebiusMap(eitheta, a, ca * eitheta, 1.0, moebius.DISC))
-        phases.append(theta)
-        probe_trace.append(pa)
-        dist_trace.append(dist0)
-        snapshots.append(h_grid)
-        steps = n
-
-        if prev_h is not None:
-            residual_trace.append(max(_omega_raw(u, v) for u, v in zip(h_grid, prev_h)))
-        prev_h = h_grid
-
-        if pa < cfg.tol_zero:
-            converged = True
-            degenerate = True
+        gamma = MoebiusMap(eitheta, a, ca * eitheta, 1.0, moebius.DISC)
+        if trail.record(h_grid, rot * u_probe, pa, dist0, gamma, theta, pa):
             break
-        if len(residual_trace) >= cfg.window:
-            if sum(residual_trace[-cfg.window:]) < cfg.tol:
-                converged = True
-                break
         if 1.0 - abs(a) < cfg.boundary_guard:
             boundary_stop = True
             break
 
-    return StraightenResult(
-        converged=converged,
-        degenerate=degenerate,
-        stopped_at_boundary=boundary_stop,
-        steps=steps,
-        grid=grid,
-        h_grid=h_grid,
-        probe=probe,
-        h_at_probe=h_probe,
-        probe_trace=tuple(probe_trace),
-        residual_trace=tuple(residual_trace),
-        window_residual=_pairwise_window_max(snapshots),
-        gammas=tuple(gammas),
-        phases=tuple(phases),
-        distortion_trace=tuple(dist_trace),
-        h_extra=h_extra,
-    )
+    return trail.result(boundary_stop, h_extra=h_extra)
 
 
 def right_straighten(
@@ -245,24 +256,10 @@ def right_straighten(
         gens[0] = holomap.Compose((sigma, gens[0]))
     wpts = (0j,) + pts[1:]
 
+    trail = _Trail(cfg, grid, probe, [moebius.identity()], [0.0])
     theta = 0.0
-    prev_h = None
-    probe_trace = []
-    residual_trace = []
-    dist_trace = []
     gn_derivs = []
-    gammas = [moebius.identity()]
-    phases = [0.0]
-    snapshots = deque(maxlen=cfg.window + 1)
-
-    h_grid = tuple(grid)
-    h_probe = probe
-    converged = False
-    degenerate = False
-    steps = 0
     dist0 = 1.0
-    prev_theta = 0.0
-    prev_w = wpts[0]
     amp = 1.0  # rounding amplification of one full-chain rebuild
 
     for n in range(1, N + 1):
@@ -290,7 +287,7 @@ def right_straighten(
 
         gd = (
             cmath.exp(1j * prev_theta)
-            / (1.0 - abs(prev_w) ** 2)
+            / (1.0 - abs(wpts[n - 1]) ** 2)
             * d
             * (1.0 - abs(wn) ** 2)
             / eith
@@ -299,52 +296,18 @@ def right_straighten(
             raise ConsistencyError(f"conjugated step derivative not >= 0 at n = {n}: {gd!r}")
         gn_derivs.append(gd)
 
-        gammas.append(gamma)
-        phases.append(theta)
-        probe_trace.append(abs(h_probe))
-        dist_trace.append(dist0)
-        snapshots.append(h_grid)
-        steps = n
-        prev_w = wn
-
-        if prev_h is not None:
-            residual_trace.append(max(_omega_raw(u, v) for u, v in zip(h_grid, prev_h)))
-        prev_h = h_grid
-
-        if max(abs(v) for v in h_grid) < cfg.tol_zero:
-            converged = True
-            degenerate = True
+        size = max(abs(v) for v in h_grid)
+        if trail.record(h_grid, h_probe, abs(h_probe), dist0, gamma, theta, size):
             break
-        if len(residual_trace) >= cfg.window:
-            if sum(residual_trace[-cfg.window:]) < cfg.tol:
-                converged = True
-                break
 
-    if not converged and len(residual_trace) >= cfg.window:
-        # rebuilding H_n replays the whole chain, so rounding is amplified
-        # by the derivative product along the orbit; window moves below
-        # that floor are noise, not genuine movement
-        floor = 16.0 * _EPS * amp
-        if floor < 0.01 and sum(residual_trace[-cfg.window:]) < max(cfg.tol, cfg.window * floor):
-            converged = True
+    # rebuilding H_n replays the whole chain, so rounding is amplified
+    # by the derivative product along the orbit; window moves below
+    # that floor are noise, not genuine movement
+    floor = 16.0 * _EPS * amp
+    if not trail.converged and floor < 0.01 and trail.settled(max(cfg.tol, cfg.window * floor)):
+        trail.converged = True
 
-    return StraightenResult(
-        converged=converged,
-        degenerate=degenerate,
-        stopped_at_boundary=False,
-        steps=steps,
-        grid=grid,
-        h_grid=h_grid,
-        probe=probe,
-        h_at_probe=h_probe,
-        probe_trace=tuple(probe_trace),
-        residual_trace=tuple(residual_trace),
-        window_residual=_pairwise_window_max(snapshots),
-        gammas=tuple(gammas),
-        phases=tuple(phases),
-        distortion_trace=tuple(dist_trace),
-        gn_derivs=tuple(gn_derivs),
-    )
+    return trail.result(gn_derivs=tuple(gn_derivs))
 
 
 @dataclass(frozen=True)
@@ -436,36 +399,26 @@ def semiconjugacy_probe(
     rt = scan.residual_trace
     w = cfg.window
     if len(rt) < w:
-        err = InconclusiveError(f"only {scan.steps} usable steps, shorter than the window")
-        err.partial = scan
-        raise err
+        raise InconclusiveError(f"only {scan.steps} usable steps, shorter than the window", scan)
     best_sum, best_end = min(
         (sum(rt[i - w + 1 : i + 1]), i) for i in range(w - 1, len(rt))
     )
     if best_sum >= cfg.tol:
-        err = InconclusiveError(
-            f"no window settled below {cfg.tol:g} (best {best_sum:.2e})"
-        )
-        err.partial = scan
-        raise err
+        raise InconclusiveError(f"no window settled below {cfg.tol:g} (best {best_sum:.2e})", scan)
     n_star = best_end + 2  # residual_trace[i] describes the move into step i + 2
     tr = scan.probe_trace
     k = min(w, n_star - 1)
     if tr[n_star - 1] > 0:
         drift = (tr[n_star - 1 - k] - tr[n_star - 1]) / tr[n_star - 1]
         if drift > 1e-3:
-            err = InconclusiveError(
-                f"probe modulus still drifting at the best window (relative drop {drift:.2e})"
+            raise InconclusiveError(
+                f"probe modulus still drifting at the best window (relative drop {drift:.2e})", scan
             )
-            err.partial = scan
-            raise err
 
     fgrid = tuple(holomap.eval_raw(f, z) for z in grid)
     res = left_straighten(stream, n_star, grid, probe, scan_cfg, extra_points=fgrid)
     if len(res.gammas) < 2:
-        err = InconclusiveError("too few steps to estimate the intertwining map")
-        err.partial = res
-        raise err
+        raise InconclusiveError("too few steps to estimate the intertwining map", res)
     phi = moebius.canonical(moebius.compose(moebius.inverse(res.gammas[-2]), res.gammas[-1]))
     residual = max(
         abs(hf - moebius.apply(phi, hz)) for hf, hz in zip(res.h_extra, res.h_grid)

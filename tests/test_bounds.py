@@ -31,6 +31,19 @@ def test_overflowing_side_is_a_named_abort():
         fuzz_margins("approx_auto", 3, seed=0, coefficient=1e308)
 
 
+def test_every_bound_applies_its_coefficient():
+    f = Scale(0.5)
+    for kind in MARGIN_KINDS:
+        two = margin(kind, f, 0.1 + 0.2j, 0.3, coefficient=2.0)
+        five = margin(kind, f, 0.1 + 0.2j, 0.3, coefficient=5.0)
+        assert five.lhs == two.lhs
+        assert five.rhs == pytest.approx(2.5 * two.rhs, rel=1e-15), kind
+    a = fuzz_margins("transfer", 50, seed=3, coefficient=2.0, keep_rows=50)
+    b = fuzz_margins("transfer", 50, seed=3, coefficient=5.0, keep_rows=50)
+    assert [r.margin for r in b.rows] != [r.margin for r in a.rows]
+    assert b.empirical_coefficient == pytest.approx(a.empirical_coefficient, rel=1e-14)
+
+
 def test_margin_kinds_frozen():
     assert MARGIN_KINDS == ("euclid_gap", "lipschitz_2", "transfer", "approx_auto")
     with pytest.raises(ValueError):

@@ -94,6 +94,19 @@ def test_straighten_right_with_orbit_file(tmp_path):
     assert all(len(g) == 2 for g in doc["gn_derivs"])
 
 
+def test_straighten_right_stops_at_the_horizon(tmp_path):
+    orbit = [[0.5 ** (2.0**-n), 0.0] for n in range(31)]
+    p = tmp_path / "orbit.json"
+    p.write_text(json.dumps(orbit), encoding="utf-8")
+    rc = cli.main(["--out", str(tmp_path), "straighten", "--stream", SQUARING,
+                   "--side", "right", "-N", "5", "--orbit", str(p)])
+    assert rc == 0
+    doc = _read_json(tmp_path / "straighten.json")
+    assert doc["horizon"] == 5 and doc["steps"] <= 5
+    assert len(_lines(tmp_path / "straighten.csv")) == 1 + doc["steps"]
+    assert len(doc["gammas"]) == 1 + doc["steps"]
+
+
 def test_straighten_right_short_orbit(tmp_path):
     p = tmp_path / "orbit.json"
     p.write_text(json.dumps([[0.5, 0.0]] * 3), encoding="utf-8")

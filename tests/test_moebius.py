@@ -77,6 +77,22 @@ def test_structure_validation():
         MoebiusMap(1j, 0.0, 0.0, 1.0, HALF_PLANE)  # not real up to phase
 
 
+def test_structure_check_holds_at_large_entries():
+    # a true automorphism with entries of about 30 passes the public check
+    g = power(random_disc_auto(random.Random(8487), 0.9), 7)
+    assert max(abs(e) for e in g.entries()) > 10.0
+    assert MoebiusMap(*g.entries(), DISC).entries() == g.entries()
+    assert classify_auto(g).kind == classify_auto(random_disc_auto(random.Random(8487), 0.9)).kind
+    # and it stays sharp there: a relative 1e-8 change of one entry is caught
+    a, b, c, d = g.entries()
+    with pytest.raises(NonAutomorphismError):
+        MoebiusMap(a, b, c, d * (1.0 + 1e-8), DISC)
+    with pytest.raises(NonAutomorphismError):
+        MoebiusMap(a, b, c * (1.0 + 1e-8j), d, DISC)
+    with pytest.raises(NonAutomorphismError):
+        MoebiusMap(b, a, d, c, DISC)  # |a| < |b| maps the disc to its outside
+
+
 @given(autos(), disc_pts())
 def test_apply_stays_in_disc(g, z):
     assert abs(apply(g, z)) < 1.0
@@ -116,10 +132,9 @@ def _centred_autos(max_center=0.9):
     _centred_autos(),
     _centred_autos(),
     st.integers(min_value=1, max_value=64),
-    # the public check normalises by sqrt(det), which loses accuracy like
-    # |entries|^3 eps: it rejects true powers with entries above ~1e3
-    # (k = 7 of some centre-0.9 maps), so the powers stay small
-    st.integers(min_value=-3, max_value=3),
+    # powers up to 12 of centre-0.9 maps reach entries of ~1e3; the public
+    # check is scale-free, so it accepts them all
+    st.integers(min_value=-12, max_value=12),
     disc_pts(0.9),
     st.floats(min_value=-math.pi, max_value=math.pi),
 )

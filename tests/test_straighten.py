@@ -21,6 +21,7 @@ from ifslab.ifs import BackwardOrbit, GeneratorStream, LeftOrbitCursor
 from ifslab.straighten import (
     DEFAULT_GRID,
     StraightenConfig,
+    StraightenResult,
     left_straighten,
     make_grid,
     mu_step,
@@ -167,6 +168,35 @@ def test_right_normalizes_nonzero_start():
     assert origin and abs(origin[0]) < 1e-3
 
 
+def test_right_contraction_collapses_to_degenerate():
+    # H_n = 0.5^n z: the grid collapses below tol_zero at step 30, before
+    # the window of moves settles and before the 40-step orbit ends
+    s = GeneratorStream.from_cycle([Scale(0.5)])
+    res = right_straighten(s, BackwardOrbit((0j,) * 41))
+    assert res.converged and res.degenerate
+    assert res.steps == 30
+    assert max(abs(h) for h in res.h_grid) < StraightenConfig().tol_zero
+    assert len(res.gammas) == len(res.phases) == 1 + res.steps
+
+
+def test_right_elliptic_cycle_stops_on_the_window():
+    # every conjugated step of an automorphism fixes 0 with g_n'(0) > 0, so
+    # it is the identity: H_n stops moving and the window settles at once
+    p = 0.4 + 0.2j
+    t = moebius.translate_to_zero(p)
+    g = moebius.compose(moebius.inverse(t), moebius.compose(moebius.make_disc_auto(0.0, 2.0), t))
+    assert moebius.classify_auto(g).kind == "elliptic"
+    pts = [0.3 + 0j]
+    for _ in range(40):
+        pts.append(moebius.apply(moebius.inverse(g), pts[-1]))
+    res = right_straighten(GeneratorStream.from_cycle([Mobius(g)]), BackwardOrbit(tuple(pts)))
+    window = StraightenConfig().window
+    assert res.converged and not res.degenerate
+    assert res.steps == window + 1 < len(pts) - 1
+    assert sum(res.residual_trace[-window:]) < StraightenConfig().tol
+    assert res.window_residual is not None and res.window_residual < 1e-12
+
+
 def test_mu_step_dilation_is_exact():
     # w |-> 2w is an isometry; the step is its translation length
     rep = mu_step(HalfPlaneAffine(0.0, 2.0), 0j, 1, 50)
@@ -257,5 +287,10 @@ def test_probe_mixed_drift_is_inconclusive():
     # w + 1 + i: hyperbolic steps shrink like 1/n, below any automorphic
     # floor but too slowly for the collapse test; refusing is the only
     # honest verdict at a finite horizon
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError) as info:
         semiconjugacy_probe(HalfPlaneAffine(1.0 + 1.0j))
+    # the scan that found no settled window rides along for diagnostics
+    partial = info.value.partial
+    assert isinstance(partial, StraightenResult)
+    assert partial.steps == 400 == len(partial.probe_trace)
+    assert not partial.converged
