@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -319,6 +320,9 @@ def _cmd_gallery(args, out: pathlib.Path) -> int:
         if args.targets:
             try:
                 data = json.loads(pathlib.Path(args.targets).read_text(encoding="utf-8"))
+                if not isinstance(data, list):
+                    kind = type(data).__name__
+                    raise CLIError(f"bad targets file: the top level must be a JSON array, got {kind}")
                 targets = [moebius.from_json(obj) for obj in data]
             except (OSError, ValueError, KeyError, TypeError, moebius.NonAutomorphismError) as e:
                 raise CLIError(f"bad targets file: {e}")
@@ -381,6 +385,7 @@ def _finite(text: str) -> float:
     return value
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ifslab",

@@ -141,6 +141,8 @@ def stream_to_json(stream: GeneratorStream) -> dict:
 
 
 def stream_from_json(obj: dict) -> GeneratorStream:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a stream must be a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind in ("list", "cycle"):
         if "generators" not in obj:

@@ -405,6 +405,8 @@ def to_json(g: MoebiusMap) -> dict:
 
 
 def from_json(obj: dict) -> MoebiusMap:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a mobius payload must be a JSON object, got {obj!r}")
     if obj.get("kind") != "mobius":
         raise ValueError(f"not a mobius payload: {obj!r}")
     mat = obj["matrix"]

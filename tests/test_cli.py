@@ -53,6 +53,23 @@ def test_simulate_right(tmp_path):
     assert len(lines) == 1 + 9
 
 
+def test_main_twice_in_one_process_writes_fresh_artifacts(tmp_path):
+    # main reuses one parser; the second call, without --seed-point,
+    # must not see the first call's two seeds
+    args = ["simulate", "--stream", BASEL, "-N", "5"]
+    runs = {"two": ["--seed-point", "0", "--seed-point", "0.3+0.2j"], "none": []}
+    for name, seeds in runs.items():
+        assert cli.main(["--out", str(tmp_path / name), *args, *seeds]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    for name, seeds in runs.items():
+        cli._build_parser.cache_clear()  # a fresh parser, as in a new process
+        assert cli.main(["--out", str(tmp_path / "fresh" / name), *args, *seeds]) == 0
+        assert filecmp.cmp(tmp_path / name / "orbit.csv", tmp_path / "fresh" / name / "orbit.csv",
+                           shallow=False)
+    assert len(_lines(tmp_path / "two" / "orbit.csv")) == 1 + 2 * 6
+    assert len(_lines(tmp_path / "none" / "orbit.csv")) == 1 + 6  # the default seed only
+
+
 def test_simulate_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -339,6 +356,21 @@ def test_gallery_dense_empty_targets_file_exits_2(tmp_path):
     assert not (out / "gallery.json").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "a mobius payload must be a JSON object, got 1"),
+    ('["x"]', "a mobius payload must be a JSON object, got 'x'"),
+    ('{"targets": []}', "the top level must be a JSON array, got dict"),
+], ids=["number-entry", "string-entry", "object-top-level"])
+def test_gallery_dense_malformed_targets_file_exits_2(tmp_path, capsys, text, message):
+    p = tmp_path / "targets.json"
+    p.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["--out", str(out), "gallery", "--example", "dense", "--targets", str(p)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "gallery.json").exists()
+
+
 def test_fixed_points(tmp_path):
     f = holomap.Compose((holomap.Mobius(moebius.make_disc_auto(0.1, 0.0)), holomap.Scale(0.5)))
     spec = _stream_file(tmp_path, "stream.json", ifs.GeneratorStream.from_cycle([f]))
@@ -433,6 +465,14 @@ def test_bad_stream_exits_2(tmp_path):
 def test_stream_missing_key_names_key_and_map(tmp_path, capsys, spec, message):
     assert cli.main(["--out", str(tmp_path), "simulate", "--stream", spec]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "orbit.csv").exists()
+
+
+def test_stream_file_with_array_top_level_exits_2(tmp_path, capsys):
+    p = tmp_path / "stream.json"
+    p.write_text("[1]", encoding="utf-8")
+    assert cli.main(["--out", str(tmp_path), "simulate", "--stream", str(p)]) == 2
+    assert "a stream must be a JSON object, got [1]" in capsys.readouterr().err
     assert not (tmp_path / "orbit.csv").exists()
 
 

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifslab import holomap, moebius
+from ifslab import gallery, holomap, moebius
 from ifslab.gallery import (
     ANCHOR,
     SHIFT,
@@ -185,18 +185,102 @@ def test_dense_frozen_shape(dense16):
     assert tuple(c.deviation for c in dense16.certs[-3:]) == DENSE_LAST_DEVIATIONS
 
 
-def test_dense_probes_logarithmically_many_roots(monkeypatch):
-    calls = []
+def _probes_by_stage(monkeypatch, targets, deviation=None, **kwargs):
+    """build_dense(targets, **kwargs) and, per stage that probed, its
+    bridge and the counts k it probed, in order.  With deviation given, a
+    probe at k measures deviation(k) in place of the root's sampled
+    deviation."""
+    stages = {}
+    last = []
     kth_root = moebius.kth_root
 
-    def counted(g, k):
-        calls.append(k)
+    def recording(g, k):
+        stages.setdefault(id(g), (g, []))[1].append(k)
+        last[:] = [k]
         return kth_root(g, k)
 
-    monkeypatch.setattr(moebius, "kth_root", counted)
-    build = build_dense(default_dense_targets(10))
-    assert tuple(c.k for c in build.certs) == DENSE_RUN_LENGTHS[:10]
-    assert len(calls) <= 150  # a scan of k = 1, 2, 3, ... makes 5 399
+    monkeypatch.setattr(moebius, "kth_root", recording)
+    if deviation is not None:
+        monkeypatch.setattr(gallery, "sup_deviation", lambda root, radius, samples: deviation(*last))
+    build = build_dense(targets, **kwargs)
+    monkeypatch.undo()
+    return build, list(stages.values())
+
+
+def _chain_targets(seed, count=8):
+    """Targets t_j = g_j o t_(j-1), each g_j the same-size move in a
+    seeded direction, as the benchmark's dense target files are built."""
+    rng = random.Random(seed)
+    t, out = moebius.identity(), []
+    for _ in range(count):
+        g = moebius.make_disc_auto(0.35 * cmath.exp(2j * math.pi * rng.random()), 0.4)
+        t = moebius.compose(g, t)
+        out.append(t)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("count", [10, 16])
+def test_dense_probes_a_few_roots_per_stage(monkeypatch, count):
+    build, stages = _probes_by_stage(monkeypatch, default_dense_targets(count))
+    assert tuple(c.k for c in build.certs) == DENSE_RUN_LENGTHS[:count]
+    assert len(stages) == sum(1 for c in build.certs if c.k)
+    probes = sum(len(ks) for _, ks in stages)
+    assert probes <= 4 * len(stages)  # a scan of k = 1, 2, 3, ... makes 5 399 at count 10
+    assert all(len(set(ks)) == len(ks) for _, ks in stages)
+
+
+def test_dense_search_premise(monkeypatch):
+    # the search returns the least k when pass/fail is monotone on
+    # [k_least, K], K the largest count probed: check that range on every
+    # stage, and how far the passing probes overshoot k_least
+    for targets in [default_dense_targets(16)] + [_chain_targets(seed) for seed in range(1, 31)]:
+        build, stages = _probes_by_stage(monkeypatch, targets)
+        cut = [c for c in build.certs if c.k]
+        assert len(cut) == len(stages)
+        for cert, (bridge, ks) in zip(cut, stages):
+
+            def passes(k):
+                return sup_deviation(moebius.kth_root(bridge, k)) <= cert.delta
+
+            assert cert.k == 1 or not passes(cert.k - 1)
+            assert all(passes(k) for k in range(cert.k, max(ks) + 1))
+            assert max(ks) <= 1.5 * cert.k
+
+
+# deviation models far from C/k, in the count k alone: a slow and a fast
+# power law, and pass/fail steps at K0 with deviations a factor 2 and 1%
+# on either side of the first stage's budget 1/2 (later stages exhaust)
+K0 = 77_777
+_MODELS = {
+    "slow": lambda k: 0.5 * (2_000 / k) ** 0.2,
+    "fast": lambda k: 0.5 * (2_000 / k) ** 5,
+    "step": lambda k: 0.3 if k >= K0 else 0.6,
+    "crawl": lambda k: 0.495 if k >= K0 else 0.505,
+}
+
+
+@pytest.mark.parametrize("k_cap", [50_000, 100_000])
+@pytest.mark.parametrize("model", sorted(_MODELS))
+def test_dense_search_safeguards(monkeypatch, model, k_cap):
+    # the secant steps miss on these models, so the bisection and
+    # doubling fallbacks decide; the real roots still hit the targets
+    dev = _MODELS[model]
+    build, stages = _probes_by_stage(monkeypatch, default_dense_targets(3), dev, k_cap=k_cap)
+    least = []  # of the monotone model per stage, by bisection; k_cap + 1 if none passes
+    for j in (1, 2, 3):
+        lo, hi = 0, k_cap + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if dev(mid) <= 2.0**-j else (mid, hi)
+        least.append(hi)
+        if hi > k_cap:
+            break
+    assert tuple(c.k for c in build.certs) + (k_cap + 1,) * build.exhausted == tuple(least)
+    assert len(stages) == len(least)
+    for (_, ks), k in zip(stages, least):
+        assert len(set(ks)) == len(ks) and max(ks) <= k_cap
+        # O(log k): at most three probes per doubling of lo or halving of the bracket
+        assert len(ks) <= 6 * math.log2(2 * k)
 
 
 _CENTRES = st.tuples(
@@ -214,14 +298,22 @@ def test_dense_matches_linear_scan(data):
     assert build.certs == certs and build.exhausted == exhausted
 
 
-@pytest.mark.parametrize("k_cap", [0, 10, 23])
-def test_dense_k_cap_is_the_largest_k_tried(k_cap):
+# the default stages probe k = 1, 3, 4 | 8, 12, 11 | 24, 23, 22 | 46, 45 | ...
+# when uncapped, so most of these caps cut a secant jump short
+DENSE_CERTS_UNDER_CAP = {0: 0, 1: 0, 2: 0, 3: 0, 10: 1, 11: 1, 12: 2, 23: 3, 45: 3, 46: 4, 47: 4}
+
+
+@pytest.mark.parametrize("k_cap", sorted(DENSE_CERTS_UNDER_CAP))
+def test_dense_k_cap_is_the_largest_k_tried(monkeypatch, k_cap):
     targets = default_dense_targets(5)
     certs, exhausted = _dense_by_scan(targets, k_cap)
-    build = build_dense(targets, k_cap=k_cap)
+    build, stages = _probes_by_stage(monkeypatch, targets, k_cap=k_cap)
     assert build.exhausted == exhausted
     assert build.certs == certs
-    assert len(build.certs) == {0: 0, 10: 1, 23: 3}[k_cap]
+    assert len(build.certs) == DENSE_CERTS_UNDER_CAP[k_cap]
+    for _, ks in stages:
+        assert len(set(ks)) == len(ks)  # no k probed twice
+        assert max(ks) <= k_cap
 
 
 def test_dense_certificates(dense16):
