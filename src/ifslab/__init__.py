@@ -8,9 +8,7 @@ measured in the hyperbolic metric with density 1/(1 - |z|^2); see
 """
 
 from .geometry import (
-    DiscPoint,
     DomainError,
-    HalfPlanePoint,
     HyperbolicBall,
     cayley,
     cayley_inv,
@@ -34,7 +32,6 @@ from .holomap import (
     denjoy_wolff,
     derivative,
     distortion,
-    evaluate,
 )
 from .ifs import (
     BackwardOrbit,
@@ -73,11 +70,9 @@ __all__ = [
     "ConsistencyError",
     "Constant",
     "DepthCapError",
-    "DiscPoint",
     "DomainError",
     "GeneratorStream",
     "HalfPlaneAffine",
-    "HalfPlanePoint",
     "HyperbolicBall",
     "InconclusiveError",
     "LeftOrbitCursor",
@@ -106,7 +101,6 @@ __all__ = [
     "disc_point",
     "distortion",
     "distortion_series",
-    "evaluate",
     "fuzz_margins",
     "halfplane_distance",
     "halfplane_point",

@@ -1,7 +1,7 @@
 """Series tests and limit-type classification for composition systems.
 
 The central quantity is the per-step distortion deficit 1 - f_n#(.),
-evaluated either at a fixed base point or along the left orbit.  Its
+taken either at a fixed base point or along the left orbit.  Its
 series diverging with a collapsing distortion product signals constant
 limit functions; a summable tail with a stabilizing product signals
 nonconstant limits.  Both signals are finite-horizon: the verdicts say
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from . import holomap
 from .geometry import disc_point
-from .ifs import GeneratorStream, RightOrbitState, orbit_bounded
+from .holomap import InconclusiveError
+from .ifs import _HELD_RADIUS, GeneratorStream, RightOrbitState, orbit_bounded
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,9 @@ def distortion_series(
     z0, the product then being the distortion of L_n at z0 by the chain
     rule; the report carries the largest discrepancy between that
     product and the composite distortion computed from the running
-    complex derivative, which is an exact identity up to rounding.
+    complex derivative, which is an exact identity up to rounding.  An
+    orbit value within the engines' held band (ifs._HELD_RADIUS) of the
+    circle ends the series with InconclusiveError naming the step.
     """
     if mode not in ("along_orbit", "fixed_point"):
         raise ValueError("mode must be 'along_orbit' or 'fixed_point'")
@@ -86,8 +89,13 @@ def distortion_series(
         if holomap._as_constant(f) is not None:
             raise ValueError(f"generator {n} is constant; the deficit series needs nonconstant maps")
         if mode == "along_orbit":
-            at = disc_point(v)
+            at = v
             v, dv = f.jet(at)
+            if abs(v) > _HELD_RADIUS:
+                raise InconclusiveError(
+                    f"left orbit entered the held band at step {n}: {v!r}",
+                    partial={"step": n, "last": v},
+                )
             d = holomap._distortion_from_jet(at, v, dv)
         else:
             d = holomap.distortion(f, z)

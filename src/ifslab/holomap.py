@@ -1,8 +1,8 @@
 """Holomorphic self-maps of the disc as small expression trees.
 
 Every primitive is a self-map of the unit disc by construction, so any
-tree built from them is one too; no runtime containment test is needed
-beyond a boundary clamp at evaluation.
+tree built from them is one too, and no runtime containment test is
+needed: points are plain complex numbers, checked where they enter.
 
 Each node class answers for itself: eval(z); jet(z), the pair (f(z),
 f'(z)) chained through compositions in forward mode, with jet(z)[0] equal
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Union, get_args
 
 from . import moebius
-from .geometry import _EPS, DiscPoint, DomainError, clamp_to_disc, disc_point, _omega_raw
+from .geometry import _EPS, DomainError, disc_point, _omega_raw
 from .moebius import MoebiusMap
 
 # |a| within this of 1 makes Scale(a) a rotation, and Im t within it of 0
@@ -301,17 +301,12 @@ def identity_map() -> MapExpr:
 
 
 def eval_raw(f: MapExpr, z: complex) -> complex:
-    """Evaluate without wrapping; callers guarantee z is interior."""
+    """f(z); callers guarantee z is interior."""
     return f.eval(z)
 
 
-def evaluate(f: MapExpr, z) -> DiscPoint:
-    """Evaluate at an interior point; boundary-grazing output is clamped."""
-    return clamp_to_disc(eval_raw(f, disc_point(z)))
-
-
 def derivative(f: MapExpr, z) -> complex:
-    return _deriv_raw(f, complex(getattr(z, "value", z)))
+    return _deriv_raw(f, complex(z))
 
 
 def _deriv_raw(f: MapExpr, z: complex) -> complex:

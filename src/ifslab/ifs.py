@@ -416,7 +416,7 @@ class RightOrbitState:
         self.derivs = derivs
 
     def _tail(self, z: complex, k: int, dz: complex | None = None) -> tuple:
-        """f_1 o ... o f_k at z, evaluated f_k first.
+        """f_1 o ... o f_k at z, applying f_k first.
 
         Returns the value and, given the derivative dz of z, the
         derivative carried along by the chain rule (else None).

@@ -17,7 +17,9 @@ with disc_point.  A map derived from maps (or points) that passed those
 checks keeps its structure up to rounding, so it is built by _trusted,
 which sets the fields without re-proving SU(1,1) or SL(2,R) structure:
 compose, inverse, canonical, to_disc, kth_root, power, identity and the
-two point-built automorphisms all return trusted maps.
+two point-built automorphisms all return trusted maps, and so do the
+straighteners' per-step coordinate changes gamma_n, built from an orbit
+point and a unit phase.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ def inverse(g: MoebiusMap) -> MoebiusMap:
 
 
 def apply(g: MoebiusMap, z) -> complex:
-    zv = complex(getattr(z, "value", z))
+    zv = complex(z)
     den = g.c * zv + g.d
     if den == 0:
         raise SingularityError(f"pole of Moebius map at z = {zv!r}")
@@ -199,7 +201,7 @@ def apply(g: MoebiusMap, z) -> complex:
 
 
 def deriv(g: MoebiusMap, z) -> complex:
-    zv = complex(getattr(z, "value", z))
+    zv = complex(z)
     den = g.c * zv + g.d
     if den == 0:
         raise SingularityError(f"pole of Moebius map at z = {zv!r}")

@@ -183,7 +183,7 @@ def left_straighten(
 
     for n in range(1, N + 1):
         f = stream.generator_at(n)
-        at = disc_point(a)
+        at = a  # L_{n-1}(0), kept off the circle by the boundary_guard stop
         a, da = f.jet(at)
         dist0 *= holomap._distortion_from_jet(at, a, da)
         vals = [holomap.eval_raw(f, v) for v in vals]
@@ -212,7 +212,7 @@ def left_straighten(
         h_grid = tuple(rot * unrotated(v) for v in vals)
         h_extra = tuple(rot * unrotated(v) for v in v_extra)
         eitheta = cmath.exp(1j * theta)
-        gamma = MoebiusMap(eitheta, a, ca * eitheta, 1.0, moebius.DISC)
+        gamma = moebius._trusted(eitheta, a, ca * eitheta, 1.0 + 0j, moebius.DISC)
         if trail.record(h_grid, rot * u_probe, pa, dist0, gamma, theta, pa):
             break
         if 1.0 - abs(a) < cfg.boundary_guard:
@@ -264,7 +264,7 @@ def right_straighten(
 
     for n in range(1, N + 1):
         f = gens[n - 1]
-        wn = disc_point(wpts[n])
+        wn = wpts[n]  # checked by BackwardOrbit
         fw, d = f.jet(wn)
         amp *= max(1.0, abs(d))
         prev_theta = theta
@@ -273,7 +273,7 @@ def right_straighten(
         dist0 *= holomap._distortion_from_jet(wn, fw, d)
 
         eith = cmath.exp(1j * theta)
-        gamma = MoebiusMap(eith, -eith * wn, -wn.conjugate(), 1.0, moebius.DISC)
+        gamma = moebius._trusted(eith, -eith * wn, -wn.conjugate(), 1.0 + 0j, moebius.DISC)
         gamma_inv = moebius.inverse(gamma)
 
         def h_value(z):

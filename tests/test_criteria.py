@@ -8,8 +8,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifslab import holomap, moebius
-from ifslab.holomap import Blaschke, Compose, Constant, Mobius, Monomial, Scale
+from ifslab import holomap, ifs, moebius
+from ifslab.holomap import Blaschke, Compose, Constant, InconclusiveError, Mobius, Monomial, Scale
 from ifslab.ifs import GeneratorStream
 from ifslab.criteria import (
     SeriesConfig,
@@ -81,6 +81,20 @@ def test_fixed_point_mode():
     assert rep.verdict == "summable_so_far"
     with pytest.raises(ValueError):
         distortion_series(scale_product_stream(2), 10, 0j, mode="sideways")
+
+
+def test_series_on_an_escaping_orbit_is_a_named_abort():
+    # the left orbit of 0 under this hyperbolic automorphism runs into the
+    # circle; the series stops where it enters the engines' held band,
+    # rather than rejecting as input a point it computed itself
+    s = GeneratorStream.from_cycle([Mobius(moebius.MoebiusMap(1.25, 0.75, 0.75, 1.25, "disc"))])
+    with pytest.raises(InconclusiveError, match="at step 22") as e:
+        distortion_series(s, 200)
+    assert e.value.partial["step"] == 22
+    assert abs(e.value.partial["last"]) > ifs._HELD_RADIUS
+    # a fixed base point never nears the circle, so that series runs on
+    rep = distortion_series(s, 200, mode="fixed_point")
+    assert len(rep.terms) == 200
 
 
 def test_constant_generator_rejected():

@@ -11,7 +11,6 @@ from ifslab.geometry import (
     DomainError,
     cayley,
     cayley_inv,
-    clamp_to_disc,
     disc_distance,
     disc_point,
     halfplane_distance,
@@ -75,15 +74,15 @@ def test_distance_positive_definite(z, w):
 
 @given(disc_points(0.98))
 def test_cayley_roundtrip(z):
-    w = cayley_inv(z).value
+    w = cayley_inv(z)
     assert w.imag > 0
-    back = cayley(w).value
+    back = cayley(w)
     assert abs(back - z) < 1e-9
 
 
 @given(disc_points(0.95), disc_points(0.95))
 def test_cayley_is_isometry(z, w):
-    hz, hw = cayley_inv(z).value, cayley_inv(w).value
+    hz, hw = cayley_inv(z), cayley_inv(w)
     assert halfplane_distance(hz, hw) == pytest.approx(disc_distance(z, w), abs=1e-9)
 
 
@@ -101,17 +100,28 @@ def test_halfplane_point_rejects_lower():
         halfplane_point(2.0)
 
 
-def test_clamp_to_disc():
-    p = clamp_to_disc(0.3 + 0.1j)
-    assert not p.clamped and p.value == 0.3 + 0.1j
-    q = clamp_to_disc(1.0 + 1e-15)
-    assert q.clamped and abs(q.value) < 1.0
+def test_cayley_returns_plain_complex():
+    assert cayley(1j) == 0
+    assert type(cayley(1j)) is complex and type(cayley_inv(0.5)) is complex
 
 
-def test_distance_accepts_wrapped_points():
-    p = cayley(1j)  # DiscPoint(0)
-    assert p.value == 0.0
-    assert disc_distance(p, 0.5) == pytest.approx(ATANH_HALF, abs=1e-15)
+@pytest.mark.parametrize("x", [1e3, 1e7, 1e8, 1e12])
+def test_halfplane_distance_far_along_a_horocycle(x):
+    # the independent cosh form: cosh 2 omega = 1 + |z - w|^2 / (2 Im z Im w)
+    expect = 0.5 * math.acosh(1.0 + x * x / 2.0)
+    assert halfplane_distance(1j, x + 1j) == pytest.approx(expect, rel=1e-14)
+    assert halfplane_distance(x + 1j, 1j) == pytest.approx(expect, rel=1e-14)
+
+
+def test_halfplane_distance_across_scales():
+    # heights 1e-6 and 1e6 on one vertical line: omega = log(1e12) / 2
+    assert halfplane_distance(1e-6j, 1e6j) == pytest.approx(6.0 * math.log(10.0), rel=1e-14)
+    # |z - w| = 2e308 is past the largest float; omega = asinh(1e308)
+    assert halfplane_distance(-1e308 + 1j, 1e308 + 1j) == pytest.approx(
+        math.log(2.0) + 308.0 * math.log(10.0), rel=1e-14
+    )
+    with pytest.raises(DomainError):
+        halfplane_distance(1j, complex(0.0, math.inf))
 
 
 @given(disc_points(0.9999))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifslab
-from ifslab import holomap, ifs, moebius
-from ifslab.geometry import HyperbolicBall, disc_distance
+from ifslab import geometry, holomap, ifs, moebius
+from ifslab.geometry import HyperbolicBall, disc_distance, disc_point
 from ifslab.holomap import Blaschke, Compose, HalfPlaneAffine, Mobius, Monomial, Scale
 from ifslab.ifs import (
     BackwardOrbit,
@@ -32,6 +32,22 @@ def scale_product_stream(power: int) -> GeneratorStream:
     return GeneratorStream.from_rule(
         lambda n: Scale(1.0 - 1.0 / (n + 1) ** power), "scale_product", {"power": power}
     )
+
+
+def test_held_values_can_be_fed_back_as_seeds():
+    # the engines hold a value once it is within _SATURATED_GAP of the
+    # circle; that band must lie inside the input band, so every value an
+    # engine reports passes disc_point.  This hyperbolic automorphism drives
+    # every seed into the attracting fixed point 1 within 30 steps.
+    assert ifs._SATURATED_GAP >= geometry.EPS_BOUNDARY
+    s = GeneratorStream.from_cycle([Mobius(moebius.MoebiusMap(1.25, 0.75, 0.75, 1.25, "disc"))])
+    seeds = (0j, 0.3 + 0.2j, -0.5j)
+    left = LeftOrbitCursor(s, seeds)
+    right = RightOrbitState(s, seeds)
+    for _ in range(200):
+        for v in left.advance().values + right.advance().values:
+            disc_point(v)
+    assert left.saturated_seeds == right.saturated_seeds == {0, 1, 2}
 
 
 def test_stream_indexing_conventions():

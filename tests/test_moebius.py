@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifslab import holomap, moebius
+from ifslab import holomap, ifs, moebius, straighten
 from ifslab.geometry import disc_distance
 from ifslab.moebius import (
     DISC,
@@ -155,6 +155,29 @@ def test_trusted_derivations_pass_the_public_check(g, h, k, p, z0, theta):
     for m in maps:
         assert m.domain == DISC
         MoebiusMap(*m.entries(), m.domain)  # raises NonAutomorphismError if not SU(1,1)
+
+
+def test_straightener_gammas_pass_the_public_check():
+    # the straighteners build each gamma_n trusted, from an orbit point and
+    # a unit phase; the public check must still accept it, and every entry
+    # must be complex, or to_json would write an integer imaginary part
+    hyperbolic = ifs.GeneratorStream.from_cycle([holomap.Mobius(MoebiusMap(1.25, 0.75, 0.75, 1.25, DISC))])
+    scale_product = ifs.GeneratorStream.from_rule(
+        lambda n: holomap.Scale(1.0 - 1.0 / (n + 1) ** 2), "scale_product", {"power": 2}
+    )
+    squaring = ifs.GeneratorStream.from_cycle([holomap.Monomial(2)])
+    orbit = ifs.BackwardOrbit(tuple(0.5 ** (2.0 ** -n) for n in range(31)))
+    runs = [
+        straighten.left_straighten(scale_product, 200),
+        straighten.left_straighten(hyperbolic, 200),
+        straighten.right_straighten(squaring, orbit),
+    ]
+    for res in runs:
+        assert len(res.gammas) > 1
+        for g in res.gammas:
+            assert g.domain == DISC
+            assert all(type(e) is complex for e in g.entries())
+            MoebiusMap(*g.entries(), "disc")
 
 
 def test_identity_is_shared_and_frozen():
