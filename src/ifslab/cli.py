@@ -11,17 +11,25 @@ serializer (``_report``/``_json``: a complex becomes ``[re, im]``, a
 Moebius map its ``moebius.to_json`` payload), and is written strictly:
 a JSON artifact never holds NaN or Infinity.
 
+Every artifact streams to a temporary name in the output directory in
+fixed-size chunks as it is produced, so memory stays flat in N, and is
+renamed into place once complete: a failed run leaves no artifact.
+
 Exit status: 0 on success, 2 on a configuration or input problem (a
 size below 1, or a float or complex flag that is NaN or infinite), 3 on
 a numerical abort (a diagnostics.json is left in the output directory).
-A result that is not finite is such an abort, named NonFiniteError.
+A result that is not finite is such an abort, named NonFiniteError.  An
+abort while orbit.csv streams keeps its rows so far as orbit.partial.csv,
+which diagnostics.json names, with the row count, under partial.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -36,6 +44,10 @@ ORBIT_HEADER = "n,seed_re,seed_im,value_re,value_im,omega_to_origin,step_omega"
 STRAIGHTEN_HEADER = "n,residual,abs_h_w,distortion_at_0"
 SERIES_HEADER = "n,term,partial_sum,product,orbit_re,orbit_im"
 MARGINS_HEADER = "kind,seed,z,w,lhs,rhs,margin"
+CSV_CHUNK = 4096  # rows per write
+SVG_CHUNK = 4096  # polyline points per write
+JSON_CHUNK = 8192  # encoder pieces per write
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
 
 
 class CLIError(Exception):
@@ -76,22 +88,61 @@ def _report(obj, drop=(), **extra) -> dict:
     return out
 
 
-def _write_text(path: pathlib.Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+@contextlib.contextmanager
+def _artifact(path: pathlib.Path, partial: pathlib.Path | None = None):
+    """A text handle on path's temporary name, renamed to path when the
+    block completes.  If the block raises, the temporary file is removed,
+    or on a numerical abort renamed to partial, when one is given."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException as e:
+        if partial is not None and isinstance(e, _NUMERIC_ABORTS):
+            os.replace(tmp, partial)
+        else:
+            tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
+def _write_text(fh, text: str) -> None:
+    fh.write(text)
 
 
 def _write_csv(path: pathlib.Path, header: str, rows) -> None:
-    """rows are formatted lines without their newline."""
-    _write_text(path, "\n".join((header, *rows, "")))
+    """rows yields formatted lines without their newline.  If a numerical
+    abort cuts them short, every line so far is kept as <stem>.partial.csv,
+    named with its count in the error's kept_rows; a complete write
+    removes a stale one."""
+    partial = path.with_name(path.stem + ".partial" + path.suffix)
+    with _artifact(path, partial) as fh:
+        _write_text(fh, header + "\n")
+        chunk, done = [], 0
+        try:
+            for row in rows:
+                chunk.append(row)
+                if len(chunk) == CSV_CHUNK:
+                    _write_text(fh, "\n".join(chunk + [""]))
+                    chunk, done = [], done + CSV_CHUNK
+        except _NUMERIC_ABORTS as e:
+            e.kept_rows = {"file": partial.name, "rows": done + len(chunk)}
+            raise
+        finally:  # the last short chunk, of a complete run or kept on an abort
+            if chunk:
+                _write_text(fh, "\n".join(chunk + [""]))
+    partial.unlink(missing_ok=True)
 
 
 def _write_json(path: pathlib.Path, obj) -> None:
     """Sorted-key, indented, strict JSON: NaN or infinity is a NonFiniteError."""
+    pieces = itertools.chain(_JSON.iterencode(obj), ["\n"])
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        with _artifact(path) as fh:
+            while batch := list(itertools.islice(pieces, JSON_CHUNK)):
+                _write_text(fh, "".join(batch))
     except ValueError as e:
         raise holomap.NonFiniteError(f"{path.name} would hold a non-finite number: {e}")
-    _write_text(path, text + "\n")
 
 
 def _load_stream(spec: str) -> ifs.GeneratorStream:
@@ -112,8 +163,8 @@ def _load_stream(spec: str) -> ifs.GeneratorStream:
         raise CLIError(f"bad stream spec: {e}")
 
 
-def _orbit_rows(cur, steps: int, trail: list | None = None) -> list:
-    """orbit.csv rows of steps 0..steps, advancing the orbit engine cur.
+def _orbit_rows(cur, steps: int, trail: list | None = None):
+    """Yields the orbit.csv rows of steps 0..steps, advancing the orbit engine cur.
 
     The engine replaces its values list on each advance.  A value that
     carries over as the same object (a held right seed) gets the row of
@@ -121,9 +172,11 @@ def _orbit_rows(cur, steps: int, trail: list | None = None) -> list:
     if given, collects the first seed's value at every step.
     """
     row = "%d,%s,%.17g,%.17g,%.17g,%.17g"
+    atanh = math.atanh
     seed_cols = ["%.17g,%.17g" % (s.real, s.imag) for s in cur.seeds]
     old = cur.values
-    rows = [row % (0, cols, v.real, v.imag, _omega_raw(0j, v), 0.0) for cols, v in zip(seed_cols, old)]
+    for cols, v in zip(seed_cols, old):
+        yield row % (0, cols, v.real, v.imag, _omega_raw(0j, v), 0.0)
     repeats = [[None, ""] for _ in seed_cols]  # per seed: [value, its row after "n,"]
     if trail is not None:
         trail.append(old[0])
@@ -132,15 +185,16 @@ def _orbit_rows(cur, steps: int, trail: list | None = None) -> list:
         new = cur.values
         for cols, ov, nv, rep in zip(seed_cols, old, new, repeats):
             if nv is not ov:
-                rows.append(row % (n, cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(ov, nv)))
+                # _omega_raw(0j, v) is exactly atanh|v| for |v| < 1; NaN and inf go through it
+                origin = atanh(r) if (r := abs(nv)) < 1.0 else _omega_raw(0j, nv)
+                yield row % (n, cols, nv.real, nv.imag, origin, _omega_raw(ov, nv))
                 continue
             if rep[0] is not nv:
                 rep[:] = nv, row[3:] % (cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(nv, nv))
-            rows.append("%d,%s" % (n, rep[1]))
+            yield "%d,%s" % (n, rep[1])
         if trail is not None:
             trail.append(new[0])
         old = new
-    return rows
 
 
 def _cmd_simulate(args, out: pathlib.Path) -> int:
@@ -155,16 +209,14 @@ def _cmd_simulate(args, out: pathlib.Path) -> int:
 
 
 def _straighten_rows(res: straighten.StraightenResult):
-    rows = []
     residuals = res.residual_trace
     for i in range(res.steps):
         probe, dist = res.probe_trace[i], res.distortion_trace[i]
         # residual_trace starts at step 2: entry i-1 belongs to step i+1
         if 0 <= i - 1 < len(residuals):
-            rows.append("%d,%.17g,%.17g,%.17g" % (i + 1, residuals[i - 1], probe, dist))
+            yield "%d,%.17g,%.17g,%.17g" % (i + 1, residuals[i - 1], probe, dist)
         else:
-            rows.append("%d,,%.17g,%.17g" % (i + 1, probe, dist))
-    return rows
+            yield "%d,,%.17g,%.17g" % (i + 1, probe, dist)
 
 
 def _cmd_straighten(args, out: pathlib.Path) -> int:
@@ -188,25 +240,20 @@ def _cmd_straighten(args, out: pathlib.Path) -> int:
         # -N bounds the run: w_0 ... w_N only, later points neither verified nor used
         orbit = ifs.BackwardOrbit(orbit.points[: args.horizon + 1])
         res = straighten.right_straighten(stream, orbit, probe=probe, config=cfg)
-    doc = _report(
-        res,
-        drop=("probe_trace", "residual_trace", "distortion_trace", "h_extra"),
-        command=args.command,
-        side=args.side,
-        horizon=args.horizon,
-    )
+    drop = ("probe_trace", "residual_trace", "distortion_trace", "h_extra")
+    doc = _report(res, drop=drop, command=args.command, side=args.side, horizon=args.horizon)
     _write_json(out / "straighten.json", doc)
     _write_csv(out / "straighten.csv", STRAIGHTEN_HEADER, _straighten_rows(res))
     return 0
 
 
 def _series_rows(rep: criteria.SeriesReport):
-    return [
+    return (
         "%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (i + 1, term, total, product, pt.real, pt.imag)
         for i, (term, total, product, pt) in enumerate(
             zip(rep.terms, rep.partial_sums, rep.products, rep.orbit)
         )
-    ]
+    )
 
 
 def _cmd_classify(args, out: pathlib.Path) -> int:
@@ -243,11 +290,11 @@ def _cmd_verify(args, out: pathlib.Path) -> int:
     rep = bounds.fuzz_margins(
         args.kind, args.fuzz, args.seed, coefficient=args.coefficient, keep_rows=args.fuzz
     )
-    rows = [
+    rows = (
         "%s,%d,%.17g%+.17gj,%.17g%+.17gj,%.17g,%.17g,%.17g"
         % (r.kind, args.seed, r.z.real, r.z.imag, r.w.real, r.w.imag, r.lhs, r.rhs, r.margin)
         for r in rep.rows
-    ]
+    )
     _write_csv(out / "margins.csv", MARGINS_HEADER, rows)
     doc = _report(
         rep,
@@ -260,39 +307,33 @@ def _cmd_verify(args, out: pathlib.Path) -> int:
     return 0
 
 
-def _svg_halfplane(points, marks) -> str:
-    """Polyline through ℍ⁺ orbit points with circles at the marks."""
-    xs = [p.real for p in points] + [m.real for m in marks]
-    ys = [p.imag for p in points] + [m.imag for m in marks]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(0.0, min(ys)), max(ys)
+def _svg_halfplane(points, marks):
+    """Yields the text of a polyline through ℍ⁺ orbit points, SVG_CHUNK
+    points a piece, with circles at the marks."""
+    both = functools.partial(itertools.chain, points, marks)  # one sequence for min and max
+    xmin, xmax = min(p.real for p in both()), max(p.real for p in both())
+    ymin, ymax = min(0.0, min(p.imag for p in both())), max(p.imag for p in both())
     pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-6)
     xmin, xmax, ymin, ymax = xmin - pad, xmax + pad, ymin - pad, ymax + pad
     width = 800.0
     scale = width / (xmax - xmin)
     height = max(60.0, min(1600.0, (ymax - ymin) * scale))
-
-    def sx(x):
-        return (x - xmin) * scale
-
-    def sy(y):
-        return height - (y - ymin) * scale
-
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %.2f %.2f">' % (width, height),
-        '<line x1="0" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#999" stroke-width="1"/>'
-        % (sy(0.0), width, sy(0.0)),
-        '<polyline fill="none" stroke="#246" stroke-width="1" points="%s"/>'
-        % " ".join(
-            "%.2f,%.2f" % ((p.real - xmin) * scale, height - (p.imag - ymin) * scale) for p in points
-        ),
-    ]
-    for m in marks:
-        parts.append(
-            '<circle cx="%.2f" cy="%.2f" r="3" fill="#c33"/>' % (sx(m.real), sy(m.imag))
+    axis = height - (0.0 - ymin) * scale
+    yield (
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %.2f %.2f">\n' % (width, height)
+        + '<line x1="0" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#999" stroke-width="1"/>\n' % (axis, width, axis)
+        + '<polyline fill="none" stroke="#246" stroke-width="1" points="'
+    )
+    for i in range(0, len(points), SVG_CHUNK):
+        yield (" " if i else "") + " ".join(
+            "%.2f,%.2f" % ((p.real - xmin) * scale, height - (p.imag - ymin) * scale)
+            for p in points[i : i + SVG_CHUNK]
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield '"/>\n' + "".join(
+        '<circle cx="%.2f" cy="%.2f" r="3" fill="#c33"/>\n'
+        % ((m.real - xmin) * scale, height - (m.imag - ymin) * scale)
+        for m in marks
+    ) + "</svg>\n"
 
 
 def _gallery_report(args, build) -> dict:
@@ -314,7 +355,9 @@ def _cmd_gallery(args, out: pathlib.Path) -> int:
             # raw Cayley image: orbit values hug the boundary, the
             # validating constructor would reject them
             pts = [1j * (1.0 + v) / (1.0 - v) for v in trail]
-            _write_text(out / "gallery.svg", _svg_halfplane(pts, list(build.milestone_values)))
+            with _artifact(out / "gallery.svg") as fh:
+                for text in _svg_halfplane(pts, list(build.milestone_values)):
+                    _write_text(fh, text)
         return 0
     if args.example == "dense":
         if args.targets:
@@ -448,12 +491,9 @@ def main(argv=None) -> int:
         print(f"ifslab: {e}", file=sys.stderr)
         return 2
     except _NUMERIC_ABORTS as e:
-        diag = {
-            "command": args.command,
-            "error": type(e).__name__,
-            "message": str(e),
-        }
-        partial = getattr(e, "partial", None) or getattr(e, "diagnostics", None)
+        diag = {"command": args.command, "error": type(e).__name__, "message": str(e)}
+        partial = getattr(e, "partial", None) or getattr(e, "diagnostics", None) or {}
+        partial = {**partial, **getattr(e, "kept_rows", {})}
         if partial:
             diag["partial"] = _json(partial)
         _write_json(out / "diagnostics.json", diag)

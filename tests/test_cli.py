@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ifslab import bounds, cli, criteria, gallery, holomap, ifs, moebius
+from ifslab import bounds, cli, criteria, gallery, holomap, ifs, moebius, straighten
 from ifslab.geometry import _omega_raw
 
 BASEL = '{"type": "rule", "name": "scale_product", "params": {"power": 2}}'
@@ -212,8 +212,61 @@ def test_right_non_finite_value_exits_3_with_diagnostics(tmp_path, monkeypatch):
     assert rc == 3
     diag = _strict_json(tmp_path / "diagnostics.json")
     assert diag["error"] == "NonFiniteError"
-    assert diag["partial"]["n"] == 2
+    # the engine's own partial is kept, the rows streamed so far are named
+    assert diag["partial"] == {"n": 2, "seed": 0, "file": "orbit.partial.csv", "rows": 2}
     assert not (tmp_path / "orbit.csv").exists()
+    lines = _lines(tmp_path / "orbit.partial.csv")
+    assert lines[0] == cli.ORBIT_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.json", "orbit.partial.csv"]
+    # a later complete run replaces the stale partial file
+    monkeypatch.undo()
+    rc = cli.main(["--out", str(tmp_path), "simulate", "--stream", SCALE_07, "--side", "right", "-N", "10"])
+    assert rc == 0
+    assert (tmp_path / "orbit.csv").exists() and not (tmp_path / "orbit.partial.csv").exists()
+
+
+class _Expanding(holomap.Scale):
+    """A rotation that also expands by one part in 10^6: no self-map of
+    the disc does that, and the left pair ledger must notice."""
+
+    def eval(self, z):
+        return self.factor * z * (1.0 + 1e-6)
+
+
+def test_left_ledger_abort_keeps_the_rows_streamed_so_far(tmp_path, monkeypatch):
+    # 2 seeds x steps 0..2500 = 5002 rows: one full chunk and part of the next
+    healthy = [holomap.Scale(1j)] * 2500
+    argv = ["simulate", "--stream", SCALE_07, "-N", "2600",
+            "--seed-point", "0", "--seed-point", "0.3+0.2j"]
+    faulty = ifs.GeneratorStream.from_cycle(healthy + [_Expanding(1j)])
+    monkeypatch.setattr(cli.ifs, "stream_from_json", lambda obj: faulty)
+    assert cli.main(["--out", str(tmp_path / "faulty")] + argv) == 3
+    diag = _strict_json(tmp_path / "faulty" / "diagnostics.json")
+    assert diag["error"] == "ConsistencyError"
+    assert diag["partial"] == {"file": "orbit.partial.csv", "rows": 5002}
+    assert not (tmp_path / "faulty" / "orbit.csv").exists()
+    clean = ifs.GeneratorStream.from_cycle(healthy + [holomap.Scale(1j)])
+    monkeypatch.setattr(cli.ifs, "stream_from_json", lambda obj: clean)
+    assert cli.main(["--out", str(tmp_path / "clean")] + argv) == 0
+    kept = _lines(tmp_path / "faulty" / "orbit.partial.csv")
+    assert len(kept) == 1 + 5002 > 1 + cli.CSV_CHUNK
+    assert kept == _lines(tmp_path / "clean" / "orbit.csv")[: len(kept)]
+
+
+def test_other_errors_leave_no_artifact(tmp_path):
+    listed = []
+
+    def rows():
+        yield "1,2"
+        listed.extend(p.name for p in tmp_path.iterdir())
+        raise KeyError("late")
+
+    with pytest.raises(KeyError):
+        cli._write_csv(tmp_path / "x.csv", "a,b", rows())
+    # while rows stream, the final name does not exist yet
+    assert len(listed) == 1 and listed != ["x.csv"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_artifacts_and_determinism(tmp_path):
@@ -280,10 +333,22 @@ def test_non_finite_point_flags_exit_2_before_any_artifact(tmp_path, capsys, arg
 
 
 def test_write_json_rejects_non_finite_numbers(tmp_path):
-    for payload in ({"x": math.nan}, {"pair": [0.5, -math.inf]}):
+    # the last payload's NaN comes after a first batch has been written
+    late = {"a": list(range(cli.JSON_CHUNK)), "b": math.nan}
+    for payload in ({"x": math.nan}, {"pair": [0.5, -math.inf]}, late):
         with pytest.raises(ifs.NonFiniteError, match="non-finite"):
             cli._write_json(tmp_path / "x.json", payload)
-        assert not (tmp_path / "x.json").exists()
+        assert not any(tmp_path.iterdir())
+
+
+def test_write_json_matches_one_shot_dumps(tmp_path):
+    stream = ifs.stream_from_json(json.loads(BASEL))
+    res = straighten.left_straighten(stream, 3000, probe=0.5)
+    doc = cli._report(res, command="straighten", side="left", horizon=3000)
+    assert sum(1 for _ in cli._JSON.iterencode(doc)) > cli.JSON_CHUNK
+    cli._write_json(tmp_path / "s.json", doc)
+    expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert (tmp_path / "s.json").read_bytes() == expected.encode("ascii")
 
 
 @pytest.mark.parametrize("fuzz, coefficient", [("1", "1.7e308"), ("50", "1e308")])
@@ -301,6 +366,41 @@ def test_verify_unknown_kind(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--out", str(tmp_path), "verify", "--kind", "sharpest"])
     assert exc.value.code == 2
+
+
+def _svg_reference(points, marks) -> str:
+    """The drawing rendered in one piece, independently of the streamed writer."""
+    xs = [p.real for p in points] + [m.real for m in marks]
+    ys = [p.imag for p in points] + [m.imag for m in marks]
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(0.0, min(ys)), max(ys)
+    pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-6)
+    xmin, xmax, ymin, ymax = xmin - pad, xmax + pad, ymin - pad, ymax + pad
+    width = 800.0
+    scale = width / (xmax - xmin)
+    height = max(60.0, min(1600.0, (ymax - ymin) * scale))
+
+    def sx(x):
+        return (x - xmin) * scale
+
+    def sy(y):
+        return height - (y - ymin) * scale
+
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %.2f %.2f">' % (width, height),
+        '<line x1="0" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#999" stroke-width="1"/>'
+        % (sy(0.0), width, sy(0.0)),
+        '<polyline fill="none" stroke="#246" stroke-width="1" points="%s"/>'
+        % " ".join(
+            "%.2f,%.2f" % ((p.real - xmin) * scale, height - (p.imag - ymin) * scale) for p in points
+        ),
+    ]
+    for m in marks:
+        parts.append(
+            '<circle cx="%.2f" cy="%.2f" r="3" fill="#c33"/>' % (sx(m.real), sy(m.imag))
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def test_gallery_escape_return(tmp_path):
@@ -321,7 +421,7 @@ def test_gallery_escape_return(tmp_path):
     for _ in range(len(build.maps)):
         orbit.append(cur.advance().values[0])
     pts = [1j * (1.0 + v) / (1.0 - v) for v in orbit]
-    assert svg == cli._svg_halfplane(pts, list(build.milestone_values))
+    assert svg == _svg_reference(pts, list(build.milestone_values))
     polyline = next(line for line in svg.splitlines() if line.startswith("<polyline"))
     assert polyline.count(",") == doc["map_count"] + 1
 
@@ -562,7 +662,7 @@ def test_orbit_rows_bytes_match_per_field_format():
     # the same value objects carried over, as for a held right seed
     steps += [[0.3 - 0.4j, steps[-1][1]]] * 3
     trail = []
-    rows = cli._orbit_rows(_ScriptedOrbit(seeds, steps), 14, trail)
+    rows = list(cli._orbit_rows(_ScriptedOrbit(seeds, steps), 14, trail))
     expected, old = [], seeds
     for n, new in enumerate([seeds, *steps]):
         for s, ov, nv in zip(seeds, old, new):
@@ -580,10 +680,10 @@ def test_series_and_straighten_rows_bytes_match_per_field_format():
     odd = (-1.5e-320, float("nan"), -0.0, 0.30000000000000004)
     rep = SimpleNamespace(terms=odd[:1], partial_sums=odd[1:2], products=odd[2:3],
                           orbit=(complex(odd[3], odd[0]), 0.5j))
-    assert cli._series_rows(rep) == [_per_field("1", *odd[:3], odd[3], odd[0])]
+    assert list(cli._series_rows(rep)) == [_per_field("1", *odd[:3], odd[3], odd[0])]
     res = SimpleNamespace(steps=2, residual_trace=(odd[0],), probe_trace=odd[1:3],
                           distortion_trace=(float("inf"), odd[3]))
-    assert cli._straighten_rows(res) == [
+    assert list(cli._straighten_rows(res)) == [
         _per_field("1", "", odd[1], float("inf")),
         _per_field("2", odd[0], odd[2], odd[3]),
     ]
@@ -610,30 +710,38 @@ def test_simulate_signed_zero_seeds_keep_their_columns(tmp_path):
     assert seed_cols == ["-0,0", "0,0"] * 3
 
 
-def test_orbit_rows_hold_one_string_each():
-    stream = ifs.stream_from_json(json.loads(BASEL))
-    cur = ifs.LeftOrbitCursor(stream, (0j, 0.3 + 0.2j))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        rows = cli._orbit_rows(cur, 10_000)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert len(rows) == 2 * 10_001
-    assert held / len(rows) <= 200
-
-
-def test_simulate_peak_memory_per_row(tmp_path):
-    # no orbit history besides the rows themselves and the joined text
-    argv = ["--out", str(tmp_path), "simulate", "--stream", BASEL, "-N", "20000",
-            "--seed-point", "0", "--seed-point", "0.3+0.2j"]
+def _traced_peak(argv):
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_simulate_peak_memory_is_flat_in_n(tmp_path):
+    # rows stream to disk a chunk at a time, so 8x the rows costs no more memory
+    peaks = [
+        _traced_peak(["--out", str(tmp_path / str(n)), "simulate", "--stream", BASEL, "-N", str(n),
+                      "--seed-point", "0", "--seed-point", "0.3+0.2j"])
+        for n in (10_000, 80_000)
+    ]
+    assert abs(peaks[1] - peaks[0]) < 512 * 1024
+    assert max(peaks) < 2_000_000
+
+
+def test_simulate_peak_memory_per_row(tmp_path):
+    # no orbit history, no row list and no joined text: one chunk of rows at most
+    argv = ["--out", str(tmp_path), "simulate", "--stream", BASEL, "-N", "20000",
+            "--seed-point", "0", "--seed-point", "0.3+0.2j"]
+    peak = _traced_peak(argv)
     rows = len(_lines(tmp_path / "orbit.csv")) - 1
     assert rows == 2 * 20_001
     assert peak / rows <= 350
+    assert peak <= 2_000_000
+
+
+def test_escape_return_svg_peak_memory(tmp_path):
+    # the orbit rows and the polyline stream; the Cayley points are the one O(N) list
+    argv = ["--out", str(tmp_path), "gallery", "--example", "escape_return", "--svg", "--nmax", "8"]
+    assert _traced_peak(argv) <= 4_000_000
