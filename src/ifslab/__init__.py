@@ -35,7 +35,6 @@ from .holomap import (
 )
 from .ifs import (
     BackwardOrbit,
-    DepthCapError,
     GeneratorStream,
     LeftOrbitCursor,
     RightOrbitState,
@@ -45,7 +44,6 @@ from .ifs import (
 )
 from .moebius import MoebiusMap, classify_auto, kth_root, random_disc_auto
 from .straighten import (
-    StraightenConfig,
     left_straighten,
     mu_step,
     right_straighten,
@@ -69,7 +67,6 @@ __all__ = [
     "Compose",
     "ConsistencyError",
     "Constant",
-    "DepthCapError",
     "DomainError",
     "GeneratorStream",
     "HalfPlaneAffine",
@@ -83,7 +80,6 @@ __all__ = [
     "NonFiniteError",
     "RightOrbitState",
     "Scale",
-    "StraightenConfig",
     "TrackingRefusal",
     "best_automorphism",
     "boundary_defect",

@@ -108,44 +108,45 @@ class DefectReport:
     limit: float       # Richardson extrapolate of the ratios
 
 
-def boundary_defect(f: MapExpr, tau=1.0, radii=(0.9, 0.99, 0.999, 0.9999)) -> DefectReport:
+def boundary_defect(f: MapExpr, tau=1.0) -> DefectReport:
     """Second-order defect of the distortion along a boundary radius.
 
     The ratio (1 - f#(r tau)) / (1 - r)^2 has a finite positive limit
     at a boundary fixed point with derivative 1 in the direction tau;
-    the trace plus a Richardson extrapolation (the radii approach at
-    rate 10) estimates it.
+    the trace at the radii 0.9, 0.99, 0.999, 0.9999 plus a Richardson
+    extrapolation (the radii approach at rate 10) estimates it.
     """
     t = complex(tau)
     t /= abs(t)
     ratios = []
-    for r in radii:
+    for r in holomap._RADIAL_R:
         z = r * t
         ratios.append((1.0 - holomap.distortion(f, z)) / (1.0 - r) ** 2)
-    return DefectReport(tuple(radii), tuple(ratios), holomap._richardson(ratios))
+    return DefectReport(holomap._RADIAL_R, tuple(ratios), holomap._richardson(ratios))
 
 
-def random_self_map(rng: Random, max_zeros: int = 4, scale_odds: float = 0.5) -> MapExpr:
-    """Random finite product of disc factors, occasionally damped.
+def random_self_map(rng: Random) -> MapExpr:
+    """Random finite product of one to four disc factors, occasionally damped.
 
     Zeros land uniformly in the disc of radius 0.8 so the maps stay
     honestly non-degenerate; about half the draws get an extra inward
     scaling, which keeps strict contractions well represented.
     """
-    m = rng.randint(1, max_zeros)
+    m = rng.randint(1, 4)
     zeros = []
     for _ in range(m):
         r = 0.8 * math.sqrt(rng.random())
         a = 2.0 * math.pi * rng.random()
         zeros.append(r * cmath.exp(1j * a))
     f: MapExpr = holomap.Blaschke(tuple(zeros), 2.0 * math.pi * rng.random())
-    if rng.random() < scale_odds:
+    if rng.random() < 0.5:
         f = holomap.Compose((holomap.Scale(0.7 + 0.3 * rng.random()), f))
     return f
 
 
-def _random_point(rng: Random, radius: float = 0.7) -> complex:
-    r = radius * math.sqrt(rng.random())
+def _random_point(rng: Random) -> complex:
+    """Uniform in the disc of radius 0.7."""
+    r = 0.7 * math.sqrt(rng.random())
     a = 2.0 * math.pi * rng.random()
     return r * cmath.exp(1j * a)
 

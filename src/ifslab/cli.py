@@ -222,9 +222,8 @@ def _straighten_rows(res: straighten.StraightenResult):
 def _cmd_straighten(args, out: pathlib.Path) -> int:
     stream = _load_stream(args.stream)
     probe = _parse_complex(args.probe)
-    cfg = straighten.StraightenConfig(tol=args.tol)
     if args.side == "left":
-        res = straighten.left_straighten(stream, args.horizon, probe=probe, config=cfg)
+        res = straighten.left_straighten(stream, args.horizon, probe=probe, tol=args.tol)
     else:
         if not args.orbit:
             raise CLIError("--side right needs --orbit (JSON file of backward orbit points)")
@@ -239,7 +238,7 @@ def _cmd_straighten(args, out: pathlib.Path) -> int:
             )
         # -N bounds the run: w_0 ... w_N only, later points neither verified nor used
         orbit = ifs.BackwardOrbit(orbit.points[: args.horizon + 1])
-        res = straighten.right_straighten(stream, orbit, probe=probe, config=cfg)
+        res = straighten.right_straighten(stream, orbit, probe=probe, tol=args.tol)
     drop = ("probe_trace", "residual_trace", "distortion_trace", "h_extra")
     doc = _report(res, drop=drop, command=args.command, side=args.side, horizon=args.horizon)
     _write_json(out / "straighten.json", doc)
@@ -258,17 +257,16 @@ def _series_rows(rep: criteria.SeriesReport):
 
 def _cmd_classify(args, out: pathlib.Path) -> int:
     stream = _load_stream(args.stream)
-    cfg = criteria.SeriesConfig()
+    extra = {"config": criteria.SERIES}  # the fixed verdict thresholds
     if args.side == "left":
         base = tuple(_parse_complex(s) for s in (args.base_point or ["0", "0.3+0.2j"]))
-        rep = criteria.classify_left_limits(stream, args.horizon, base_points=base, config=cfg)
-        extra = {"series_verdicts": [s.verdict for s in rep.series], "base_points": base}
+        rep = criteria.classify_left_limits(stream, args.horizon, base_points=base)
+        extra.update(series_verdicts=[s.verdict for s in rep.series], base_points=base)
         if rep.series:
             _write_csv(out / "series.csv", SERIES_HEADER, _series_rows(rep.series[0]))
     else:
         z0 = _parse_complex((args.base_point or ["0.5"])[0])
-        rep = criteria.classify_right_limits(stream, args.horizon, z0=z0, config=cfg)
-        extra = {}
+        rep = criteria.classify_right_limits(stream, args.horizon, z0=z0)
     # a left report's series go out as their verdicts (and series.csv)
     doc = _report(
         rep,
@@ -277,7 +275,6 @@ def _cmd_classify(args, out: pathlib.Path) -> int:
         side=args.side,
         horizon=args.horizon,
         verdict=rep.kind,
-        config=cfg,
         **extra,
     )
     _write_json(out / "classify.json", doc)
@@ -399,7 +396,6 @@ _DISPATCH = {
 _NUMERIC_ABORTS = (
     holomap.ConsistencyError,
     holomap.InconclusiveError,
-    ifs.DepthCapError,
     criteria.TrackingRefusal,
     DomainError,
     moebius.NonAutomorphismError,

@@ -22,12 +22,27 @@ from .ifs import _HELD_RADIUS, GeneratorStream, RightOrbitState, orbit_bounded
 
 @dataclass(frozen=True)
 class SeriesConfig:
+    """The fixed verdict thresholds, one record (SERIES) that classify.json reports."""
+
     divergence_threshold: float = 5.0      # partial sum level that, with a
     # collapsed product, reads as divergence at the horizon
     divergence_product_tol: float = 1e-3   # product below this is collapsed
     summable_window: int = 100
     summable_tol: float = 1e-5             # trailing-window term sum
     product_cauchy_tol: float = 1e-5       # trailing-window product movement
+
+
+SERIES = SeriesConfig()
+
+# left classification: a left orbit of the first base point that escapes
+# this omega distance of 0 (as orbit_bounded reads escape) marks the
+# family as not relatively compact
+_ESCAPE_RADIUS = 3.0
+# right classification: distortion samples at N/4, N/2, 3N/4 and N
+_CHECKPOINTS = 4
+# fixed-point tracking: the largest |f(p) - p| a Newton polish may leave
+# before Denjoy-Wolff is asked
+_POLISH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,14 +57,14 @@ class SeriesReport:
     product_residual_max: float | None
 
 
-def _series_verdict(partial_sums, products, terms, cfg: SeriesConfig) -> str:
-    if partial_sums[-1] > cfg.divergence_threshold and products[-1] < cfg.divergence_product_tol:
+def _series_verdict(partial_sums, products, terms) -> str:
+    if partial_sums[-1] > SERIES.divergence_threshold and products[-1] < SERIES.divergence_product_tol:
         return "diverging"
-    w = cfg.summable_window
+    w = SERIES.summable_window
     if len(terms) >= w:
         tail = sum(terms[-w:])
         swing = max(products[-w:]) - min(products[-w:])
-        if tail < cfg.summable_tol and swing < cfg.product_cauchy_tol:
+        if tail < SERIES.summable_tol and swing < SERIES.product_cauchy_tol:
             return "summable_so_far"
     return "inconclusive"
 
@@ -59,7 +74,6 @@ def distortion_series(
     N: int,
     z0=0j,
     mode: str = "along_orbit",
-    config: SeriesConfig | None = None,
 ) -> SeriesReport:
     """Accumulate terms 1 - f_n#(.) and the distortion product.
 
@@ -73,7 +87,6 @@ def distortion_series(
     """
     if mode not in ("along_orbit", "fixed_point"):
         raise ValueError("mode must be 'along_orbit' or 'fixed_point'")
-    cfg = config or SeriesConfig()
     z = disc_point(z0)
     v = z
     terms = []
@@ -118,7 +131,7 @@ def distortion_series(
         partial_sums=tuple(sums),
         products=tuple(prods),
         orbit=tuple(orbit),
-        verdict=_series_verdict(sums, prods, terms, cfg),
+        verdict=_series_verdict(sums, prods, terms),
         product_residual_max=resid_max,
     )
 
@@ -136,8 +149,6 @@ def classify_left_limits(
     stream: GeneratorStream,
     N: int,
     base_points=(0j, 0.3 + 0.2j),
-    radius: float = 3.0,
-    config: SeriesConfig | None = None,
 ) -> LeftLimitReport:
     """Classify the limit behavior of L_n at the horizon N.
 
@@ -152,10 +163,10 @@ def classify_left_limits(
     pts = tuple(disc_point(p) for p in base_points)
     if len(pts) < 2:
         raise ValueError("need at least two base points for cross-checking")
-    bound = orbit_bounded(stream, pts[0], N, radius, side="left")
+    bound = orbit_bounded(stream, pts[0], N, _ESCAPE_RADIUS, side="left")
     if bound.escaped:
-        return LeftLimitReport("not_relatively_compact", (), (), True, radius)
-    reports = tuple(distortion_series(stream, N, p, "along_orbit", config) for p in pts)
+        return LeftLimitReport("not_relatively_compact", (), (), True, _ESCAPE_RADIUS)
+    reports = tuple(distortion_series(stream, N, p, "along_orbit") for p in pts)
     limits = tuple(r.orbit[-1] for r in reports)
     verdicts = {r.verdict for r in reports}
     agreement = len(verdicts) == 1
@@ -165,7 +176,7 @@ def classify_left_limits(
         kind = "constant_limits"
     else:
         kind = "nonconstant_limits"
-    return LeftLimitReport(kind, reports, limits, agreement, radius)
+    return LeftLimitReport(kind, reports, limits, agreement, _ESCAPE_RADIUS)
 
 
 @dataclass(frozen=True)
@@ -192,8 +203,6 @@ def classify_right_limits(
     stream: GeneratorStream,
     N: int,
     z0=0.5,
-    config: SeriesConfig | None = None,
-    checkpoints: int = 4,
 ) -> RightLimitReport:
     """Classify the pointwise limit of R_n at z0.
 
@@ -206,9 +215,8 @@ def classify_right_limits(
     before the last checkpoint leaves the verdict inconclusive.  Raises
     ValueError for a constant generator.
     """
-    cfg = config or SeriesConfig()
     z = disc_point(z0)
-    marks = sorted({max(1, (N * k) // checkpoints) for k in range(1, checkpoints + 1)})
+    marks = sorted({max(1, (N * k) // _CHECKPOINTS) for k in range(1, _CHECKPOINTS + 1)})
     state = RightOrbitState(stream, (z,), jets=True)
     values = [z]
     prods = []
@@ -219,7 +227,7 @@ def classify_right_limits(
         values.append(state.values[0])
         if n in marks and not state.saturated_seeds:
             prods.append((n, _right_distortion_product(state)))
-    w = min(cfg.summable_window, N)
+    w = min(SERIES.summable_window, N)
     tail = max(
         (abs(values[-1] - values[-1 - k]) for k in range(1, w + 1)),
         default=0.0,
@@ -227,9 +235,9 @@ def classify_right_limits(
     last = prods[-1][1] if len(prods) == len(marks) else None
     if last is None:
         kind = "inconclusive"
-    elif last < cfg.divergence_product_tol:
+    elif last < SERIES.divergence_product_tol:
         kind = "constant_limit"
-    elif last > 10 * cfg.divergence_product_tol and last > 0.5 * prods[0][1]:
+    elif last > 10 * SERIES.divergence_product_tol and last > 0.5 * prods[0][1]:
         kind = "nonconstant_limit"
     else:
         kind = "inconclusive"
@@ -253,7 +261,7 @@ class FixedPointReport:
     points: tuple            # attracting fixed point of each generator
     residual_max: float      # max |f_n(p_n) - p_n|
     limit_estimate: complex  # p_N
-    orbit_gap: float         # |L_N(z_probe) - p_N|
+    orbit_gap: float         # |L_N(0) - p_N|
     min_deficit: float       # min over steps of 1 - sampled distortion
 
 
@@ -264,8 +272,6 @@ def track_fixed_points(
     stream: GeneratorStream,
     N: int,
     guard: float = 1e-3,
-    probe=0j,
-    residual_tol: float = 1e-10,
 ) -> FixedPointReport:
     """Follow the attracting fixed points p_n of the generators.
 
@@ -275,12 +281,10 @@ def track_fixed_points(
     points carry no information about the limit of the system.  Each
     p_n is found by Newton iteration warm-started at p_{n-1}.
     """
-    pz = disc_point(probe)
     points = []
     resid_max = 0.0
     min_deficit = 1.0
-    prev = None
-    cur = pz
+    prev = cur = 0j  # the first polish starts at 0, each later one at p_{n-1}; cur is L_n(0)
     for n in range(1, N + 1):
         f = stream.generator_at(n)
         for s in _GUARD_SAMPLES:
@@ -291,10 +295,9 @@ def track_fixed_points(
                     f"generator {n} has distortion {1 - deficit!r} at {s!r}; "
                     f"tracking needs a contraction margin of {guard:g}"
                 )
-        seed = prev if prev is not None else pz
-        p = holomap.polish_fixed_point(f, seed)
+        p = holomap.polish_fixed_point(f, prev)
         resid = math.inf if abs(p) >= 1.0 else abs(holomap.eval_raw(f, p) - p)
-        if resid > residual_tol:
+        if resid > _POLISH_TOL:
             report = holomap.denjoy_wolff(f)
             if report.kind not in ("elliptic_strict", "constant"):
                 raise TrackingRefusal(

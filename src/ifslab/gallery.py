@@ -89,14 +89,17 @@ class EscapeReturnBuild:
         return GeneratorStream("list", self.maps)
 
 
-def build_escape_return(n_max: int, k_cap: int = 10_000_000) -> EscapeReturnBuild:
+_ESCAPE_K_CAP = 10_000_000  # longest parabolic run of one escape-return stage
+
+
+def build_escape_return(n_max: int) -> EscapeReturnBuild:
     """Assemble the escape-and-return system through stage n_max.
 
     Stage n first repeats the parabolic automorphism fixing n until the
     orbit of i lands within 2^-n of n; the parabolic approach is like
     1/k, so the run length grows like (n^2 + 1) 2^n.  If the run would
-    exceed k_cap, or double precision stops making progress, the build
-    stops and reports the last completed stage instead of guessing.
+    exceed _ESCAPE_K_CAP, or double precision stops making progress, the
+    build stops and reports the last completed stage instead of guessing.
     """
     maps = [holomap.Mobius(moebius.to_disc(ANCHOR)), holomap.identity_map()]
     milestones = [0, 1]
@@ -117,7 +120,7 @@ def build_escape_return(n_max: int, k_cap: int = 10_000_000) -> EscapeReturnBuil
         while abs(v - target) >= budget:
             nxt = moebius.apply(g, v)
             k += 1
-            if k > k_cap:
+            if k > _ESCAPE_K_CAP:
                 exhausted = True
                 break
             if nxt == v:  # double precision stopped moving short of the budget
@@ -249,21 +252,17 @@ class DenseBuild:
         return GeneratorStream("list", self.maps)
 
 
-def build_dense(
-    targets,
-    k_cap: int = 1_000_000,
-    sup_samples: int = 128,
-    sup_radius: float = 0.9,
-    residual_tol: float = 1e-8,
-) -> DenseBuild:
+def build_dense(targets, k_cap: int = 1_000_000) -> DenseBuild:
     """Hit each target automorphism as a milestone of one left system.
 
     Stage j must bridge from the previous milestone to target j; the
     bridge M is cut into k equal k-th roots, with k the least count in
-    1..k_cap whose root moves no sampled point of the reference circle
-    further than 2^-j.  Identity bridges contribute no generators.  If
-    no k up to k_cap passes (k_cap = 0 included), the build stops with
-    exhausted=True and no certificate for that stage.
+    1..k_cap whose root moves none of 128 sampled points of the circle
+    |z| = 0.9 further than 2^-j.  Identity bridges contribute no
+    generators.  If no k up to k_cap passes (k_cap = 0 included), the
+    build stops with exhausted=True and no certificate for that stage.
+    A stage whose milestone misses its target by more than 1e-8 in
+    matrix distance is certified and ends the build with exhausted=True.
 
     The least k is found by a safeguarded secant search on the model
     dev(k) ~ C/k: the root runs along the one-parameter subgroup through
@@ -319,7 +318,7 @@ def build_dense(
         back = last = (lo, hi)  # the bracket two probes and one probe ago
         while hi - lo > 1:
             root = moebius.kth_root(bridge, k)
-            dev = sup_deviation(root, sup_radius, sup_samples)
+            dev = sup_deviation(root, 0.9, 128)
             if dev <= delta:
                 chosen, hi = (k, root, dev), k
             else:
@@ -344,11 +343,10 @@ def build_dense(
         milestones.append(len(maps))
         L = moebius.compose(moebius.power(root, k), L)
         residual = moebius.matrix_distance(L, tgt)
-        if residual > residual_tol:
-            exhausted = True
-            certs.append(DenseStageCert(j, k, delta, dev, residual))
-            break
         certs.append(DenseStageCert(j, k, delta, dev, residual))
+        if residual > 1e-8:
+            exhausted = True
+            break
         L = tgt  # snap to the exact target so stage errors do not compound
     return DenseBuild(
         targets=targets,

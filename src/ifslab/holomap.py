@@ -383,31 +383,34 @@ class DWReport:
     multiplier: float
 
 
-def polish_fixed_point(f: MapExpr, z0: complex, steps: int = 60, tol: float = 1e-14) -> complex:
-    """Newton refinement of an interior fixed point of f."""
+def polish_fixed_point(f: MapExpr, z0: complex) -> complex:
+    """Newton refinement of an interior fixed point of f: at most 60 steps,
+    stopping once a step is below 1e-14."""
     z = complex(z0)
-    for _ in range(steps):
+    for _ in range(60):
         fz, d = f.jet(z)
         dz = d - 1.0
         if abs(dz) < 1e-14:
             break
         step = (fz - z) / dz
         z = z - step
-        if abs(step) < tol:
+        if abs(step) < 1e-14:
             break
     return z
 
 
 _DW_SEEDS = (0.0 + 0.0j, 0.35 + 0.0j, -0.4 + 0.25j, -0.3j)
-_RADIAL_R = (0.9, 0.99, 0.999, 0.9999)
+_DW_BUDGET = 20000  # iterations per seed before an orbit must have settled
+_RADIAL_R = (0.9, 0.99, 0.999, 0.9999)  # approaching 1 at rate 10
 
 
-def _richardson(values, ratio: float = 10.0) -> float:
+def _richardson(values) -> float:
+    """Richardson extrapolation of values taken at the radii _RADIAL_R."""
     t = list(values)
     n = len(t)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            t[i] = (ratio**j * t[i] - t[i - 1]) / (ratio**j - 1.0)
+            t[i] = (10.0**j * t[i] - t[i - 1]) / (10.0**j - 1.0)
     return t[-1]
 
 
@@ -416,15 +419,15 @@ def _angular_multiplier(f: MapExpr, tau: complex) -> float:
     return _richardson(qs)
 
 
-def _boundary_direction(f: MapExpr, seed: complex, budget: int):
+def _boundary_direction(f: MapExpr, seed: complex):
     """Follow an orbit toward the boundary; extrapolate its direction.
 
     Returns (tau, converged_interior_point).  Exactly one slot is set.
     """
     z = seed
     checkpoints = {}
-    marks = (budget // 4, budget // 2, budget)
-    for n in range(1, budget + 1):
+    marks = (_DW_BUDGET // 4, _DW_BUDGET // 2, _DW_BUDGET)
+    for n in range(1, _DW_BUDGET + 1):
         z1 = eval_raw(f, z)
         if abs(z1 - z) < 1e-15 and abs(z1) < 0.999:
             return None, z1
@@ -434,7 +437,7 @@ def _boundary_direction(f: MapExpr, seed: complex, budget: int):
     r = abs(z)
     if r < 0.999:
         raise InconclusiveError(
-            f"orbit from {seed!r} settled nowhere within budget {budget}",
+            f"orbit from {seed!r} settled nowhere within budget {_DW_BUDGET}",
             partial={"last": z, "seed": seed},
         )
     taus = [checkpoints[m] / abs(checkpoints[m]) for m in marks]
@@ -448,13 +451,13 @@ def _boundary_direction(f: MapExpr, seed: complex, budget: int):
     return tau / abs(tau), None
 
 
-def denjoy_wolff(f: MapExpr, budget: int = 20000, tol: float = 1e-3) -> DWReport:
+def denjoy_wolff(f: MapExpr) -> DWReport:
     """Locate and classify the Denjoy-Wolff point of a self-map.
 
     Automorphisms are classified exactly through their matrices; strict
     contractions by iteration plus a Newton polish; boundary cases by the
-    radial quotient (1 - |f(r tau)|)/(1 - r) extrapolated in r.  The tol
-    argument is the parabolic-versus-hyperbolic cutoff on the multiplier.
+    radial quotient (1 - |f(r tau)|)/(1 - r) extrapolated in r, parabolic
+    when that multiplier lies within 1e-3 of 1.
     """
     cval = _as_constant(f)
     if cval is not None:
@@ -474,7 +477,7 @@ def denjoy_wolff(f: MapExpr, budget: int = 20000, tol: float = 1e-3) -> DWReport
     taus = []
     interiors = []
     for seed in _DW_SEEDS:
-        tau, interior = _boundary_direction(f, seed, budget)
+        tau, interior = _boundary_direction(f, seed)
         if interior is not None:
             interiors.append(interior)
         else:
@@ -498,7 +501,7 @@ def denjoy_wolff(f: MapExpr, budget: int = 20000, tol: float = 1e-3) -> DWReport
         tau = taus[0]
         mult = _angular_multiplier(f, tau)
         mult = min(max(mult, 0.0), 1.0)
-        kind = "parabolic" if mult >= 1.0 - tol else "hyperbolic"
+        kind = "parabolic" if mult >= 1.0 - 1e-3 else "hyperbolic"
         return DWReport(kind, tau, mult)
 
     raise InconclusiveError(

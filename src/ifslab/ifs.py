@@ -40,16 +40,8 @@ LEDGER_SLACK = 1e-10
 # noise term 16 eps / gap above 0.01
 _SATURATED_GAP = 1600.0 * _EPS
 _HELD_RADIUS = 1.0 - _SATURATED_GAP  # exact: |v| > this iff 1 - |v| < _SATURATED_GAP
-DEPTH_CAP = 100_000
-
-
-class DepthCapError(RuntimeError):
-    """Right composition grew past the configured depth cap."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
+# consecutive steps beyond the radius that orbit_bounded reads as escape
+_ESCAPE_RUN = 3
 
 _UNIT_SCALE = holomap.Scale(1.0)
 
@@ -247,8 +239,7 @@ class RightOrbitState:
     last step ran on the matrix is replayed once in full.  On a cycled
     stream, what depends only on the position n mod p is computed once:
     the generator's matrix entries and det, and each seed's step-ledger
-    bound omega(s, f(s)).  The depth cap applies to every stream off the
-    matrix path, cycled or not.
+    bound omega(s, f(s)).
 
     R_n(s) is computed at every step.  While it lies within ~1600 ulps
     of the boundary, where omega keeps less than two digits and the
@@ -269,7 +260,7 @@ class RightOrbitState:
     right_orbit benchmark.
     """
 
-    def __init__(self, stream: GeneratorStream, seeds, depth_cap: int = DEPTH_CAP, jets: bool = False):
+    def __init__(self, stream: GeneratorStream, seeds, jets: bool = False):
         self.stream = stream
         self.seeds = tuple(disc_point(z) for z in seeds)
         if not self.seeds:
@@ -284,7 +275,6 @@ class RightOrbitState:
         # det, which only derivatives read
         self.matrix: tuple | None = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
         self._det = 1.0 + 0.0j if jets else None
-        self.depth_cap = depth_cap
         self._period = len(stream.maps) if stream.kind == "cycle" else 0
         # cycle position (n - 1) mod period -> what _generator_data returns
         self._by_position: dict[int, tuple] = {}
@@ -309,11 +299,6 @@ class RightOrbitState:
                 self.matrix = None
             else:
                 self._multiply(entries, det, n)
-        if self.matrix is None and len(self.parts) > self.depth_cap:
-            raise DepthCapError(
-                f"right composition depth {len(self.parts)} exceeds cap {self.depth_cap}",
-                diagnostics={"n": n, "depth": len(self.parts)},
-            )
         self._step(n, ledger)
         self.n = n
         return self
@@ -506,11 +491,10 @@ def orbit_bounded(
     N: int,
     radius: float,
     side: str = "left",
-    hysteresis: int = 3,
 ) -> OrbitBoundReport:
     """Finite-horizon boundedness heuristic for one orbit.
 
-    The escape flag needs `hysteresis` consecutive steps beyond the radius,
+    The escape flag needs _ESCAPE_RUN consecutive steps beyond the radius,
     which keeps single near-boundary excursions from reading as escape.
     The verdict is explicitly a statement about the first N steps only.
     """
@@ -526,8 +510,8 @@ def orbit_bounded(
         if om > radius:
             exceed += 1
             run += 1
-            if run >= hysteresis and first is None:
-                first = n - hysteresis + 1
+            if run >= _ESCAPE_RUN and first is None:
+                first = n - _ESCAPE_RUN + 1
         else:
             run = 0
     return OrbitBoundReport(
@@ -565,7 +549,6 @@ def compact_divergence(
     ball: HyperbolicBall,
     N: int,
     side: str = "left",
-    ring: int = 8,
 ) -> CompactDivergenceReport:
     """Track whether the orbit of a ball leaves that ball for good.
 
@@ -573,7 +556,7 @@ def compact_divergence(
     entire tail (within the horizon) has sampled image disjoint from the
     ball.  It says nothing beyond the horizon.
     """
-    engine = _engine(stream, ball_samples(ball, ring), side)
+    engine = _engine(stream, ball_samples(ball), side)
     flags = []
     for _ in range(1, N + 1):
         engine.advance()

@@ -63,24 +63,25 @@ def _scale(entries):
     return max(abs(e) for e in entries)
 
 
-def _is_su11(a, b, c, d, tol=STRUCT_TOL) -> bool:
+def _is_su11(a, b, c, d) -> bool:
     """A complex multiple of an SU(1,1) matrix, tested without rescaling.
 
     That shape means d = u conj(a) and c = u conj(b) for one unit u, with
     |a| > |b|; equivalently |d| = |a| and c conj(a) = d conj(b).  Both
-    residuals are held relative to the largest entry m (tol m and tol m^2),
-    so the test is as sharp for entries of size 1e3 as of size 1; dividing
-    by sqrt(det) first would leave an error of about m^3 eps.
+    residuals are held relative to the largest entry m (STRUCT_TOL m and
+    STRUCT_TOL m^2), so the test is as sharp for entries of size 1e3 as of
+    size 1; dividing by sqrt(det) first would leave an error of about
+    m^3 eps.
     """
     m = _scale((a, b, c, d))
     return (
         abs(a) > abs(b)
-        and abs(abs(a) - abs(d)) <= tol * m
-        and abs(c * a.conjugate() - d * b.conjugate()) <= tol * m * m
+        and abs(abs(a) - abs(d)) <= STRUCT_TOL * m
+        and abs(c * a.conjugate() - d * b.conjugate()) <= STRUCT_TOL * m * m
     )
 
 
-def _real_rep(a, b, c, d, tol=STRUCT_TOL):
+def _real_rep(a, b, c, d):
     """Phase-align a matrix to real entries; None when impossible."""
     entries = (a, b, c, d)
     piv = max(entries, key=abs)
@@ -89,7 +90,7 @@ def _real_rep(a, b, c, d, tol=STRUCT_TOL):
     u = piv / abs(piv)
     al = tuple(e / u for e in entries)
     m = max(1.0, _scale(al))
-    if any(abs(e.imag) > tol * m for e in al):
+    if any(abs(e.imag) > STRUCT_TOL * m for e in al):
         return None
     ra, rb, rc, rd = (e.real for e in al)
     if ra * rd - rb * rc <= 0:

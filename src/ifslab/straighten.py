@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import holomap, moebius
 from .geometry import _EPS, DomainError, _omega_raw, disc_point
@@ -38,9 +38,9 @@ from .ifs import (
 from .moebius import MoebiusMap
 
 
-def make_grid(radii=(0.3, 0.6), per_circle: int = 12, include_origin: bool = True) -> tuple:
-    """Sample points on concentric circles, origin included by default."""
-    pts = [0j] if include_origin else []
+def make_grid(radii=(0.3, 0.6), per_circle: int = 12) -> tuple:
+    """The origin, then sample points on concentric circles."""
+    pts = [0j]
     for r in radii:
         for k in range(per_circle):
             pts.append(r * cmath.exp(2j * math.pi * k / per_circle))
@@ -49,15 +49,12 @@ def make_grid(radii=(0.3, 0.6), per_circle: int = 12, include_origin: bool = Tru
 
 DEFAULT_GRID = make_grid()
 DEFAULT_PROBE = 0.5
-
-
-@dataclass(frozen=True)
-class StraightenConfig:
-    tol: float = 1e-8          # windowed sum of per-step grid movements
-    tol_zero: float = 1e-9     # probe modulus below this means h == 0
-    window: int = 10
-    phase_freeze: float = 1e-6  # probe modulus below this freezes the phase
-    boundary_guard: float = 1e-11  # stop when 1 - |L_n(0)| drops below
+TOL = 1e-8  # default bound on the windowed sum of per-step grid movements
+TOL_ZERO = 1e-9  # a collapse size below this means h == 0
+WINDOW = 10  # moves per trailing window
+PHASE_FREEZE = 1e-6  # probe modulus below this freezes the phase
+BOUNDARY_GUARD = 1e-11  # the left run stops when 1 - |L_n(0)| drops below
+PROBE_TOL = 2e-5  # semiconjugacy_probe's bound on its best window
 
 
 @dataclass(frozen=True)
@@ -100,16 +97,16 @@ class _Trail:
     Each step records H_n on the grid and at the probe, the probe-modulus
     and distortion traces, gamma_n with its phase, and the grid-max omega
     move from the previous step.  A step ends the run as degenerate when
-    its collapse size drops below tol_zero, and as converged when the
-    last `window` moves sum below tol.
+    its collapse size drops below TOL_ZERO, and as converged when the
+    last WINDOW moves sum below tol.
     """
 
-    def __init__(self, cfg: StraightenConfig, grid: tuple, probe: complex, gammas=(), phases=()):
-        self.cfg, self.grid, self.probe = cfg, grid, probe
+    def __init__(self, tol: float, grid: tuple, probe: complex, gammas=(), phases=()):
+        self.tol, self.grid, self.probe = tol, grid, probe
         self.h_grid, self.h_probe = grid, probe
         self.probe_trace, self.residual_trace, self.dist_trace = [], [], []
         self.gammas, self.phases = list(gammas), list(phases)
-        self.snapshots = deque(maxlen=cfg.window + 1)
+        self.snapshots = deque(maxlen=WINDOW + 1)
         self.converged = self.degenerate = False
 
     def record(self, h_grid, h_probe, probe_abs, dist, gamma, theta, size) -> bool:
@@ -123,16 +120,15 @@ class _Trail:
         self.gammas.append(gamma)
         self.phases.append(theta)
         self.snapshots.append(h_grid)
-        if size < self.cfg.tol_zero:
+        if size < TOL_ZERO:
             self.converged = self.degenerate = True
-        elif self.settled(self.cfg.tol):
+        elif self.settled(self.tol):
             self.converged = True
         return self.converged
 
     def settled(self, tol: float) -> bool:
-        """The last `window` moves sum below tol."""
-        w = self.cfg.window
-        return len(self.residual_trace) >= w and sum(self.residual_trace[-w:]) < tol
+        """The last WINDOW moves sum below tol."""
+        return len(self.residual_trace) >= WINDOW and sum(self.residual_trace[-WINDOW:]) < tol
 
     def result(self, stopped_at_boundary: bool = False, **extra) -> StraightenResult:
         return StraightenResult(
@@ -157,21 +153,19 @@ class _Trail:
 def left_straighten(
     stream: GeneratorStream,
     N: int,
-    grid: tuple = DEFAULT_GRID,
     probe: complex = DEFAULT_PROBE,
-    config: StraightenConfig | None = None,
+    tol: float = TOL,
     extra_points: tuple = (),
 ) -> StraightenResult:
-    """Run the left straightening for N steps or until it settles.
+    """Run the left straightening of DEFAULT_GRID for N steps or until it settles.
 
     extra_points are carried through the same coordinate changes and
     reported in h_extra without affecting the convergence decision.
     """
-    cfg = config or StraightenConfig()
-    grid = tuple(disc_point(z) for z in grid)
+    grid = DEFAULT_GRID
     probe = disc_point(probe)
     h_extra = tuple(disc_point(z) for z in extra_points)
-    trail = _Trail(cfg, grid, probe)
+    trail = _Trail(tol, grid, probe)
 
     vals = list(grid)
     v_probe = probe
@@ -183,7 +177,7 @@ def left_straighten(
 
     for n in range(1, N + 1):
         f = stream.generator_at(n)
-        at = a  # L_{n-1}(0), kept off the circle by the boundary_guard stop
+        at = a  # L_{n-1}(0), kept off the circle by the BOUNDARY_GUARD stop
         a, da = f.jet(at)
         dist0 *= holomap._distortion_from_jet(at, a, da)
         vals = [holomap.eval_raw(f, v) for v in vals]
@@ -205,7 +199,7 @@ def left_straighten(
             raise ConsistencyError(
                 f"|H_n(probe)| grew at step {n}: {trail.probe_trace[-1]!r} -> {pa!r}"
             )
-        if pa > cfg.phase_freeze:
+        if pa > PHASE_FREEZE:
             theta = math.atan2(u_probe.imag, u_probe.real)
         rot = cmath.exp(-1j * theta)
 
@@ -215,7 +209,7 @@ def left_straighten(
         gamma = moebius._trusted(eitheta, a, ca * eitheta, 1.0 + 0j, moebius.DISC)
         if trail.record(h_grid, rot * u_probe, pa, dist0, gamma, theta, pa):
             break
-        if 1.0 - abs(a) < cfg.boundary_guard:
+        if 1.0 - abs(a) < BOUNDARY_GUARD:
             boundary_stop = True
             break
 
@@ -225,25 +219,22 @@ def left_straighten(
 def right_straighten(
     stream: GeneratorStream,
     orbit: BackwardOrbit,
-    grid: tuple = DEFAULT_GRID,
     probe: complex = DEFAULT_PROBE,
-    config: StraightenConfig | None = None,
-    verify_tol: float = 1e-9,
+    tol: float = TOL,
 ) -> StraightenResult:
-    """Straighten a right system along a verified backward orbit.
+    """Straighten a right system on DEFAULT_GRID along a verified backward orbit.
 
     Verifying the orbit costs O(N) evaluations.  Each step then rebuilds
     H_n = R_n o gamma_n^{-1} on the grid from scratch, so that rebuild is
     quadratic in the orbit length; backward orbits that double precision
     can hold are short, which keeps this cheap.
     """
-    cfg = config or StraightenConfig()
-    check = verify_backward_orbit(stream, orbit, verify_tol)
+    check = verify_backward_orbit(stream, orbit)
     if not check.ok:
         raise DomainError(
             f"backward orbit fails verification: step residual {check.max_step_residual!r}"
         )
-    grid = tuple(disc_point(z) for z in grid)
+    grid = DEFAULT_GRID
     probe = disc_point(probe)
     pts = orbit.points
     N = len(pts) - 1
@@ -256,7 +247,7 @@ def right_straighten(
         gens[0] = holomap.Compose((sigma, gens[0]))
     wpts = (0j,) + pts[1:]
 
-    trail = _Trail(cfg, grid, probe, [moebius.identity()], [0.0])
+    trail = _Trail(tol, grid, probe, [moebius.identity()], [0.0])
     theta = 0.0
     gn_derivs = []
     dist0 = 1.0
@@ -304,7 +295,7 @@ def right_straighten(
     # by the derivative product along the orbit; window moves below
     # that floor are noise, not genuine movement
     floor = 16.0 * _EPS * amp
-    if not trail.converged and floor < 0.01 and trail.settled(max(cfg.tol, cfg.window * floor)):
+    if not trail.converged and floor < 0.01 and trail.settled(max(tol, WINDOW * floor)):
         trail.converged = True
 
     return trail.result(gn_derivs=tuple(gn_derivs))
@@ -362,13 +353,7 @@ class ProbeReport:
     straightening: StraightenResult
 
 
-def semiconjugacy_probe(
-    f: MapExpr,
-    N: int = 400,
-    grid: tuple = DEFAULT_GRID,
-    probe: complex = DEFAULT_PROBE,
-    config: StraightenConfig | None = None,
-) -> ProbeReport:
+def semiconjugacy_probe(f: MapExpr, N: int = 400) -> ProbeReport:
     """Straighten the constant system of f and read off the trichotomy.
 
     "none": the straightened limit collapses to a point (strict elliptic
@@ -389,22 +374,20 @@ def semiconjugacy_probe(
     either no window ever settled below tolerance, or the probe
     modulus was still visibly sliding downward at the best window.
     """
-    cfg = config or StraightenConfig(tol=2e-5)
     stream = GeneratorStream.constant(f)
-    scan_cfg = replace(cfg, tol=0.0)
-    scan = left_straighten(stream, N, grid, probe, scan_cfg)
+    scan = left_straighten(stream, N, tol=0.0)
     if scan.degenerate:
         return ProbeReport("none", None, None, None, scan)
 
     rt = scan.residual_trace
-    w = cfg.window
+    w = WINDOW
     if len(rt) < w:
         raise InconclusiveError(f"only {scan.steps} usable steps, shorter than the window", scan)
     best_sum, best_end = min(
         (sum(rt[i - w + 1 : i + 1]), i) for i in range(w - 1, len(rt))
     )
-    if best_sum >= cfg.tol:
-        raise InconclusiveError(f"no window settled below {cfg.tol:g} (best {best_sum:.2e})", scan)
+    if best_sum >= PROBE_TOL:
+        raise InconclusiveError(f"no window settled below {PROBE_TOL:g} (best {best_sum:.2e})", scan)
     n_star = best_end + 2  # residual_trace[i] describes the move into step i + 2
     tr = scan.probe_trace
     k = min(w, n_star - 1)
@@ -415,8 +398,8 @@ def semiconjugacy_probe(
                 f"probe modulus still drifting at the best window (relative drop {drift:.2e})", scan
             )
 
-    fgrid = tuple(holomap.eval_raw(f, z) for z in grid)
-    res = left_straighten(stream, n_star, grid, probe, scan_cfg, extra_points=fgrid)
+    fgrid = tuple(holomap.eval_raw(f, z) for z in DEFAULT_GRID)
+    res = left_straighten(stream, n_star, tol=0.0, extra_points=fgrid)
     if len(res.gammas) < 2:
         raise InconclusiveError("too few steps to estimate the intertwining map", res)
     phi = moebius.canonical(moebius.compose(moebius.inverse(res.gammas[-2]), res.gammas[-1]))

@@ -13,7 +13,6 @@ from ifslab.geometry import HyperbolicBall, disc_distance, disc_point
 from ifslab.holomap import Blaschke, Compose, HalfPlaneAffine, Mobius, Monomial, Scale
 from ifslab.ifs import (
     BackwardOrbit,
-    DepthCapError,
     GeneratorStream,
     LeftOrbitCursor,
     RightOrbitState,
@@ -223,13 +222,39 @@ def test_right_composed_property():
     assert st_.values[0] == pytest.approx(expect, abs=1e-15)
 
 
-def test_right_depth_cap():
-    s = GeneratorStream.from_cycle([Monomial(2)])  # no matrix shortcut
-    st_ = RightOrbitState(s, (0.1,), depth_cap=16)
-    with pytest.raises(DepthCapError) as exc:
-        for _ in range(100):
-            st_.advance()
-    assert exc.value.diagnostics.get("depth") == 17
+def test_right_cycle_replay_has_no_depth_limit():
+    # a cycle off the matrix path replays in O(p) per step, so a long run
+    # costs linear time and nothing stops it at any depth
+    st_ = RightOrbitState(GeneratorStream.from_cycle([Monomial(2)]), (0.1,))
+    for _ in range(100_001):
+        st_.advance()
+    assert st_.matrix is None
+    assert st_.n == len(st_.parts) == 100_001
+    assert st_.values == [0j]  # 0.1 ** (2 ** n) underflows to 0
+
+
+class _Replayed(Mobius):
+    """A Mobius node that hides its matrix, so the right engine replays it."""
+
+    def matrix(self):
+        return None
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=holomap.ConsistencyError,
+    reason="ROADMAP items 1 and 12: the right step ledger's noise term reads only the gaps of "
+    "R_{n-1}(s) and R_n(s), not the error a replayed value carries; false abort at n = 36",
+)
+@pytest.mark.parametrize("seed", [0j, 0.3 + 0.2j])
+def test_right_out_and_back_replay_runs_without_a_false_abort(seed):
+    # 22 steps toward the boundary point 1 and 22 back, replayed: the orbit
+    # passes within about 1e-12 of the circle and returns
+    out, back = moebius.make_disc_auto(0.6, 0.0), moebius.make_disc_auto(-0.6, 0.0)
+    stream = GeneratorStream.from_cycle([_Replayed(out)] * 22 + [_Replayed(back)] * 22)
+    state = RightOrbitState(stream, (seed,))
+    for _ in range(500):
+        state.advance()
 
 
 @pytest.mark.parametrize("factor, N", [(0.7, 4000), (0.5, 3000)])

@@ -20,7 +20,9 @@ from ifslab.criteria import distortion_series
 from ifslab.ifs import BackwardOrbit, GeneratorStream, LeftOrbitCursor
 from ifslab.straighten import (
     DEFAULT_GRID,
-    StraightenConfig,
+    TOL,
+    TOL_ZERO,
+    WINDOW,
     StraightenResult,
     left_straighten,
     make_grid,
@@ -175,7 +177,7 @@ def test_right_contraction_collapses_to_degenerate():
     res = right_straighten(s, BackwardOrbit((0j,) * 41))
     assert res.converged and res.degenerate
     assert res.steps == 30
-    assert max(abs(h) for h in res.h_grid) < StraightenConfig().tol_zero
+    assert max(abs(h) for h in res.h_grid) < TOL_ZERO
     assert len(res.gammas) == len(res.phases) == 1 + res.steps
 
 
@@ -190,10 +192,9 @@ def test_right_elliptic_cycle_stops_on_the_window():
     for _ in range(40):
         pts.append(moebius.apply(moebius.inverse(g), pts[-1]))
     res = right_straighten(GeneratorStream.from_cycle([Mobius(g)]), BackwardOrbit(tuple(pts)))
-    window = StraightenConfig().window
     assert res.converged and not res.degenerate
-    assert res.steps == window + 1 < len(pts) - 1
-    assert sum(res.residual_trace[-window:]) < StraightenConfig().tol
+    assert res.steps == WINDOW + 1 < len(pts) - 1
+    assert sum(res.residual_trace[-WINDOW:]) < TOL
     assert res.window_residual is not None and res.window_residual < 1e-12
 
 
