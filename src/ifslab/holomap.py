@@ -60,13 +60,19 @@ class InconclusiveError(RuntimeError):
 
 @dataclass(frozen=True)
 class Monomial:
-    """z |-> z^power, power >= 1."""
+    """z |-> z^power, for an integer power >= 1 that converts to a float."""
 
     power: int
 
     def __post_init__(self):
         if not (type(self.power) is int and self.power >= 1):
             raise DomainError(f"monomial power must be an integer >= 1: {self.power!r}")
+        try:
+            float(self.power)  # z ** power converts it
+        except OverflowError:
+            raise DomainError(
+                f"monomial power must convert to a float, got {self.power.bit_length()} bits"
+            ) from None
 
     def eval(self, z: complex) -> complex:
         return z ** self.power

@@ -17,9 +17,9 @@ stream of period p, which reuses R_{n-p}, and O(n) per step on list and
 rule streams.  A cycled stream also computes each position's matrix
 entries and ledger bounds once.  Both engines stop checking what
 double precision can no longer resolve: the left cursor freezes a
-pair's distance ledger, and both engines hold a seed's reported value at
-its last accurate one while the computed value lies within ~1600 ulps of
-the boundary, and release it once the value comes back.
+pair's distance ledger, the right one skips a step's ledger, and both
+hold a seed's reported value under one rule (_Engine) while its
+computed value lies within ~1600 ulps of the boundary.
 A right value that is not finite is a named abort (NonFiniteError),
 never a silent NaN.
 """
@@ -150,34 +150,47 @@ def stream_from_json(obj: dict) -> GeneratorStream:
     raise ValueError(f"unknown stream type {kind!r}")
 
 
-class LeftOrbitCursor:
-    """Tracks L_n at a fixed set of seeds, one generator application per step.
+class _Engine:
+    """Seeds, values and the hold rule shared by both orbit engines.
 
-    With track_pairs on, every seed pair carries a distance ledger that
-    must be non-increasing (up to LEDGER_SLACK); an increase trips a
-    ConsistencyError since it would contradict the Schwarz-Pick bound.
-    A pair whose orbit outruns double precision (boundary gap under ~1600
-    ulps, where omega keeps less than two digits) is frozen at its last
-    accurate value and listed in saturated_pairs; monitoring it further
-    would only ledger rounding noise.
-
-    Seeds follow the right engine's hold rule: L_n(s) is computed from
-    L_{n-1}(s) at every step, but while it lies within ~1600 ulps of the
-    boundary, where it may round onto the circle, values keeps the seed's
-    last accurate value (the same object) and the seed is listed in
-    saturated_seeds for good.  Once the computed value comes back, values
-    follows it again.
+    Each step computes the new value at every seed from the computed
+    previous one (_computed).  A seed is held exactly while its newly
+    computed value lies in the band abs(v) > _HELD_RADIUS, within ~1600
+    ulps of the boundary, where omega keeps less than two digits and the
+    value may round onto the circle: values then keeps the seed's last
+    reported value (the same object) and the seed is listed in
+    saturated_seeds for good.  Once the computed value leaves the band,
+    values follows it again.  A seed that itself lies in the band is
+    reported at step 0 but never held for that: only computed values
+    count.
     """
 
-    def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True):
+    def __init__(self, stream: GeneratorStream, seeds):
         self.stream = stream
         self.seeds = tuple(disc_point(z) for z in seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
         self.n = 0
         self.values = list(self.seeds)
-        self._computed = self.values  # L_n at the seeds, held or not
+        self._computed = self.values  # the engine's values at the seeds, held or not
         self.saturated_seeds = set()
+
+
+class LeftOrbitCursor(_Engine):
+    """Tracks L_n at a fixed set of seeds, one generator application per step.
+
+    With track_pairs on, every seed pair carries a distance ledger that
+    must be non-increasing (up to LEDGER_SLACK); an increase trips a
+    ConsistencyError since it would contradict the Schwarz-Pick bound.
+    A pair whose computed orbit outruns double precision (an end of the
+    step in the band of _Engine's hold rule, where omega keeps less than
+    two digits) is frozen at its last accurate value and listed in
+    saturated_pairs; monitoring it further would only ledger rounding
+    noise.  Seeds follow _Engine's hold rule.
+    """
+
+    def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True):
+        super().__init__(stream, seeds)
         self.track_pairs = track_pairs
         self.pair_distances = {}
         self.saturated_pairs = set()
@@ -197,12 +210,11 @@ class LeftOrbitCursor:
                 # omega loses digits like eps/(1 - |z|) near the boundary;
                 # genuine expansion is O(1) relative to the distance scale
                 gap = min(1.0 - abs(new[i]), 1.0 - abs(new[j]), 1.0 - abs(old[i]), 1.0 - abs(old[j]))
-                noise = 16.0 * _EPS / max(gap, _EPS)
-                if noise > 0.01:
+                if gap < _SATURATED_GAP:
                     self.saturated_pairs.add((i, j))
                     continue
                 d = _omega_raw(new[i], new[j])
-                if d > prev + LEDGER_SLACK + noise:
+                if d > prev + LEDGER_SLACK + 16.0 * _EPS / gap:
                     raise ConsistencyError(
                         f"left pair distance grew at step {self.n + 1}: {prev!r} -> {d!r}"
                     )
@@ -220,7 +232,7 @@ class LeftOrbitCursor:
         return self
 
 
-class RightOrbitState:
+class RightOrbitState(_Engine):
     """Tracks R_n at fixed seeds, keeping the composed map as it grows.
 
     While every generator so far is fractional-linear (f.matrix() is not
@@ -234,22 +246,16 @@ class RightOrbitState:
     R_{n-p} with C = f_1 o ... o f_p, and the replay of R_n passes
     through R_{n-p}(s) after its first n - p evaluations, so applying
     f_p, ..., f_1 to the stored R_{n-p}(s) makes the same evaluations on
-    the same floats and gives R_n(s) bit for bit in O(p).  Values from
-    the matrix path differ in rounding from a replay, so a residue whose
-    last step ran on the matrix is replayed once in full.  On a cycled
-    stream, what depends only on the position n mod p is computed once:
-    the generator's matrix entries and det, and each seed's step-ledger
-    bound omega(s, f(s)).
+    the same floats and gives R_n(s) bit for bit in O(p).  A cycled
+    stream keeps one record per position (n - 1) mod p (see _position);
+    a position not yet replayed, whose steps so far ran on the matrix
+    with its different rounding, replays in full once.
 
-    R_n(s) is computed at every step.  While it lies within ~1600 ulps
-    of the boundary, where omega keeps less than two digits and the
-    value may round onto the circle, values (and derivs) hold the seed's
-    last accurate value, its step ledger is skipped and the seed is
-    listed in saturated_seeds for good.  Once the computed value comes
-    back, values follow it again; the ledger resumes a step later, since
-    the one-step bound does not cover the move from the held value.  A
-    value, derivative or matrix entry that is not finite raises
-    NonFiniteError naming n.
+    Seeds follow _Engine's hold rule, and derivs with them.  The step
+    ledger omega(R_{n-1}(s), R_n(s)) <= omega(s, f_n(s)) reads computed
+    values and skips a step with either end in the band, so the step
+    that releases a seed goes unchecked.  A value, derivative or matrix
+    entry that is not finite raises NonFiniteError naming n.
 
     With jets on, derivs carries R_n'(s) at each seed: det/(cs + d)^2 on
     the matrix path, with the det kept as the running product of the
@@ -261,25 +267,16 @@ class RightOrbitState:
     """
 
     def __init__(self, stream: GeneratorStream, seeds, jets: bool = False):
-        self.stream = stream
-        self.seeds = tuple(disc_point(z) for z in seeds)
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        self.n = 0
-        self.values = list(self.seeds)
+        super().__init__(stream, seeds)
         self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
-        self.saturated_seeds = set()
-        self._held = set()  # seeds whose value is held at its last accurate one
         self.parts = []  # f_1 ... f_n in order
         # entries (a, b, c, d) of R_n up to a power-of-two scale, and their
         # det, which only derivatives read
         self.matrix: tuple | None = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
         self._det = 1.0 + 0.0j if jets else None
         self._period = len(stream.maps) if stream.kind == "cycle" else 0
-        # cycle position (n - 1) mod period -> what _generator_data returns
-        self._by_position: dict[int, tuple] = {}
-        # n mod period -> replayed (values, derivs) of R_n at the seeds, for the last such n
-        self._by_residue: dict[int, tuple] = {}
+        # cycle position (n - 1) mod period -> what _position returns
+        self._by_position: dict[int, list] = {}
 
     @property
     def composed(self) -> MapExpr:
@@ -293,38 +290,39 @@ class RightOrbitState:
         n = self.n + 1
         f = self.stream.generator_at(n)
         self.parts.append(f)
-        entries, det, ledger = self._generator_data(n, f)
+        record = self._position(n, f)
         if self.matrix is not None:
-            if entries is None:
+            if record[0] is None:
                 self.matrix = None
             else:
-                self._multiply(entries, det, n)
-        self._step(n, ledger)
+                self._multiply(record[0], record[1], n)
+        self._step(n, record)
         self.n = n
         return self
 
-    def _generator_data(self, n: int, f: MapExpr) -> tuple:
-        """(matrix entries or None, det or None, [(f(s), omega(s, f(s))) per seed]).
+    def _position(self, n: int, f: MapExpr) -> list:
+        """The record [entries, det, bounds, replayed] of step n.
 
-        The entries are looked up only while R_n is on the matrix path,
-        and the det only by an engine that carries derivatives.  On a
-        cycled stream the triple depends only on the position (n - 1)
-        mod p and is computed once per position.
+        entries are f's matrix entries, looked up only while R_n is on the
+        matrix path (else None), det their det, only for an engine that
+        carries derivatives, and bounds the step-ledger bound omega(s, f(s))
+        per seed.  On a cycled stream the record of the position (n - 1)
+        mod p is computed once, and _step keeps in replayed the (values,
+        derivs) of its last replay there, from which R_{n+p} starts.
         """
         pos = (n - 1) % self._period if self._period else None
-        data = self._by_position.get(pos)
-        if data is None:
+        record = self._by_position.get(pos)
+        if record is None:
             fm = f.matrix() if self.matrix is not None else None
             entries = None if fm is None else fm.entries()
             det = None if fm is None or self._det is None else moebius._det(*entries)
-            ledger = []
+            bounds = []
             for s in self.seeds:
-                inner = holomap.eval_raw(f, s)
-                ledger.append((inner, _omega_raw(s, inner)))
-            data = (entries, det, ledger)
+                bounds.append(_omega_raw(s, holomap.eval_raw(f, s)))
+            record = [entries, det, bounds, None]
             if pos is not None:
-                self._by_position[pos] = data
-        return data
+                self._by_position[pos] = record
+        return record
 
     def _multiply(self, g: tuple, gdet: complex, n: int) -> None:
         """Right-multiply the running product by the entries g of f_n."""
@@ -346,10 +344,9 @@ class RightOrbitState:
         self.matrix = (a, b, c, d)
         self._det = det
 
-    def _step(self, n: int, ledger: list) -> None:
+    def _step(self, n: int, record: list) -> None:
         """Move every seed from R_{n-1}(s) to R_n(s) under the step ledger."""
         jets = self.derivs is not None
-        residue = n % self._period if self._period else None
         if self.matrix is not None:
             a, b, c, d = self.matrix
             fresh, fresh_derivs = [], []
@@ -358,37 +355,29 @@ class RightOrbitState:
                 fresh.append((a * s + b) / den)
                 fresh_derivs.append(self._det / (den * den) if jets else None)
         else:
-            earlier = self._by_residue.get(residue)  # R_{n-p} at the seeds
+            earlier = record[3]  # R_{n-p} at the seeds
             if earlier is not None:
                 pairs = [self._tail(z, self._period, dz) for z, dz in zip(*earlier)]
-            elif jets:
-                pairs = [self._tail(s, n, 1.0 + 0.0j) for s in self.seeds]
             else:
-                pairs = [self._tail(inner, n - 1) for inner, _ in ledger]
+                pairs = [self._tail(s, n, 1.0 + 0.0j if jets else None) for s in self.seeds]
             fresh, fresh_derivs = (list(t) for t in zip(*pairs))
-            if residue is not None:
-                self._by_residue[residue] = (fresh, fresh_derivs)
+            record[3] = (fresh, fresh_derivs)
         values = list(self.values)
         derivs = list(self.derivs) if jets else None
-        held = self._held
-        for i, (prev, val, dv, (_, bound)) in enumerate(zip(self.values, fresh, fresh_derivs, ledger)):
+        for i, (prev, val, dv, bound) in enumerate(zip(self._computed, fresh, fresh_derivs, record[2])):
             if not (cmath.isfinite(val) and (dv is None or cmath.isfinite(dv))):
                 raise NonFiniteError(
                     f"right orbit of seed {i} is not finite at n = {n}: {val!r}",
                     diagnostics={"n": n, "seed": i},
                 )
+            gap = 1.0 - abs(val)
+            if gap < _SATURATED_GAP:  # abs(val) > _HELD_RADIUS: held
+                self.saturated_seeds.add(i)
+                continue
             # the bound side is seed-anchored and accurate; the step side
             # degrades near the boundary like the left ledger does
-            gap = min(1.0 - abs(prev), 1.0 - abs(val))
-            if gap < _SATURATED_GAP:
-                self.saturated_seeds.add(i)
-                held.add(i)
-                continue
-            if i in held:
-                # back from the boundary: prev is older than R_{n-1}(s), so
-                # the one-step bound does not apply to this move
-                held.discard(i)
-            else:
+            gap = min(gap, 1.0 - abs(prev))
+            if gap >= _SATURATED_GAP:
                 step = _omega_raw(prev, val)
                 if step > bound + LEDGER_SLACK + 16.0 * _EPS / gap:
                     raise ConsistencyError(
@@ -397,6 +386,7 @@ class RightOrbitState:
             values[i] = val
             if jets:
                 derivs[i] = dv
+        self._computed = fresh
         self.values = values
         self.derivs = derivs
 

@@ -11,9 +11,9 @@ and half-plane automorphisms the ones with a real det-1 representative
 representative: < 2 elliptic, = 2 parabolic, > 2 hyperbolic.
 
 Validation happens once, at the boundary: MoebiusMap(...) and from_json
-check that the matrix is nonsingular and has the structure its domain
-tag promises, and make_disc_auto and translate_to_zero check their point
-with disc_point.  A map derived from maps (or points) that passed those
+check that the matrix is finite and nonsingular and has the structure
+its domain tag promises, and make_disc_auto and translate_to_zero check
+their point with disc_point.  A map derived from maps (or points) that passed those
 checks keeps its structure up to rounding, so it is built by _trusted,
 which sets the fields without re-proving SU(1,1) or SL(2,R) structure:
 compose, inverse, canonical, to_disc, kth_root, power, identity and the
@@ -102,9 +102,11 @@ def _real_rep(a, b, c, d):
 class MoebiusMap:
     """Matrix [[a, b], [c, d]] acting as z |-> (a z + b)/(c z + d).
 
-    The domain tag records which structure was verified at construction:
-    "disc" and "half_plane" mean automorphism of that domain, "generic"
-    promises nothing.
+    Every map built here has finite entries and a nonzero det; a
+    non-finite entry raises DomainError.  The domain tag records which
+    further structure was verified at construction: "disc" and
+    "half_plane" mean automorphism of that domain, "generic" promises
+    nothing more.
     """
 
     a: complex
@@ -115,6 +117,8 @@ class MoebiusMap:
 
     def __post_init__(self):
         a, b, c, d = (complex(self.a), complex(self.b), complex(self.c), complex(self.d))
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise DomainError(f"matrix entries must be finite: {(a, b, c, d)!r}")
         if _det(a, b, c, d) == 0:
             raise NonAutomorphismError("singular matrix")
         if self.domain == DISC and not _is_su11(a, b, c, d):

@@ -53,7 +53,7 @@ TOL = 1e-8  # default bound on the windowed sum of per-step grid movements
 TOL_ZERO = 1e-9  # a collapse size below this means h == 0
 WINDOW = 10  # moves per trailing window
 PHASE_FREEZE = 1e-6  # probe modulus below this freezes the phase
-BOUNDARY_GUARD = 1e-11  # the left run stops when 1 - |L_n(0)| drops below
+BOUNDARY_GUARD = 1e-11  # the left run and mu_step stop when 1 - |orbit point| drops below
 PROBE_TOL = 2e-5  # semiconjugacy_probe's bound on its best window
 
 
@@ -327,7 +327,7 @@ def mu_step(f: MapExpr, z, mu: int, N: int) -> MuStepReport:
         nxt = holomap.eval_raw(f, orbit[-1])
         orbit.append(nxt)
         # past this radius double precision cannot resolve the distances
-        if 1.0 - abs(nxt) < 1e-11:
+        if 1.0 - abs(nxt) < BOUNDARY_GUARD:
             break
     avail = min(N, len(orbit) - 1 - mu)
     if avail < 0:

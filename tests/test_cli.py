@@ -362,9 +362,15 @@ def test_verify_overflowing_coefficient_is_a_named_abort(tmp_path, fuzz, coeffic
 
 
 def test_verify_unknown_kind(tmp_path):
-    # argparse rejects at the choices gate before main's own check
+    # argparse rejects at the choices gate
     with pytest.raises(SystemExit) as exc:
         cli.main(["--out", str(tmp_path), "verify", "--kind", "sharpest"])
+    assert exc.value.code == 2
+
+
+def test_gallery_unknown_example(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "gallery", "--example", "spiral"])
     assert exc.value.code == 2
 
 
@@ -626,6 +632,31 @@ def test_non_finite_stream_exits_2(tmp_path):
     ):
         assert cli.main(["--out", str(tmp_path), "simulate", "--stream", spec]) == 2
         assert not (tmp_path / "orbit.csv").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    '{"type":"cycle","generators":[{"kind":"hp_affine","translation":[0,1],"scale":1e300}]}',
+    '{"type":"cycle","generators":[{"kind":"monomial","power":1%s}]}' % ("0" * 400),
+], ids=["hp_affine-scale-1e300", "monomial-power-1e400"])
+def test_overflowing_generator_exits_2_before_any_artifact(tmp_path, capsys, spec):
+    # the half-plane scale overflows the Cayley conjugation into NaN
+    # entries; the power does not convert to a float
+    assert cli.main(["--out", str(tmp_path), "simulate", "-N", "3", "--stream", spec]) == 2
+    assert "bad stream spec" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_classify_right_base_point_in_the_band_is_not_its_own_limit(tmp_path):
+    # 0.9999999999998 passes disc_point but lies in the engines' hold band;
+    # only computed values are held, so R_n(z0) moves off it
+    spec = ('{"type": "cycle", "generators": [{"kind": "blaschke", "zeros": [[0.3, 0], [-0.2, 0.1]],'
+            ' "phase": 0.4}, {"kind": "scale", "factor": [0.7, 0]}]}')
+    rc = cli.main(["--out", str(tmp_path), "classify", "--side", "right", "--stream", spec,
+                   "-N", "300", "--base-point", "0.9999999999998"])
+    assert rc == 0
+    doc = _strict_json(tmp_path / "classify.json")
+    assert abs(complex(*doc["limit_estimate"]) - 0.9999999999998) > 0.5
+    assert doc["verdict"] == "constant_limit"
 
 
 def test_out_dir_created(tmp_path):

@@ -116,6 +116,19 @@ def test_node_validation():
         lambda: Compose((Scale(0.5), moebius.identity())),
         lambda: ifs.GeneratorStream.from_cycle([0.5]),
         lambda: ifs.GeneratorStream.from_list([Scale(0.5), None]),
+        # non-finite matrix entries, under every domain tag; a half-plane
+        # scale of 1e300 overflows the Cayley conjugation
+        lambda: moebius.MoebiusMap(nan, 0.0, 0.0, 1.0),
+        lambda: moebius.MoebiusMap(complex(inf, 0.0), 0.0, 0.0, 1.0),
+        lambda: moebius.MoebiusMap(1.0, 0.0, 0.0, complex(0.0, nan), moebius.HALF_PLANE),
+        lambda: moebius.MoebiusMap(1.0, 0.0, nan, 1.0, moebius.DISC),
+        lambda: moebius.from_json({"kind": "mobius", "matrix": [[nan, nan]] * 4}),
+        lambda: HalfPlaneAffine(1j, 1e300),
+        lambda: HalfPlaneAffine(0.0, 1e300),
+        lambda: map_from_json({"kind": "hp_affine", "translation": [0, 1], "scale": 1e300}),
+        # a power that does not convert to a float
+        lambda: Monomial(10**400),
+        lambda: map_from_json({"kind": "monomial", "power": 10**400}),
     ):
         with pytest.raises(DomainError):
             bad()

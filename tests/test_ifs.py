@@ -49,6 +49,27 @@ def test_held_values_can_be_fed_back_as_seeds():
     assert left.saturated_seeds == right.saturated_seeds == {0, 1, 2}
 
 
+# disc_point accepts it (1 - s > 1e-13), but it lies in the hold band
+BAND_SEED = 0.9999999999998
+
+
+@pytest.mark.parametrize("jets", [False, True])
+@pytest.mark.parametrize("f", [Blaschke((0.5, 0.4 + 0.2j), 0.0), Scale(0.5)], ids=["replay", "matrix"])
+def test_a_seed_in_the_band_is_not_held(f, jets):
+    # the hold rule reads computed values: f(s) lies out of the band (the
+    # Blaschke image 2.8 band widths from the circle), so both engines
+    # report it, and on a one-generator cycle R_n = L_n bit for bit
+    assert abs(BAND_SEED) > ifs._HELD_RADIUS
+    stream = GeneratorStream.from_cycle([f])
+    left = LeftOrbitCursor(stream, (BAND_SEED,))
+    right = RightOrbitState(stream, (BAND_SEED,), jets=jets)
+    assert right.advance().values == left.advance().values == [holomap.eval_raw(f, BAND_SEED)]
+    for _ in range(49):
+        assert right.advance().values == left.advance().values
+    assert (right.matrix is None) == (f.matrix() is None)
+    assert not left.saturated_seeds and not right.saturated_seeds
+
+
 def test_stream_indexing_conventions():
     s = GeneratorStream.from_list([Scale(0.5), Monomial(2)])
     assert s.generator_at(1) == Scale(0.5)
@@ -313,6 +334,25 @@ def test_right_orbit_returns_from_the_boundary():
     assert abs(state.values[0]) < 1e-2
 
 
+def test_right_release_from_the_band_is_not_ledgered():
+    # 22 steps of A toward 1, a turn by e^i, 22 steps of A^-1: R_n(0)
+    # enters the band at n = 22, moves along it with the turn and leaves
+    # it at n = 67 far from the held value.  That move is not one step,
+    # and the ledger, which compares computed values, skips it because
+    # R_66(0) lies in the band
+    out, back = (Mobius(moebius.make_disc_auto(a, 0.0)) for a in (0.6, -0.6))
+    s = GeneratorStream.from_cycle([out] * 22 + [Scale(cmath.exp(1j))] + [back] * 22)
+    state = RightOrbitState(s, (0j,))
+    for _ in range(65):
+        state.advance()
+    held = state.values[0]
+    assert state.advance().values[0] is held
+    state.advance()
+    # the step bound omega(0, f_67(0)) is atanh(0.6) = 0.69
+    assert disc_distance(held, state.values[0]) > 10.0
+    assert state.saturated_seeds == {0}
+
+
 class _NaNScale(Scale):
     """A scale node whose evaluations are NaN, off the matrix path."""
 
@@ -327,10 +367,10 @@ class _NaNScale(Scale):
 
 
 class _InfMatrixScale(Scale):
-    """A scale node whose matrix has an infinite entry."""
+    """A scale node whose matrix, built past MoebiusMap's checks, has an infinite entry."""
 
     def matrix(self):
-        return moebius.MoebiusMap(complex("inf"), 0.0, 0.0, 1.0)
+        return moebius._trusted(complex("inf"), 0j, 0j, 1.0 + 0j, moebius.GENERIC)
 
 
 @pytest.mark.parametrize("bad, jets", [(_NaNScale, False), (_NaNScale, True), (_InfMatrixScale, False)])
