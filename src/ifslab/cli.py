@@ -6,21 +6,23 @@ CSV row is one ``%`` format of its artifact's row layout, JSON keys are
 sorted, and nothing embeds a timestamp or machine identifier, so the
 same configuration and seed produce byte-identical files.
 
-Every JSON artifact is a report dataclass's fields, walked by one
-serializer (``_report``/``_json``: a complex becomes ``[re, im]``, a
-Moebius map its ``moebius.to_json`` payload), and is written strictly:
-a JSON artifact never holds NaN or Infinity.
+Every JSON artifact is a report dataclass's fields as they are
+(``_report``), converted by the encoder's hook as it reaches them
+(``_encode``: a complex becomes ``[re, im]``, a Moebius map its
+``moebius.to_json`` payload, a dataclass its fields), and is written
+strictly: a JSON artifact never holds NaN or Infinity.
 
 Every artifact streams to a temporary name in the output directory in
 fixed-size chunks as it is produced, so memory stays flat in N, and is
 renamed into place once complete: a failed run leaves no artifact.
 
 Exit status: 0 on success, 2 on a configuration or input problem (a
-size below 1, or a float or complex flag that is NaN or infinite), 3 on
-a numerical abort (a diagnostics.json is left in the output directory).
-A result that is not finite is such an abort, named NonFiniteError.  An
-abort while orbit.csv streams keeps its rows so far as orbit.partial.csv,
-which diagnostics.json names, with the row count, under partial.
+size below 1, a float flag that is NaN or infinite, a point flag outside
+the disc, or a left probe within TOL_ZERO of 0), 3 on a numerical abort
+(a diagnostics.json is left in the output directory, with the error's
+partial data under partial).  A result that is not finite is such an
+abort, named NonFiniteError.  An abort while orbit.csv streams keeps its
+rows so far as orbit.partial.csv, which partial names with the row count.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import sys
 from dataclasses import fields, is_dataclass
 
 from . import bounds, criteria, gallery, holomap, ifs, moebius, straighten
-from .geometry import DomainError, _omega_raw
+from .geometry import DomainError, _omega_raw, disc_point
 
 ORBIT_HEADER = "n,seed_re,seed_im,value_re,value_im,omega_to_origin,step_omega"
 STRAIGHTEN_HEADER = "n,residual,abs_h_w,distortion_at_0"
@@ -47,7 +49,6 @@ MARGINS_HEADER = "kind,seed,z,w,lhs,rhs,margin"
 CSV_CHUNK = 4096  # rows per write
 SVG_CHUNK = 4096  # polyline points per write
 JSON_CHUNK = 8192  # encoder pieces per write
-_JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
 
 
 class CLIError(Exception):
@@ -57,35 +58,36 @@ class CLIError(Exception):
 def _parse_complex(text: str) -> complex:
     try:
         value = complex(text.replace(" ", ""))
+        if cmath.isfinite(value):
+            return disc_point(value)
+    except DomainError as e:  # a ValueError, caught first
+        raise CLIError(str(e))
     except ValueError:
         raise CLIError(f"not a complex number: {text!r}")
-    if not cmath.isfinite(value):
-        raise CLIError(f"must be finite, got {text!r}")
-    return value
+    raise CLIError(f"must be finite, got {text!r}")
 
 
-def _json(v):
-    """JSON value of a report field: a complex as [re, im], a Moebius map
-    as its moebius.to_json payload, a dataclass as its fields, a tuple or
-    list as a list, a dict by its values; anything else as it is."""
+def _report(obj, drop=(), **extra) -> dict:
+    """The fields of the report dataclass obj, minus drop, plus extra, as they are."""
+    out = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}
+    out.update(extra)
+    return out
+
+
+def _encode(v):
+    """_JSON's hook for what JSON has no type for: a complex as [re, im], a
+    Moebius map as its moebius.to_json payload, a dataclass as its fields."""
     if isinstance(v, complex):
         return [v.real, v.imag]
-    if isinstance(v, (tuple, list)):
-        return [_json(x) for x in v]
     if isinstance(v, moebius.MoebiusMap):
         return moebius.to_json(v)
     if is_dataclass(v):
         return _report(v)
-    if isinstance(v, dict):
-        return {k: _json(x) for k, x in v.items()}
-    return v
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _report(obj, drop=(), **extra) -> dict:
-    """The fields of the report dataclass obj, minus drop, plus extra."""
-    out = {f.name: _json(getattr(obj, f.name)) for f in fields(obj) if f.name not in drop}
-    out.update((k, _json(v)) for k, v in extra.items())
-    return out
+# a report holds no cycle, so the encoder skips its per-container cycle bookkeeping
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, check_circular=False, default=_encode)
 
 
 @contextlib.contextmanager
@@ -113,8 +115,8 @@ def _write_text(fh, text: str) -> None:
 def _write_csv(path: pathlib.Path, header: str, rows) -> None:
     """rows yields formatted lines without their newline.  If a numerical
     abort cuts them short, every line so far is kept as <stem>.partial.csv,
-    named with its count in the error's kept_rows; a complete write
-    removes a stale one."""
+    named with its count in the error's partial; a complete write removes
+    a stale one."""
     partial = path.with_name(path.stem + ".partial" + path.suffix)
     with _artifact(path, partial) as fh:
         _write_text(fh, header + "\n")
@@ -126,7 +128,7 @@ def _write_csv(path: pathlib.Path, header: str, rows) -> None:
                     _write_text(fh, "\n".join(chunk + [""]))
                     chunk, done = [], done + CSV_CHUNK
         except _NUMERIC_ABORTS as e:
-            e.kept_rows = {"file": partial.name, "rows": done + len(chunk)}
+            e.partial = {**(getattr(e, "partial", None) or {}), "file": partial.name, "rows": done + len(chunk)}
             raise
         finally:  # the last short chunk, of a complete run or kept on an abort
             if chunk:
@@ -223,6 +225,8 @@ def _cmd_straighten(args, out: pathlib.Path) -> int:
     stream = _load_stream(args.stream)
     probe = _parse_complex(args.probe)
     if args.side == "left":
+        if abs(probe) <= straighten.TOL_ZERO:  # left_straighten's DomainError, as exit 2
+            raise CLIError(f"a left --probe within {straighten.TOL_ZERO:g} of 0 reads as a collapse")
         res = straighten.left_straighten(stream, args.horizon, probe=probe, tol=args.tol)
     else:
         if not args.orbit:
@@ -485,10 +489,8 @@ def main(argv=None) -> int:
         return 2
     except _NUMERIC_ABORTS as e:
         diag = {"command": args.command, "error": type(e).__name__, "message": str(e)}
-        partial = getattr(e, "partial", None) or getattr(e, "diagnostics", None) or {}
-        partial = {**partial, **getattr(e, "kept_rows", {})}
-        if partial:
-            diag["partial"] = _json(partial)
+        if partial := getattr(e, "partial", None):
+            diag["partial"] = partial
         _write_json(out / "diagnostics.json", diag)
         print(f"ifslab: numerical abort: {e} (diagnostics.json written)", file=sys.stderr)
         return 3

@@ -39,12 +39,12 @@ class ConsistencyError(RuntimeError):
 
 
 class NonFiniteError(ConsistencyError):
-    """A computed value stopped being finite: a right orbit value,
-    derivative or matrix entry, a margin side, or an artifact number."""
+    """A computed value stopped being finite (a right orbit value, derivative
+    or matrix entry, a margin side, an artifact number); `partial` names where."""
 
-    def __init__(self, message: str, diagnostics: dict | None = None):
+    def __init__(self, message: str, partial=None):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.partial = partial
 
 
 class InconclusiveError(RuntimeError):

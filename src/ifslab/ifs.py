@@ -334,7 +334,7 @@ class RightOrbitState(_Engine):
         if not 0.25 <= size <= 4.0:
             if not 0.0 < size < math.inf:
                 raise NonFiniteError(
-                    f"right matrix product has entry sum {size!r} at n = {n}", diagnostics={"n": n}
+                    f"right matrix product has entry sum {size!r} at n = {n}", partial={"n": n}
                 )
             # a power of two scales every entry exactly; 2.0 ** 1024 overflows
             scale = 2.0 ** min(-math.frexp(size)[1], 1023)
@@ -368,7 +368,7 @@ class RightOrbitState(_Engine):
             if not (cmath.isfinite(val) and (dv is None or cmath.isfinite(dv))):
                 raise NonFiniteError(
                     f"right orbit of seed {i} is not finite at n = {n}: {val!r}",
-                    diagnostics={"n": n, "seed": i},
+                    partial={"n": n, "seed": i},
                 )
             gap = 1.0 - abs(val)
             if gap < _SATURATED_GAP:  # abs(val) > _HELD_RADIUS: held

@@ -181,16 +181,16 @@ def translate_to_zero(w) -> MoebiusMap:
     return _trusted(1.0 + 0j, -wv, -wv.conjugate(), 1.0 + 0j, DISC)
 
 
+def _matmul(m, n):
+    ma, mb, mc, md = m
+    na, nb, nc, nd = n
+    return (ma * na + mb * nc, ma * nb + mb * nd, mc * na + md * nc, mc * nb + md * nd)
+
+
 def compose(g: MoebiusMap, f: MoebiusMap) -> MoebiusMap:
     """Matrix product: (g o f)(z) = g(f(z))."""
     domain = g.domain if g.domain == f.domain else GENERIC
-    return _trusted(
-        g.a * f.a + g.b * f.c,
-        g.a * f.b + g.b * f.d,
-        g.c * f.a + g.d * f.c,
-        g.c * f.b + g.d * f.d,
-        domain,
-    )
+    return _trusted(*_matmul(g.entries(), f.entries()), domain)
 
 
 def inverse(g: MoebiusMap) -> MoebiusMap:
@@ -241,12 +241,6 @@ def matrix_distance(g: MoebiusMap, h: MoebiusMap) -> float:
 # Cayley transform as a matrix: z |-> (z - i)/(z + i), and its adjugate.
 _CAYLEY = (1.0, -1j, 1.0, 1j)
 _CAYLEY_ADJ = (1j, 1j, -1.0, 1.0)
-
-
-def _matmul(m, n):
-    ma, mb, mc, md = m
-    na, nb, nc, nd = n
-    return (ma * na + mb * nc, ma * nb + mb * nd, mc * na + md * nc, mc * nb + md * nd)
 
 
 def to_disc(g: MoebiusMap) -> MoebiusMap:

@@ -161,9 +161,12 @@ def left_straighten(
 
     extra_points are carried through the same coordinate changes and
     reported in h_extra without affecting the convergence decision.
+    A probe within TOL_ZERO of 0 is a DomainError: |H_n(probe)| <= |probe|.
     """
     grid = DEFAULT_GRID
     probe = disc_point(probe)
+    if abs(probe) <= TOL_ZERO:
+        raise DomainError(f"left probe within {TOL_ZERO:g} of 0 reads as a collapse at step 1: {probe!r}")
     h_extra = tuple(disc_point(z) for z in extra_points)
     trail = _Trail(tol, grid, probe)
 

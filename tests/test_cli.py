@@ -319,17 +319,44 @@ def test_non_finite_float_flags_exit_2_before_any_artifact(tmp_path, capsys, arg
 
 # point flags are parsed inside the subcommand, so they exit 2 through
 # main's return value rather than through argparse's SystemExit
-@pytest.mark.parametrize("argv", [
-    ["classify", "--stream", BASEL, "-N", "5", "--base-point", "nan"],
-    ["classify", "--stream", BASEL, "--side", "right", "-N", "5", "--base-point", "inf"],
-    ["simulate", "--stream", BASEL, "-N", "5", "--seed-point", "nan+nanj"],
-    ["straighten", "--stream", BASEL, "-N", "5", "--probe", "nan"],
-    ["straighten", "--stream", BASEL, "-N", "5", "--probe=-infj"],
-], ids=["base-point-nan", "right-base-point-inf", "seed-point-nan", "probe-nan", "probe-neg-inf"])
-def test_non_finite_point_flags_exit_2_before_any_artifact(tmp_path, capsys, argv):
+# point flags are disc points: one outside the disc exits 2 as well, and
+# so does a left probe whose |H_n(probe)| <= |probe| reads as a collapse
+_OUTSIDE = "not an interior disc point"
+_COLLAPSE = "reads as a collapse"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--stream", BASEL, "-N", "5", "--base-point", "nan"], "must be finite"),
+    (["classify", "--stream", BASEL, "--side", "right", "-N", "5", "--base-point", "inf"], "must be finite"),
+    (["simulate", "--stream", BASEL, "-N", "5", "--seed-point", "nan+nanj"], "must be finite"),
+    (["straighten", "--stream", BASEL, "-N", "5", "--probe", "nan"], "must be finite"),
+    (["straighten", "--stream", BASEL, "-N", "5", "--probe=-infj"], "must be finite"),
+    (["simulate", "--stream", BASEL, "-N", "5", "--seed-point", "1.5"], _OUTSIDE),
+    (["simulate", "--stream", BASEL, "--side", "right", "-N", "5", "--seed-point", "1.5"], _OUTSIDE),
+    (["classify", "--stream", BASEL, "-N", "5", "--base-point", "0", "--base-point", "1.5"], _OUTSIDE),
+    (["classify", "--stream", BASEL, "--side", "right", "-N", "5", "--base-point", "1.5"], _OUTSIDE),
+    (["straighten", "--stream", BASEL, "-N", "5", "--probe", "1.5"], _OUTSIDE),
+    (["straighten", "--stream", BASEL, "-N", "5", "--probe", "0"], _COLLAPSE),
+    (["straighten", "--stream", BASEL, "-N", "5", "--probe", "1e-12"], _COLLAPSE),
+    (["straighten", "--stream", BASEL, "-N", "5", "--probe", "1e-9j"], _COLLAPSE),
+], ids=["base-point-nan", "right-base-point-inf", "seed-point-nan", "probe-nan", "probe-neg-inf",
+        "seed-point-outside", "right-seed-point-outside", "base-point-outside",
+        "right-base-point-outside", "probe-outside", "left-probe-0", "left-probe-1e-12",
+        "left-probe-1e-9j"])
+def test_non_finite_point_flags_exit_2_before_any_artifact(tmp_path, capsys, argv, message):
     assert cli.main(["--out", str(tmp_path)] + argv) == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_right_probe_at_0_runs(tmp_path):
+    # the right collapse test reads the grid, so the probe 0 is a probe like any other
+    orbit = tmp_path / "orbit.json"
+    orbit.write_text(json.dumps([[0.5 ** (2.0 ** -n), 0.0] for n in range(31)]), encoding="utf-8")
+    rc = cli.main(["--out", str(tmp_path / "out"), "straighten", "--side", "right", "-N", "5",
+                   "--stream", SQUARING, "--orbit", str(orbit), "--probe", "0"])
+    assert rc == 0
+    assert _strict_json(tmp_path / "out" / "straighten.json")["probe"] == [0.0, 0.0]
 
 
 def test_write_json_rejects_non_finite_numbers(tmp_path):
@@ -347,7 +374,7 @@ def test_write_json_matches_one_shot_dumps(tmp_path):
     doc = cli._report(res, command="straighten", side="left", horizon=3000)
     assert sum(1 for _ in cli._JSON.iterencode(doc)) > cli.JSON_CHUNK
     cli._write_json(tmp_path / "s.json", doc)
-    expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=cli._encode) + "\n"
     assert (tmp_path / "s.json").read_bytes() == expected.encode("ascii")
 
 
@@ -759,6 +786,25 @@ def test_simulate_peak_memory_is_flat_in_n(tmp_path):
     ]
     assert abs(peaks[1] - peaks[0]) < 512 * 1024
     assert max(peaks) < 2_000_000
+
+
+def test_straighten_report_peak_memory_is_flat_in_n(tmp_path):
+    # the encoder converts each gamma as it reaches it: writing the report
+    # copies none of it, so 4x the gammas costs no more memory
+    stream = ifs.stream_from_json(json.loads(BASEL))
+    drop = ("probe_trace", "residual_trace", "distortion_trace", "h_extra")
+    peaks = []
+    for n in (2_000, 8_000):
+        res = straighten.left_straighten(stream, n, tol=0.0)
+        assert res.steps == len(res.gammas) == n
+        tracemalloc.start()
+        try:
+            doc = cli._report(res, drop=drop, command="straighten", side="left", horizon=n)
+            cli._write_json(tmp_path / f"{n}.json", doc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 512 * 1024
 
 
 def test_simulate_peak_memory_per_row(tmp_path):

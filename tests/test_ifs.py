@@ -382,7 +382,7 @@ def test_right_non_finite_is_a_named_abort(bad, jets):
         state.advance()
     assert isinstance(exc.value, holomap.ConsistencyError)
     assert ifs.NonFiniteError is holomap.NonFiniteError is ifslab.NonFiniteError
-    assert exc.value.diagnostics["n"] == 2
+    assert exc.value.partial["n"] == 2
 
 
 def _replayed(stream, seeds, N):

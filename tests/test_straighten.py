@@ -86,6 +86,15 @@ def test_left_strict_contraction_degenerates():
     assert abs(res.h_at_probe) < 1e-8
 
 
+@pytest.mark.parametrize("probe", [0j, 1e-12, TOL_ZERO])
+def test_left_probe_near_0_is_rejected(probe):
+    # H_n fixes 0, so |H_n(probe)| <= |probe| would read as a collapse at step 1
+    # on any stream: the Basel stream's h(0.5) is about 0.25, far from 0
+    with pytest.raises(DomainError, match="collapse"):
+        left_straighten(scale_product_stream(2), 50, probe=probe)
+    assert not left_straighten(scale_product_stream(2), 50, probe=1e-6).degenerate
+
+
 def test_left_boundary_drift_stops():
     # w |-> 2w + i on the half-plane pushes the orbit of 0 into the
     # boundary; the runner must stop at the guard rather than die
