@@ -1,23 +1,25 @@
 """Series tests and limit-type classification for composition systems.
 
 The central quantity is the per-step distortion deficit 1 - f_n#(.),
-taken either at a fixed base point or along the left orbit.  Its
-series diverging with a collapsing distortion product signals constant
-limit functions; a summable tail with a stabilizing product signals
-nonconstant limits.  Both signals are finite-horizon: the verdicts say
-what the first N steps establish, nothing more, and "inconclusive" is
-an expected outcome near the threshold.
+taken along the left orbit.  Its series diverging with a collapsing
+distortion product signals constant limit functions; a summable tail
+with a stabilizing product signals nonconstant limits.  Both signals are
+finite-horizon: the verdicts say what the first N steps establish,
+nothing more, and "inconclusive" is an expected outcome near the
+threshold.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import holomap
 from .geometry import disc_point
 from .holomap import InconclusiveError
-from .ifs import _HELD_RADIUS, GeneratorStream, RightOrbitState, orbit_bounded
+from .ifs import _Escape, GeneratorStream, LeftOrbitCursor, RightOrbitState
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,8 @@ class SeriesConfig:
 
 SERIES = SeriesConfig()
 
-# left classification: a left orbit of the first base point that escapes
-# this omega distance of 0 (as orbit_bounded reads escape) marks the
-# family as not relatively compact
+# left classification: the first base point's left orbit escaping this omega
+# distance of 0 (by orbit_bounded's rule) marks the family not relatively compact
 _ESCAPE_RADIUS = 3.0
 # right classification: distortion samples at N/4, N/2, 3N/4 and N
 _CHECKPOINTS = 4
@@ -47,14 +48,13 @@ _POLISH_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SeriesReport:
-    mode: str
     base_point: complex
     terms: tuple
     partial_sums: tuple
     products: tuple
     orbit: tuple
     verdict: str  # "diverging" | "summable_so_far" | "inconclusive"
-    product_residual_max: float | None
+    product_residual_max: float
 
 
 def _series_verdict(partial_sums, products, terms) -> str:
@@ -69,71 +69,65 @@ def _series_verdict(partial_sums, products, terms) -> str:
     return "inconclusive"
 
 
-def distortion_series(
-    stream: GeneratorStream,
-    N: int,
-    z0=0j,
-    mode: str = "along_orbit",
-) -> SeriesReport:
-    """Accumulate terms 1 - f_n#(.) and the distortion product.
-
-    In along_orbit mode the evaluation point follows the left orbit of
-    z0, the product then being the distortion of L_n at z0 by the chain
-    rule; the report carries the largest discrepancy between that
-    product and the composite distortion computed from the running
-    complex derivative, which is an exact identity up to rounding.  An
-    orbit value within the engines' held band (ifs._HELD_RADIUS) of the
-    circle ends the series with InconclusiveError naming the step.
+def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: float | None = None):
+    """The deficit series along the left orbits of pts, from one jet-carrying
+    cursor; None if by the horizon the first point's reported orbit escapes
+    escape_radius, when given, by orbit_bounded's rule.  A series ends at a
+    constant generator (ValueError) or where the cursor holds its value
+    (InconclusiveError); that error, or a distortion's, is raised after the
+    sweep, the first point's first.  product_residual_max is the largest gap
+    between the product and the composite distortion, equal up to rounding.
     """
-    if mode not in ("along_orbit", "fixed_point"):
-        raise ValueError("mode must be 'along_orbit' or 'fixed_point'")
-    z = disc_point(z0)
-    v = z
-    terms = []
-    sums = []
-    prods = []
-    orbit = [v]
-    total = 0.0
-    prod = 1.0
-    deriv = 1.0 + 0.0j
-    resid_max = 0.0 if mode == "along_orbit" else None
+    cursor = LeftOrbitCursor(stream, pts, track_pairs=False, jets=True)
+    watch = None if escape_radius is None else _Escape(cursor, escape_radius)
+    runs = [[[z], [], None] for z in cursor.seeds]  # orbit, step derivatives, error
     for n in range(1, N + 1):
-        f = stream.generator_at(n)
-        if holomap._as_constant(f) is not None:
-            raise ValueError(f"generator {n} is constant; the deficit series needs nonconstant maps")
-        if mode == "along_orbit":
-            at = v
-            v, dv = f.jet(at)
-            if abs(v) > _HELD_RADIUS:
-                raise InconclusiveError(
-                    f"left orbit entered the held band at step {n}: {v!r}",
-                    partial={"step": n, "last": v},
-                )
-            d = holomap._distortion_from_jet(at, v, dv)
-        else:
-            d = holomap.distortion(f, z)
-            v = holomap.eval_raw(f, v)
-        terms.append(1.0 - d)
-        total += 1.0 - d
-        sums.append(total)
-        prod *= d
-        prods.append(prod)
-        if mode == "along_orbit":
-            deriv *= dv
-            den = 1.0 - abs(v) ** 2
-            direct = abs(deriv) * (1.0 - abs(z) ** 2) / den if den > 0 else float("inf")
+        if watch is None and runs[0][2] is not None:
+            break  # a lone series (no escape check) ends at its error
+        (cursor if watch is None else watch).advance()
+        constant = holomap._as_constant(cursor.generator) is not None
+        for i, (run, v, dv) in enumerate(zip(runs, cursor.computed, cursor.derivs)):
+            if run[2] is not None:
+                continue
+            if constant:
+                run[2] = ValueError(f"generator {n} is constant; the deficit series needs nonconstant maps")
+            elif i in cursor.saturated_seeds:
+                msg = f"left orbit entered the held band at step {n}: {v!r}"
+                run[2] = InconclusiveError(msg, partial={"step": n, "last": v})
+            else:
+                run[0].append(v)
+                run[1].append(dv)
+    if watch is not None and watch.first is not None:
+        return None
+    reports = []
+    for z, (orbit, derivs, stop) in zip(cursor.seeds, runs):
+        dists = [holomap._distortion_from_jet(at, v, dv) for at, v, dv in zip(orbit, orbit[1:], derivs)]
+        if stop is not None:
+            raise stop
+        terms = tuple(1.0 - d for d in dists)
+        prods = tuple(accumulate(dists, operator.mul))
+        resid_max = 0.0
+        for v, deriv, prod in zip(orbit[1:], accumulate(derivs, operator.mul), prods):
+            direct = abs(deriv) * (1.0 - abs(z) ** 2) / (1.0 - abs(v) ** 2)  # v lies off the band
             resid_max = max(resid_max, abs(direct - prod))
-        orbit.append(v)
-    return SeriesReport(
-        mode=mode,
-        base_point=z,
-        terms=tuple(terms),
-        partial_sums=tuple(sums),
-        products=tuple(prods),
-        orbit=tuple(orbit),
-        verdict=_series_verdict(sums, prods, terms),
-        product_residual_max=resid_max,
-    )
+        sums = tuple(accumulate(terms))
+        reports.append(
+            SeriesReport(
+                base_point=z,
+                terms=terms,
+                partial_sums=sums,
+                products=prods,
+                orbit=tuple(orbit),
+                verdict=_series_verdict(sums, prods, terms),
+                product_residual_max=resid_max,
+            )
+        )
+    return tuple(reports)
+
+
+def distortion_series(stream: GeneratorStream, N: int, z0=0j) -> SeriesReport:
+    """Terms 1 - f_n#(L_{n-1} z0), their sums and products along the left orbit of z0 (see _left_series)."""
+    return _left_series(stream, N, (disc_point(z0),))[0]
 
 
 @dataclass(frozen=True)
@@ -150,7 +144,7 @@ def classify_left_limits(
     N: int,
     base_points=(0j, 0.3 + 0.2j),
 ) -> LeftLimitReport:
-    """Classify the limit behavior of L_n at the horizon N.
+    """Classify the limit behavior of L_n at the horizon N, in one sweep.
 
     A left orbit escaping every bounded region means the family is not
     relatively compact and no limit function exists to classify.  For
@@ -158,15 +152,15 @@ def classify_left_limits(
     force every limit function to be constant, summable ones keep the
     limits nonconstant.  Verdicts are required to agree across the base
     points; disagreement or any inconclusive verdict is reported as
-    inconclusive rather than silently preferring one point.
+    inconclusive rather than silently preferring one point.  A series
+    error stands only once escape is ruled out.
     """
     pts = tuple(disc_point(p) for p in base_points)
     if len(pts) < 2:
         raise ValueError("need at least two base points for cross-checking")
-    bound = orbit_bounded(stream, pts[0], N, _ESCAPE_RADIUS, side="left")
-    if bound.escaped:
+    reports = _left_series(stream, N, pts, _ESCAPE_RADIUS)
+    if reports is None:
         return LeftLimitReport("not_relatively_compact", (), (), True, _ESCAPE_RADIUS)
-    reports = tuple(distortion_series(stream, N, p, "along_orbit") for p in pts)
     limits = tuple(r.orbit[-1] for r in reports)
     verdicts = {r.verdict for r in reports}
     agreement = len(verdicts) == 1
@@ -189,13 +183,8 @@ class RightLimitReport:
 
 
 def _right_distortion_product(state: RightOrbitState) -> float:
-    """Distortion of R_n at the first seed z0 of a jet-carrying engine.
-
-    By the chain rule it is the product of f_j#(v_j) for j = 1..n along
-    v_n = z0, v_{j-1} = f_j(v_j); here it is read in one piece from the
-    carried jet (R_n(z0), R_n'(z0)).  Raises ConsistencyError for a
-    value outside the disc or a distortion above 1.
-    """
+    """Distortion of R_n at the first seed z0 of a jet-carrying engine: the
+    chain-rule product of the f_j#, read from the jet (R_n(z0), R_n'(z0))."""
     return holomap._distortion_from_jet(state.seeds[0], state.values[0], state.derivs[0])
 
 
@@ -284,9 +273,9 @@ def track_fixed_points(
     points = []
     resid_max = 0.0
     min_deficit = 1.0
-    prev = cur = 0j  # the first polish starts at 0, each later one at p_{n-1}; cur is L_n(0)
+    cursor = LeftOrbitCursor(stream, (0j,), track_pairs=False)  # L_n(0)
     for n in range(1, N + 1):
-        f = stream.generator_at(n)
+        f = cursor.advance().generator
         for s in _GUARD_SAMPLES:
             deficit = 1.0 - holomap.distortion(f, s)
             min_deficit = min(min_deficit, deficit)
@@ -295,7 +284,7 @@ def track_fixed_points(
                     f"generator {n} has distortion {1 - deficit!r} at {s!r}; "
                     f"tracking needs a contraction margin of {guard:g}"
                 )
-        p = holomap.polish_fixed_point(f, prev)
+        p = holomap.polish_fixed_point(f, points[-1] if points else 0j)
         resid = math.inf if abs(p) >= 1.0 else abs(holomap.eval_raw(f, p) - p)
         if resid > _POLISH_TOL:
             report = holomap.denjoy_wolff(f)
@@ -307,14 +296,12 @@ def track_fixed_points(
             resid = abs(holomap.eval_raw(f, p) - p)
         resid_max = max(resid_max, resid)
         points.append(p)
-        prev = p
-        cur = holomap.eval_raw(f, cur)
     if not points:
         raise ValueError("N must be at least 1")
     return FixedPointReport(
         points=tuple(points),
         residual_max=resid_max,
         limit_estimate=points[-1],
-        orbit_gap=abs(cur - points[-1]),
+        orbit_gap=abs(cursor.computed[0] - points[-1]),
         min_deficit=min_deficit,
     )

@@ -19,7 +19,10 @@ entries and ledger bounds once.  Both engines stop checking what
 double precision can no longer resolve: the left cursor freezes a
 pair's distance ledger, the right one skips a step's ledger, and both
 hold a seed's reported value under one rule (_Engine) while its
-computed value lies within ~1600 ulps of the boundary.
+computed value lies within ~1600 ulps of the boundary; computed keeps
+the unheld values.  The left cursor also keeps the generator f_n it
+applied and, with jets on, the step derivatives f_n'(L_{n-1}(s)), so
+every left orbit in criteria and straighten runs on it.
 A right value that is not finite is a named abort (NonFiniteError),
 never a silent NaN.
 """
@@ -154,7 +157,7 @@ class _Engine:
     """Seeds, values and the hold rule shared by both orbit engines.
 
     Each step computes the new value at every seed from the computed
-    previous one (_computed).  A seed is held exactly while its newly
+    previous one (computed).  A seed is held exactly while its newly
     computed value lies in the band abs(v) > _HELD_RADIUS, within ~1600
     ulps of the boundary, where omega keeps less than two digits and the
     value may round onto the circle: values then keeps the seed's last
@@ -172,13 +175,16 @@ class _Engine:
             raise ValueError("need at least one seed")
         self.n = 0
         self.values = list(self.seeds)
-        self._computed = self.values  # the engine's values at the seeds, held or not
+        self.computed = self.values  # the engine's values at the seeds, held or not
         self.saturated_seeds = set()
 
 
 class LeftOrbitCursor(_Engine):
     """Tracks L_n at a fixed set of seeds, one generator application per step.
 
+    generator is the f_n of the last step.  With jets on, each step takes
+    f_n.jet at every seed, which gives computed bit for bit as eval does,
+    and derivs holds the step derivatives f_n'(L_{n-1}(s)) (1 at n = 0).
     With track_pairs on, every seed pair carries a distance ledger that
     must be non-increasing (up to LEDGER_SLACK); an increase trips a
     ConsistencyError since it would contradict the Schwarz-Pick bound.
@@ -189,10 +195,11 @@ class LeftOrbitCursor(_Engine):
     noise.  Seeds follow _Engine's hold rule.
     """
 
-    def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True):
+    def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True, jets: bool = False):
         super().__init__(stream, seeds)
-        self.track_pairs = track_pairs
-        self.pair_distances = {}
+        self.generator = None
+        self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
+        self.pair_distances = {}  # empty with track_pairs off
         self.saturated_pairs = set()
         if track_pairs:
             for i in range(len(self.seeds)):
@@ -200,25 +207,32 @@ class LeftOrbitCursor(_Engine):
                     self.pair_distances[(i, j)] = _omega_raw(self.seeds[i], self.seeds[j])
 
     def advance(self) -> "LeftOrbitCursor":
-        f = self.stream.generator_at(self.n + 1)
-        old = self._computed
-        new = [holomap.eval_raw(f, v) for v in old]
-        if self.track_pairs:
-            for (i, j), prev in self.pair_distances.items():
-                if (i, j) in self.saturated_pairs:
-                    continue
-                # omega loses digits like eps/(1 - |z|) near the boundary;
-                # genuine expansion is O(1) relative to the distance scale
-                gap = min(1.0 - abs(new[i]), 1.0 - abs(new[j]), 1.0 - abs(old[i]), 1.0 - abs(old[j]))
-                if gap < _SATURATED_GAP:
-                    self.saturated_pairs.add((i, j))
-                    continue
-                d = _omega_raw(new[i], new[j])
-                if d > prev + LEDGER_SLACK + 16.0 * _EPS / gap:
-                    raise ConsistencyError(
-                        f"left pair distance grew at step {self.n + 1}: {prev!r} -> {d!r}"
-                    )
-                self.pair_distances[(i, j)] = d
+        f = self.generator = self.stream.generator_at(self.n + 1)
+        old = self.computed
+        if self.derivs is None:
+            new = [holomap.eval_raw(f, v) for v in old]
+        else:
+            new, derivs = [], []
+            for v in old:
+                w, d = f.jet(v)
+                new.append(w)
+                derivs.append(d)
+            self.derivs = derivs
+        for (i, j), prev in self.pair_distances.items():
+            if (i, j) in self.saturated_pairs:
+                continue
+            # omega loses digits like eps/(1 - |z|) near the boundary;
+            # genuine expansion is O(1) relative to the distance scale
+            gap = min(1.0 - abs(new[i]), 1.0 - abs(new[j]), 1.0 - abs(old[i]), 1.0 - abs(old[j]))
+            if gap < _SATURATED_GAP:
+                self.saturated_pairs.add((i, j))
+                continue
+            d = _omega_raw(new[i], new[j])
+            if d > prev + LEDGER_SLACK + 16.0 * _EPS / gap:
+                raise ConsistencyError(
+                    f"left pair distance grew at step {self.n + 1}: {prev!r} -> {d!r}"
+                )
+            self.pair_distances[(i, j)] = d
         values = new
         if max(map(abs, new)) > _HELD_RADIUS:
             values = list(new)
@@ -227,7 +241,7 @@ class LeftOrbitCursor(_Engine):
                     values[i] = self.values[i]
                     self.saturated_seeds.add(i)
         self.n += 1
-        self._computed = new
+        self.computed = new
         self.values = values
         return self
 
@@ -364,7 +378,7 @@ class RightOrbitState(_Engine):
             record[3] = (fresh, fresh_derivs)
         values = list(self.values)
         derivs = list(self.derivs) if jets else None
-        for i, (prev, val, dv, bound) in enumerate(zip(self._computed, fresh, fresh_derivs, record[2])):
+        for i, (prev, val, dv, bound) in enumerate(zip(self.computed, fresh, fresh_derivs, record[2])):
             if not (cmath.isfinite(val) and (dv is None or cmath.isfinite(dv))):
                 raise NonFiniteError(
                     f"right orbit of seed {i} is not finite at n = {n}: {val!r}",
@@ -386,7 +400,7 @@ class RightOrbitState(_Engine):
             values[i] = val
             if jets:
                 derivs[i] = dv
-        self._computed = fresh
+        self.computed = fresh
         self.values = values
         self.derivs = derivs
 
@@ -475,6 +489,27 @@ def _engine(stream: GeneratorStream, seeds, side: str):
     raise ValueError("side must be 'left' or 'right'")
 
 
+class _Escape:
+    """orbit_bounded's escape rule on an engine's first seed: escape is the
+    first of _ESCAPE_RUN consecutive steps whose reported value lies beyond
+    the radius (omega from 0), so lone near-boundary excursions do not count."""
+
+    def __init__(self, engine, radius: float):
+        self.engine, self.radius = engine, radius
+        self.max_omega = _omega_raw(0j, engine.values[0])
+        self.run = self.exceed = 0
+        self.first = None
+
+    def advance(self) -> None:
+        """Step the engine and read its first seed."""
+        om = _omega_raw(0j, self.engine.advance().values[0])
+        self.max_omega = max(self.max_omega, om)
+        self.run = self.run + 1 if om > self.radius else 0
+        self.exceed += self.run > 0
+        if self.run == _ESCAPE_RUN and self.first is None:
+            self.first = self.engine.n - _ESCAPE_RUN + 1
+
+
 def orbit_bounded(
     stream: GeneratorStream,
     z,
@@ -482,36 +517,19 @@ def orbit_bounded(
     radius: float,
     side: str = "left",
 ) -> OrbitBoundReport:
-    """Finite-horizon boundedness heuristic for one orbit.
-
-    The escape flag needs _ESCAPE_RUN consecutive steps beyond the radius,
-    which keeps single near-boundary excursions from reading as escape.
-    The verdict is explicitly a statement about the first N steps only.
-    """
-    engine = _engine(stream, (z,), side)
-    max_omega = _omega_raw(0j, engine.values[0])
-    run = 0
-    exceed = 0
-    first = None
-    for n in range(1, N + 1):
-        engine.advance()
-        om = _omega_raw(0j, engine.values[0])
-        max_omega = max(max_omega, om)
-        if om > radius:
-            exceed += 1
-            run += 1
-            if run >= _ESCAPE_RUN and first is None:
-                first = n - _ESCAPE_RUN + 1
-        else:
-            run = 0
+    """Finite-horizon boundedness heuristic for one orbit, by _Escape's rule;
+    the verdict is explicitly a statement about the first N steps only."""
+    watch = _Escape(_engine(stream, (z,), side), radius)
+    for _ in range(N):
+        watch.advance()
     return OrbitBoundReport(
         side=side,
         radius=radius,
         horizon=N,
-        max_omega=max_omega,
-        escaped=first is not None,
-        first_escape=first,
-        exceed_count=exceed,
+        max_omega=watch.max_omega,
+        escaped=watch.first is not None,
+        first_escape=watch.first,
+        exceed_count=watch.exceed,
     )
 
 

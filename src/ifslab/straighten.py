@@ -33,6 +33,7 @@ from .ifs import (
     LEDGER_SLACK,
     BackwardOrbit,
     GeneratorStream,
+    LeftOrbitCursor,
     verify_backward_orbit,
 )
 from .moebius import MoebiusMap
@@ -167,32 +168,24 @@ def left_straighten(
     probe = disc_point(probe)
     if abs(probe) <= TOL_ZERO:
         raise DomainError(f"left probe within {TOL_ZERO:g} of 0 reads as a collapse at step 1: {probe!r}")
-    h_extra = tuple(disc_point(z) for z in extra_points)
+    # one left cursor: the grid (0 first, so a_n = L_n(0) leads), probe, extras
+    k = len(grid)
+    cursor = LeftOrbitCursor(stream, grid + (probe,) + tuple(extra_points), track_pairs=False, jets=True)
+    h_extra = cursor.seeds[k + 1 :]
     trail = _Trail(tol, grid, probe)
-
-    vals = list(grid)
-    v_probe = probe
-    v_extra = list(h_extra)
-    a = 0j  # L_n(0)
     dist0 = 1.0
     theta = 0.0
     boundary_stop = False
 
     for n in range(1, N + 1):
-        f = stream.generator_at(n)
-        at = a  # L_{n-1}(0), kept off the circle by the BOUNDARY_GUARD stop
-        a, da = f.jet(at)
-        dist0 *= holomap._distortion_from_jet(at, a, da)
-        vals = [holomap.eval_raw(f, v) for v in vals]
-        v_probe = holomap.eval_raw(f, v_probe)
-        v_extra = [holomap.eval_raw(f, v) for v in v_extra]
+        at = cursor.computed[0]  # L_{n-1}(0), kept off the circle by the BOUNDARY_GUARD stop
+        vals = cursor.advance().computed
+        a = vals[0]  # L_n(0)
+        dist0 *= holomap._distortion_from_jet(at, a, cursor.derivs[0])
 
         ca = a.conjugate()
-
-        def unrotated(v):
-            return (v - a) / (1.0 - ca * v)
-
-        u_probe = unrotated(v_probe)
+        unrotated = [(v - a) / (1.0 - ca * v) for v in vals]  # gamma_n^{-1} up to the rotation
+        u_probe = unrotated[k]
         pa = abs(u_probe)
         # the coordinate change has condition number ~ 1/(1 - |a|), and
         # orbit rounding accumulates over n steps; scale the slack so the
@@ -206,8 +199,8 @@ def left_straighten(
             theta = math.atan2(u_probe.imag, u_probe.real)
         rot = cmath.exp(-1j * theta)
 
-        h_grid = tuple(rot * unrotated(v) for v in vals)
-        h_extra = tuple(rot * unrotated(v) for v in v_extra)
+        h_grid = tuple(rot * u for u in unrotated[:k])
+        h_extra = tuple(rot * u for u in unrotated[k + 1 :])
         eitheta = cmath.exp(1j * theta)
         gamma = moebius._trusted(eitheta, a, ca * eitheta, 1.0 + 0j, moebius.DISC)
         if trail.record(h_grid, rot * u_probe, pa, dist0, gamma, theta, pa):
@@ -325,12 +318,12 @@ def mu_step(f: MapExpr, z, mu: int, N: int) -> MuStepReport:
     if auto is not None:
         val = _omega_raw(zv, moebius.apply(moebius.power(auto, mu), zv))
         return MuStepReport(value=val, trace=(val,) * (N + 1), exact=True)
+    cursor = LeftOrbitCursor(GeneratorStream.constant(f), (zv,), track_pairs=False)
     orbit = [zv]
     for _ in range(N + mu):
-        nxt = holomap.eval_raw(f, orbit[-1])
-        orbit.append(nxt)
+        orbit.append(cursor.advance().computed[0])
         # past this radius double precision cannot resolve the distances
-        if 1.0 - abs(nxt) < BOUNDARY_GUARD:
+        if 1.0 - abs(orbit[-1]) < BOUNDARY_GUARD:
             break
     avail = min(N, len(orbit) - 1 - mu)
     if avail < 0:

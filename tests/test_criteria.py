@@ -75,14 +75,6 @@ def test_superattracting_terms_are_one():
     assert rep.verdict == "diverging"
 
 
-def test_fixed_point_mode():
-    rep = distortion_series(scale_product_stream(2), 5000, 0j, mode="fixed_point")
-    assert rep.mode == "fixed_point"
-    assert rep.verdict == "summable_so_far"
-    with pytest.raises(ValueError):
-        distortion_series(scale_product_stream(2), 10, 0j, mode="sideways")
-
-
 def test_series_on_an_escaping_orbit_is_a_named_abort():
     # the left orbit of 0 under this hyperbolic automorphism runs into the
     # circle; the series stops where it enters the engines' held band,
@@ -92,9 +84,6 @@ def test_series_on_an_escaping_orbit_is_a_named_abort():
         distortion_series(s, 200)
     assert e.value.partial["step"] == 22
     assert abs(e.value.partial["last"]) > ifs._HELD_RADIUS
-    # a fixed base point never nears the circle, so that series runs on
-    rep = distortion_series(s, 200, mode="fixed_point")
-    assert len(rep.terms) == 200
 
 
 def test_constant_generator_rejected():
@@ -103,6 +92,10 @@ def test_constant_generator_rejected():
         distortion_series(s, 10, 0j)
     with pytest.raises(ValueError):
         classify_right_limits(s, 10)
+    s = GeneratorStream.from_list([Scale(0.5), Constant(0.2), Scale(0.5)])
+    for run in (lambda: distortion_series(s, 3), lambda: classify_left_limits(s, 3)):
+        with pytest.raises(ValueError, match="generator 2 is constant"):
+            run()
 
 
 def test_left_classification_harmonic():
@@ -134,6 +127,18 @@ def test_left_classification_escaping():
         assert classify_left_limits(s, 200).kind == "not_relatively_compact"
 
 
+def test_left_classification_near_the_circle():
+    # L_1(0) lies 1e-9 inside the circle and L_2(0) in the held band: at
+    # N = 2 the reported orbit has not escaped, so the series' band abort
+    # stands, whichever base point comes first; one more held step is escape
+    s = GeneratorStream.from_cycle([Mobius(moebius.make_disc_auto(0.999999999, 0.0))])
+    for pts in ((0j, 0.9), (0.9, 0j)):
+        with pytest.raises(InconclusiveError, match="at step 2") as e:
+            classify_left_limits(s, 2, pts)
+        assert e.value.partial["step"] == 2
+        assert classify_left_limits(s, 3, pts).kind == "not_relatively_compact"
+
+
 def _count_scale_calls(monkeypatch) -> Counter:
     calls = Counter()
     for name in ("jet", "eval"):
@@ -151,9 +156,9 @@ def test_series_takes_one_jet_per_step(monkeypatch):
     distortion_series(scale_product_stream(2), 100, 0.3j)
     assert calls == Counter({"jet": 100})
     calls.clear()
-    # one series per base point; the escape check evaluates one orbit
+    # one sweep: one jet per base point, which the escape check reads too
     classify_left_limits(scale_product_stream(2), 100)
-    assert calls == Counter({"jet": 200, "eval": 100})
+    assert calls == Counter({"jet": 200})
 
 
 def _chain_rule_product(s: GeneratorStream, n: int, z0: complex) -> float:

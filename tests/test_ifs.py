@@ -264,7 +264,7 @@ class _Replayed(Mobius):
 @pytest.mark.xfail(
     strict=True,
     raises=holomap.ConsistencyError,
-    reason="ROADMAP items 1 and 12: the right step ledger's noise term reads only the gaps of "
+    reason="ROADMAP item 12: the right step ledger's noise term reads only the gaps of "
     "R_{n-1}(s) and R_n(s), not the error a replayed value carries; false abort at n = 36",
 )
 @pytest.mark.parametrize("seed", [0j, 0.3 + 0.2j])
