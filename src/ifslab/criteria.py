@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -202,12 +203,14 @@ def classify_right_limits(
     of the right engine, carrying R_n'(z0), gives both the values and
     the checkpoints.  A base point that saturates near the boundary
     before the last checkpoint leaves the verdict inconclusive.  Raises
-    ValueError for a constant generator.
+    ValueError for a constant generator.  Only the values R_n(z0) of the
+    last SERIES.summable_window steps and the one before them are kept,
+    which is all the tail movement reads.
     """
     z = disc_point(z0)
     marks = sorted({max(1, (N * k) // _CHECKPOINTS) for k in range(1, _CHECKPOINTS + 1)})
     state = RightOrbitState(stream, (z,), jets=True)
-    values = [z]
+    values = deque([z], maxlen=SERIES.summable_window + 1)
     prods = []
     for n in range(1, N + 1):
         state.advance()
@@ -257,6 +260,41 @@ class FixedPointReport:
 _GUARD_SAMPLES = (0j, 0.4, -0.3 + 0.3j)
 
 
+def _same_bits(a: complex, b: complex) -> bool:
+    """a and b are the same complex number bit for bit (0.0 and -0.0 differ; NaN matches nothing)."""
+    return (
+        a == b
+        and math.copysign(1.0, a.real) == math.copysign(1.0, b.real)
+        and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag)
+    )
+
+
+def _solve_fixed_point(f, n: int, warm: complex, guard: float) -> tuple:
+    """(p_n, |f(p_n) - p_n|, least sampled deficit) for generator n warm-started
+    at warm; TrackingRefusal when f fails the guard or has no interior
+    attracting point."""
+    deficit = 1.0
+    for s in _GUARD_SAMPLES:
+        d = 1.0 - holomap.distortion(f, s)
+        deficit = min(deficit, d)
+        if d < guard:
+            raise TrackingRefusal(
+                f"generator {n} has distortion {1 - d!r} at {s!r}; "
+                f"tracking needs a contraction margin of {guard:g}"
+            )
+    p = holomap.polish_fixed_point(f, warm)
+    resid = math.inf if abs(p) >= 1.0 else abs(holomap.eval_raw(f, p) - p)
+    if resid > _POLISH_TOL:
+        report = holomap.denjoy_wolff(f)
+        if report.kind not in ("elliptic_strict", "constant"):
+            raise TrackingRefusal(
+                f"generator {n} has no interior attracting point (kind {report.kind!r})"
+            )
+        p = report.point
+        resid = abs(holomap.eval_raw(f, p) - p)
+    return p, resid, deficit
+
+
 def track_fixed_points(
     stream: GeneratorStream,
     N: int,
@@ -269,31 +307,34 @@ def track_fixed_points(
     (rotation streams in particular) are refused because their tracked
     points carry no information about the limit of the system.  Each
     p_n is found by Newton iteration warm-started at p_{n-1}.
+
+    The guard samples, the Newton polish and the Denjoy-Wolff fallback
+    depend only on f_n and the warm start.  A cycled stream of period p
+    therefore keeps one record per position (n - 1) mod p: the warm start
+    the solve began from, p_n, its residual and the least deficit of the
+    samples.  A step whose warm start matches its position's record bit
+    for bit reuses it, so each position is solved once per warm start and
+    tracking a cycle costs O(p) solves once the points repeat, with the
+    same report as solving every step.  List and rule streams solve every
+    step.
     """
     points = []
     resid_max = 0.0
     min_deficit = 1.0
+    period = len(stream.maps) if stream.kind == "cycle" else 0
+    by_position = {}  # (n - 1) mod period -> (warm start, p_n, residual, least deficit)
     cursor = LeftOrbitCursor(stream, (0j,), track_pairs=False)  # L_n(0)
     for n in range(1, N + 1):
         f = cursor.advance().generator
-        for s in _GUARD_SAMPLES:
-            deficit = 1.0 - holomap.distortion(f, s)
-            min_deficit = min(min_deficit, deficit)
-            if deficit < guard:
-                raise TrackingRefusal(
-                    f"generator {n} has distortion {1 - deficit!r} at {s!r}; "
-                    f"tracking needs a contraction margin of {guard:g}"
-                )
-        p = holomap.polish_fixed_point(f, points[-1] if points else 0j)
-        resid = math.inf if abs(p) >= 1.0 else abs(holomap.eval_raw(f, p) - p)
-        if resid > _POLISH_TOL:
-            report = holomap.denjoy_wolff(f)
-            if report.kind not in ("elliptic_strict", "constant"):
-                raise TrackingRefusal(
-                    f"generator {n} has no interior attracting point (kind {report.kind!r})"
-                )
-            p = report.point
-            resid = abs(holomap.eval_raw(f, p) - p)
+        warm = points[-1] if points else 0j
+        pos = (n - 1) % period if period else None
+        record = by_position.get(pos)
+        if record is None or not _same_bits(record[0], warm):
+            record = (warm, *_solve_fixed_point(f, n, warm, guard))
+            if pos is not None:
+                by_position[pos] = record
+        _, p, resid, deficit = record
+        min_deficit = min(min_deficit, deficit)
         resid_max = max(resid_max, resid)
         points.append(p)
     if not points:

@@ -239,6 +239,60 @@ def test_track_constant_stream():
     assert rep.residual_max < 1e-12
 
 
+def _contraction(a: complex, theta: float, r: complex):
+    return Compose((Mobius(moebius.make_disc_auto(a, theta)), Scale(r)))
+
+
+_contractions = st.builds(
+    _contraction,
+    st.complex_numbers(max_magnitude=0.6),
+    st.floats(-3.0, 3.0),
+    st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9),
+)
+
+
+@given(st.lists(_contractions, min_size=1, max_size=5), st.integers(1, 300), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_cycle_tracking_equals_solving_every_step(ms, n, at):
+    # a list stream never reuses a solve; the cycle must give the same
+    # report field for field, and the same refusal with a rotation in it
+    k = -(-n // len(ms))
+    cyc = track_fixed_points(GeneratorStream.from_cycle(ms), n)
+    lst = track_fixed_points(GeneratorStream.from_list(ms * k), n)
+    assert cyc == lst
+    assert repr(cyc) == repr(lst)  # signed zeros too
+    at = min(at, len(ms))  # the rotation is generator at + 1
+    ms = ms[:at] + [Scale(1j)] + ms[at:]
+    k = -(-n // len(ms))
+    errors = []
+    for s in (GeneratorStream.from_cycle(ms), GeneratorStream.from_list(ms * k)):
+        try:
+            track_fixed_points(s, n)
+        except TrackingRefusal as e:
+            errors.append(str(e))
+    assert len(errors) == (2 if n > at else 0)
+    assert len(set(errors)) <= 1
+
+
+def test_cycle_tracking_work_does_not_grow_with_n(monkeypatch):
+    kinds = (Compose, Scale, Mobius)
+    jets = Counter()
+    for cls in kinds:
+
+        def counted(self, z, name=cls.__name__, method=cls.jet):
+            jets[name] += 1
+            return method(self, z)
+
+        monkeypatch.setattr(cls, "jet", counted)
+    s = GeneratorStream.from_cycle([_contraction(0.3 + 0.1j, 0.5, 0.5), Scale(0.4 - 0.2j)])
+    counts = []
+    for n in (200, 2000):
+        jets.clear()
+        track_fixed_points(s, n)
+        counts.append(dict(jets))
+    assert counts[0] == counts[1]
+
+
 @given(st.integers(min_value=1, max_value=400))
 @settings(max_examples=40)
 def test_series_prefix_consistency(n):
