@@ -7,10 +7,13 @@ sorted, and nothing embeds a timestamp or machine identifier, so the
 same configuration and seed produce byte-identical files.
 
 Every JSON artifact is a report dataclass's fields as they are
-(``_report``), converted by the encoder's hook as it reaches them
+(``_report``), converted by the writer's hook as it reaches them
 (``_encode``: a complex becomes ``[re, im]``, a Moebius map its
 ``moebius.to_json`` payload, a dataclass its fields), and is written
-strictly: a JSON artifact never holds NaN or Infinity.
+strictly: a JSON artifact never holds NaN or Infinity.  The writer is
+cli's own (``_json_pieces``); its bytes are the standard library's
+sorted, indent-2 form, ``json.dumps(doc, sort_keys=True, indent=2,
+allow_nan=False, default=_encode)``, which is its test oracle.
 
 Every artifact streams to a temporary name in the output directory in
 fixed-size chunks as it is produced, so memory stays flat in N, and is
@@ -38,6 +41,8 @@ import os
 import pathlib
 import sys
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _quote  # the C function
+from math import isfinite
 
 from . import bounds, criteria, gallery, holomap, ifs, moebius, straighten
 from .geometry import DomainError, _omega_raw, disc_point
@@ -48,7 +53,7 @@ SERIES_HEADER = "n,term,partial_sum,product,orbit_re,orbit_im"
 MARGINS_HEADER = "kind,seed,z,w,lhs,rhs,margin"
 CSV_CHUNK = 4096  # rows per write
 SVG_CHUNK = 4096  # polyline points per write
-JSON_CHUNK = 8192  # encoder pieces per write
+JSON_CHUNK = 8192  # JSON pieces per write
 
 
 class CLIError(Exception):
@@ -75,8 +80,9 @@ def _report(obj, drop=(), **extra) -> dict:
 
 
 def _encode(v):
-    """_JSON's hook for what JSON has no type for: a complex as [re, im], a
-    Moebius map as its moebius.to_json payload, a dataclass as its fields."""
+    """The JSON writer's hook for what JSON has no type for: a complex as
+    [re, im], a Moebius map as its moebius.to_json payload, a dataclass as
+    its fields."""
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, moebius.MoebiusMap):
@@ -84,10 +90,6 @@ def _encode(v):
     if is_dataclass(v):
         return _report(v)
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-# a report holds no cycle, so the encoder skips its per-container cycle bookkeeping
-_JSON = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, check_circular=False, default=_encode)
 
 
 @contextlib.contextmanager
@@ -136,13 +138,75 @@ def _write_csv(path: pathlib.Path, header: str, rows) -> None:
     partial.unlink(missing_ok=True)
 
 
+_float_repr = float.__repr__
+
+
+def _json_pieces(v, nl: str, out: list, fh) -> None:
+    """Appends to out the text of v at the line indent nl, as json.dumps(v,
+    sort_keys=True, indent=2, allow_nan=False, default=_encode) has it.
+
+    Keys are strings, as every report's are.  The type tests are the
+    stdlib's, with bool before int; no other value passes two of them, so
+    they come in the order of the values reports hold most.  A container
+    writes out to fh, and empties it, whenever it holds JSON_CHUNK pieces.
+    """
+    if isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in v:
+            if isinstance(item, float) and isfinite(item):  # the common leaf, inline
+                out.append(sep + _float_repr(item))
+            else:
+                out.append(sep)
+                _json_pieces(item, inner, out, fh)
+            sep = "," + inner
+            if len(out) >= JSON_CHUNK:
+                _write_text(fh, "".join(out))
+                out.clear()
+        out.append(nl + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in sorted(v.items()):
+            out.append(sep + _quote(key) + ": ")
+            _json_pieces(item, inner, out, fh)
+            sep = "," + inner
+            if len(out) >= JSON_CHUNK:
+                _write_text(fh, "".join(out))
+                out.clear()
+        out.append(nl + "}")
+    elif isinstance(v, str):
+        out.append(_quote(v))
+    elif isinstance(v, float):
+        if not isfinite(v):  # the stdlib encoder's message
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(v))
+        out.append(_float_repr(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    else:
+        _json_pieces(_encode(v), nl, out, fh)
+
+
 def _write_json(path: pathlib.Path, obj) -> None:
     """Sorted-key, indented, strict JSON: NaN or infinity is a NonFiniteError."""
-    pieces = itertools.chain(_JSON.iterencode(obj), ["\n"])
     try:
         with _artifact(path) as fh:
-            while batch := list(itertools.islice(pieces, JSON_CHUNK)):
-                _write_text(fh, "".join(batch))
+            out = []
+            _json_pieces(obj, "\n", out, fh)
+            out.append("\n")
+            _write_text(fh, "".join(out))
     except ValueError as e:
         raise holomap.NonFiniteError(f"{path.name} would hold a non-finite number: {e}")
 

@@ -110,13 +110,6 @@ class Scale:
         return moebius._trusted(self.factor, 0j, 0j, 1.0 + 0j, domain)
 
 
-def _trusted_scale(factor: complex) -> Scale:
-    """Scale(factor) without the check, for a complex factor known to satisfy |a| <= 1."""
-    f = object.__new__(Scale)
-    object.__setattr__(f, "factor", factor)
-    return f
-
-
 @dataclass(frozen=True)
 class Blaschke:
     """Finite Blaschke product e^{i phase} prod (z - z_j)/(1 - conj(z_j) z).

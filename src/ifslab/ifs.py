@@ -36,7 +36,7 @@ from typing import Callable
 
 from . import holomap, moebius
 from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point
-from .holomap import ConsistencyError, MapExpr, NonFiniteError
+from .holomap import ConsistencyError, MapExpr, NonFiniteError, Scale
 
 LEDGER_SLACK = 1e-10
 # a boundary gap under which omega keeps less than two digits: a ledger
@@ -46,21 +46,34 @@ _HELD_RADIUS = 1.0 - _SATURATED_GAP  # exact: |v| > this iff 1 - |v| < _SATURATE
 # consecutive steps beyond the radius that orbit_bounded reads as escape
 _ESCAPE_RUN = 3
 
-_UNIT_SCALE = holomap.Scale(1.0)
+_UNIT_SCALE = Scale(1.0)
 
 
 def _scale_product_rule(params: dict) -> Callable[[int], MapExpr]:
-    power = float(params.get("power", 2.0))
+    power = params.get("power", 2.0)
+    if isinstance(power, bool) or not isinstance(power, (int, float)):  # a JSON number only
+        raise DomainError(f"scale_product power must be a number: {power!r}")
+    try:
+        power = float(power)
+    except OverflowError:
+        raise DomainError(
+            f"scale_product power must convert to a float, got {power.bit_length()} bits"
+        ) from None
     if not (math.isfinite(power) and power > 0):
         raise DomainError(f"scale_product power must be finite and positive: {power!r}")
+    new, put = object.__new__, object.__setattr__
 
     def rule(n: int) -> MapExpr:
-        # 0 <= 1 - 1/(n+1)^power < 1 for the checked power, so the Scale
-        # needs no check; past overflow 1.0 is that value correctly rounded
+        # 0 <= 1 - 1/(n+1)^power < 1 for the checked power, so the Scale is
+        # built without its check (and + 0j is complex() of a value that is
+        # never -0.0); past overflow 1.0 is that value correctly rounded
         try:
-            return holomap._trusted_scale(complex(1.0 - 1.0 / (n + 1) ** power))
+            factor = 1.0 - 1.0 / (n + 1) ** power + 0j
         except OverflowError:
             return _UNIT_SCALE
+        f = new(Scale)
+        put(f, "factor", factor)
+        return f
 
     return rule
 
@@ -111,17 +124,17 @@ class GeneratorStream:
         return len(self.maps) if self.kind == "list" else None
 
     def generator_at(self, n: int) -> MapExpr:
-        if n < 0:
-            raise ValueError("stream index must be >= 0")
-        if n == 0:
-            return holomap.identity_map()
-        if self.kind == "list":
+        if n > 0:  # every step's case first: rule, cycle, list
+            if self.kind == "rule":
+                return self.rule(n)
+            if self.kind == "cycle":
+                return self.maps[(n - 1) % len(self.maps)]
             if n > len(self.maps):
                 raise IndexError(f"stream of length {len(self.maps)} has no generator {n}")
             return self.maps[n - 1]
-        if self.kind == "cycle":
-            return self.maps[(n - 1) % len(self.maps)]
-        return self.rule(n)
+        if n == 0:
+            return holomap.identity_map()
+        raise ValueError("stream index must be >= 0")
 
 
 def stream_to_json(stream: GeneratorStream) -> dict:
@@ -218,21 +231,22 @@ class LeftOrbitCursor(_Engine):
                 new.append(w)
                 derivs.append(d)
             self.derivs = derivs
-        for (i, j), prev in self.pair_distances.items():
-            if (i, j) in self.saturated_pairs:
-                continue
-            # omega loses digits like eps/(1 - |z|) near the boundary;
-            # genuine expansion is O(1) relative to the distance scale
-            gap = min(1.0 - abs(new[i]), 1.0 - abs(new[j]), 1.0 - abs(old[i]), 1.0 - abs(old[j]))
-            if gap < _SATURATED_GAP:
-                self.saturated_pairs.add((i, j))
-                continue
-            d = _omega_raw(new[i], new[j])
-            if d > prev + LEDGER_SLACK + 16.0 * _EPS / gap:
-                raise ConsistencyError(
-                    f"left pair distance grew at step {self.n + 1}: {prev!r} -> {d!r}"
-                )
-            self.pair_distances[(i, j)] = d
+        if self.pair_distances:
+            for (i, j), prev in self.pair_distances.items():
+                if (i, j) in self.saturated_pairs:
+                    continue
+                # omega loses digits like eps/(1 - |z|) near the boundary;
+                # genuine expansion is O(1) relative to the distance scale
+                gap = min(1.0 - abs(new[i]), 1.0 - abs(new[j]), 1.0 - abs(old[i]), 1.0 - abs(old[j]))
+                if gap < _SATURATED_GAP:
+                    self.saturated_pairs.add((i, j))
+                    continue
+                d = _omega_raw(new[i], new[j])
+                if d > prev + LEDGER_SLACK + 16.0 * _EPS / gap:
+                    raise ConsistencyError(
+                        f"left pair distance grew at step {self.n + 1}: {prev!r} -> {d!r}"
+                    )
+                self.pair_distances[(i, j)] = d
         values = new
         if max(map(abs, new)) > _HELD_RADIUS:
             values = list(new)

@@ -1,13 +1,16 @@
 """End-to-end checks of the command line front end: artifacts, schemas,
 exit codes, and byte-level reproducibility."""
 
+import dataclasses
 import filecmp
 import json
 import math
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifslab import bounds, cli, criteria, gallery, holomap, ifs, moebius, straighten
 from ifslab.geometry import _omega_raw
@@ -368,14 +371,72 @@ def test_write_json_rejects_non_finite_numbers(tmp_path):
         assert not any(tmp_path.iterdir())
 
 
-def test_write_json_matches_one_shot_dumps(tmp_path):
+def _dumps(doc) -> bytes:
+    """The writer's oracle: the stdlib's sorted, indent-2, strict form."""
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=cli._encode)
+    return (text + "\n").encode("ascii")
+
+
+def test_write_json_matches_one_shot_dumps(tmp_path, monkeypatch):
     stream = ifs.stream_from_json(json.loads(BASEL))
     res = straighten.left_straighten(stream, 3000, probe=0.5)
     doc = cli._report(res, command="straighten", side="left", horizon=3000)
-    assert sum(1 for _ in cli._JSON.iterencode(doc)) > cli.JSON_CHUNK
+    writes = []
+    monkeypatch.setattr(cli, "_write_text", lambda fh, text: (writes.append(len(text)), fh.write(text)))
     cli._write_json(tmp_path / "s.json", doc)
-    expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=cli._encode) + "\n"
-    assert (tmp_path / "s.json").read_bytes() == expected.encode("ascii")
+    assert len(writes) > 1  # the report spans several chunks
+    assert (tmp_path / "s.json").read_bytes() == _dumps(doc)
+
+
+@dataclasses.dataclass
+class _Record:
+    name: str
+    value: object
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u2207\U0001d4b5", "</", ""])
+    | st.builds(complex, _FLOATS, _FLOATS)
+    | st.builds(moebius.make_disc_auto, st.complex_numbers(max_magnitude=0.9), st.floats(-10, 10))
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), kids, max_size=4)
+        | st.builds(_Record, st.text(max_size=4), kids)
+    ),
+    max_leaves=30,
+)
+
+
+@given(_DOCS, st.sampled_from([1, 2, 5, cli.JSON_CHUNK]))
+@settings(max_examples=300, deadline=None)
+def test_write_json_is_the_stdlib_form(tmp_path_factory, doc, chunk):
+    # a small chunk makes a small document span many chunks
+    path = tmp_path_factory.mktemp("w") / "doc.json"
+    with mock.patch.object(cli, "JSON_CHUNK", chunk):
+        cli._write_json(path, doc)
+    assert path.read_bytes() == _dumps(doc)
+
+
+@given(_DOCS, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_write_json_non_finite_anywhere_leaves_no_file(tmp_path_factory, doc, bad, where):
+    # the bad float as a value, in a complex, or in a dict after chunks
+    # of doc have been written
+    bad_doc = [{"x": [doc, bad]}, [doc, complex(0.5, bad)], {"early": [doc] * 3, "late": bad}][where]
+    out = tmp_path_factory.mktemp("nf")
+    with mock.patch.object(cli, "JSON_CHUNK", 2), pytest.raises(
+        holomap.NonFiniteError, match="would hold a non-finite number: Out of range float"
+    ):
+        cli._write_json(out / "doc.json", bad_doc)
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("fuzz, coefficient", [("1", "1.7e308"), ("50", "1e308")])
@@ -659,6 +720,16 @@ def test_non_finite_stream_exits_2(tmp_path):
     ):
         assert cli.main(["--out", str(tmp_path), "simulate", "--stream", spec]) == 2
         assert not (tmp_path / "orbit.csv").exists()
+
+
+@pytest.mark.parametrize("power", ["true", '"2"', "null", "[2]", "1%s" % ("0" * 400)],
+                         ids=["true", "string", "null", "list", "int-1e400"])
+def test_scale_product_power_that_is_no_json_number_exits_2(tmp_path, capsys, power):
+    # float() would read true as 1.0 and "2" as 2.0
+    spec = '{"type": "rule", "name": "scale_product", "params": {"power": %s}}' % power
+    assert cli.main(["--out", str(tmp_path), "simulate", "-N", "3", "--stream", spec]) == 2
+    assert "bad stream spec: scale_product power must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("spec", [

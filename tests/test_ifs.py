@@ -70,20 +70,34 @@ def test_a_seed_in_the_band_is_not_held(f, jets):
     assert not left.saturated_seeds and not right.saturated_seeds
 
 
-def test_stream_indexing_conventions():
-    s = GeneratorStream.from_list([Scale(0.5), Monomial(2)])
-    assert s.generator_at(1) == Scale(0.5)
-    assert s.generator_at(2) == Monomial(2)
-    with pytest.raises(IndexError):
-        s.generator_at(3)
-    # index 0 is the empty composition
-    assert holomap.eval_raw(s.generator_at(0), 0.3j) == 0.3j
+_STREAM_MAPS = (Scale(0.5), Monomial(2))
 
-    c = GeneratorStream.from_cycle([Scale(0.5), Monomial(2)])
-    assert c.generator_at(3) == Scale(0.5)
-    assert c.generator_at(40) == Monomial(2)
-    assert c.length is None
-    assert s.length == 2
+
+@pytest.mark.parametrize("stream", [
+    GeneratorStream.from_list(_STREAM_MAPS),
+    GeneratorStream.from_cycle(_STREAM_MAPS),
+    stream_from_json({"type": "rule", "name": "scale_product", "params": {"power": 2}}),
+], ids=["list", "cycle", "rule"])
+def test_stream_indexing_conventions(stream):
+    with pytest.raises(ValueError, match="stream index must be >= 0"):
+        stream.generator_at(-1)
+    # index 0 is the empty composition
+    assert holomap.eval_raw(stream.generator_at(0), 0.3j) == 0.3j
+    if stream.kind == "rule":
+        for n in (1, 2, 40):
+            assert stream.generator_at(n) == stream.rule(n)
+        assert stream.length is None
+        return
+    assert stream.generator_at(1) == Scale(0.5)
+    assert stream.generator_at(2) == Monomial(2)
+    if stream.kind == "list":
+        with pytest.raises(IndexError, match="stream of length 2 has no generator 3"):
+            stream.generator_at(3)
+        assert stream.length == 2
+    else:  # a cycle wraps around
+        assert stream.generator_at(3) == Scale(0.5)
+        assert stream.generator_at(40) == Monomial(2)
+        assert stream.length is None
 
 
 def test_stream_json_roundtrip():
@@ -190,6 +204,14 @@ def test_scale_product_rule_builds_checked_scales():
         f = rule(n)
         assert type(f) is Scale and type(f.factor) is complex
         assert f == Scale(1.0 - 1.0 / (n + 1) ** 2.5)
+
+
+@pytest.mark.parametrize("power", [True, False, "2", None, [2], {"p": 2}, 10**400, math.nan, 0, -1.5],
+                         ids=["true", "false", "string", "null", "list", "object", "int-1e400", "nan", "0", "negative"])
+def test_scale_product_power_must_be_a_json_number(power):
+    # a bool is not a number here, though float(True) is 1.0
+    with pytest.raises(ifslab.DomainError):
+        stream_from_json({"type": "rule", "name": "scale_product", "params": {"power": power}})
 
 
 @pytest.mark.parametrize("power, n", [(100.0, 2000), (2000.0, 1), (1e300, 5)])
