@@ -6,8 +6,8 @@ Right: f_n(z) = z^2 along the backward orbit w_n = 0.5^(2^-n).
 
 import argparse
 
-from ifslab.holomap import Monomial, Scale
-from ifslab.ifs import BackwardOrbit, GeneratorStream
+from ifslab.holomap import Monomial
+from ifslab.ifs import BackwardOrbit, GeneratorStream, stream_from_json
 from ifslab.straighten import left_straighten, right_straighten
 
 
@@ -17,11 +17,7 @@ def main() -> None:
     ap.add_argument("--depth", type=int, default=40, help="backward orbit length")
     args = ap.parse_args()
 
-    stream = GeneratorStream.from_rule(
-        lambda n: Scale(1.0 - 1.0 / (n + 1) ** 2),
-        "scale_product",
-        {"power": 2},
-    )
+    stream = stream_from_json({"type": "rule", "name": "scale_product", "params": {"power": 2}})
     res = left_straighten(stream, args.horizon)
     print(f"left telescoping, N = {args.horizon}:")
     print(f"  steps run          {res.steps}")

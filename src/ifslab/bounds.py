@@ -167,7 +167,6 @@ def fuzz_margins(
     draws: int,
     seed: int,
     coefficient: float = 2.0,
-    keep_rows: int = 0,
 ) -> FuzzReport:
     """Hammer one bound with random maps and point pairs.
 
@@ -195,8 +194,7 @@ def fuzz_margins(
             # draws with a vanishing right side only measure rounding noise
             if unit > 1e-9:
                 emp = max(emp, rep.lhs / unit)
-        if len(rows) < keep_rows:
-            rows.append(rep)
+        rows.append(rep)
     return FuzzReport(
         kind=kind,
         draws=draws,

@@ -45,7 +45,7 @@ from json.encoder import encode_basestring_ascii as _quote  # the C function
 from math import isfinite
 
 from . import bounds, criteria, gallery, holomap, ifs, moebius, straighten
-from .geometry import DomainError, _omega_raw, disc_point
+from .geometry import DomainError, _omega_raw, disc_point, json_point
 
 ORBIT_HEADER = "n,seed_re,seed_im,value_re,value_im,omega_to_origin,step_omega"
 STRAIGHTEN_HEADER = "n,residual,abs_h_w,distortion_at_0"
@@ -297,7 +297,7 @@ def _cmd_straighten(args, out: pathlib.Path) -> int:
             raise CLIError("--side right needs --orbit (JSON file of backward orbit points)")
         try:
             pts = json.loads(pathlib.Path(args.orbit).read_text(encoding="utf-8"))
-            orbit = ifs.BackwardOrbit(tuple(complex(re, im) for re, im in pts))
+            orbit = ifs.BackwardOrbit(tuple(json_point(p, "orbit point") for p in pts))
         except (OSError, ValueError, TypeError, DomainError) as e:
             raise CLIError(f"bad orbit file: {e}")
         if len(orbit.points) < args.horizon + 1:
@@ -350,9 +350,7 @@ def _cmd_classify(args, out: pathlib.Path) -> int:
 
 
 def _cmd_verify(args, out: pathlib.Path) -> int:
-    rep = bounds.fuzz_margins(
-        args.kind, args.fuzz, args.seed, coefficient=args.coefficient, keep_rows=args.fuzz
-    )
+    rep = bounds.fuzz_margins(args.kind, args.fuzz, args.seed, coefficient=args.coefficient)
     rows = (
         "%s,%d,%.17g%+.17gj,%.17g%+.17gj,%.17g,%.17g,%.17g"
         % (r.kind, args.seed, r.z.real, r.z.imag, r.w.real, r.w.imag, r.lhs, r.rhs, r.margin)

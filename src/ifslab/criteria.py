@@ -321,13 +321,12 @@ def track_fixed_points(
     points = []
     resid_max = 0.0
     min_deficit = 1.0
-    period = len(stream.maps) if stream.kind == "cycle" else 0
-    by_position = {}  # (n - 1) mod period -> (warm start, p_n, residual, least deficit)
+    by_position = {}  # stream.position(n) -> (warm start, p_n, residual, least deficit)
     cursor = LeftOrbitCursor(stream, (0j,), track_pairs=False)  # L_n(0)
     for n in range(1, N + 1):
         f = cursor.advance().generator
         warm = points[-1] if points else 0j
-        pos = (n - 1) % period if period else None
+        pos = stream.position(n)
         record = by_position.get(pos)
         if record is None or not _same_bits(record[0], warm):
             record = (warm, *_solve_fixed_point(f, n, warm, guard))

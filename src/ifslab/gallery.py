@@ -116,7 +116,6 @@ def build_escape_return(n_max: int) -> EscapeReturnBuild:
         budget = 2.0**-n
         v = u
         k = 0
-        stalled = False
         while abs(v - target) >= budget:
             nxt = moebius.apply(g, v)
             k += 1

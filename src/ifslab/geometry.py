@@ -63,6 +63,22 @@ def disc_point(z) -> complex:
     return v
 
 
+def json_number(v, what: str) -> float:
+    """A JSON number (an int or a float, never a bool) as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise DomainError(f"{what} must be a number: {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise DomainError(f"{what} must convert to a float, got {v.bit_length()} bits") from None
+
+
+def json_point(v, what: str) -> complex:
+    """A JSON [re, im] pair of numbers as a complex."""
+    re, im = v
+    return complex(json_number(re, what), json_number(im, what))
+
+
 def halfplane_point(z) -> complex:
     """Validate z as an interior half-plane point and return it as complex."""
     v = complex(z)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Union, get_args
 
 from . import moebius
-from .geometry import _EPS, DomainError, disc_point, _omega_raw
+from .geometry import _EPS, DomainError, disc_point, _omega_raw, json_number, json_point
 from .moebius import MoebiusMap
 
 # |a| within this of 1 makes Scale(a) a rotation, and Im t within it of 0
@@ -551,19 +551,17 @@ def _map_from_json(kind, obj: dict) -> MapExpr:
     if kind == "monomial":
         return Monomial(obj["power"])
     if kind == "scale":
-        re, im = obj["factor"]
-        return Scale(complex(re, im))
+        return Scale(json_point(obj["factor"], "scale factor"))
     if kind == "blaschke":
-        zeros = tuple(complex(re, im) for re, im in obj["zeros"])
-        return Blaschke(zeros, float(obj.get("phase", 0.0)))
+        zeros = tuple(json_point(z, "blaschke zero") for z in obj["zeros"])
+        return Blaschke(zeros, json_number(obj.get("phase", 0.0), "blaschke phase"))
     if kind == "constant":
-        re, im = obj["value"]
-        return Constant(complex(re, im))
+        return Constant(json_point(obj["value"], "constant value"))
     if kind == "mobius":
         return Mobius(moebius.from_json(obj))
     if kind == "compose":
         return Compose(tuple(map_from_json(p) for p in obj["parts"]))
     if kind == "hp_affine":
-        re, im = obj["translation"]
-        return HalfPlaneAffine(complex(re, im), float(obj.get("scale", 1.0)))
+        t = json_point(obj["translation"], "hp_affine translation")
+        return HalfPlaneAffine(t, json_number(obj.get("scale", 1.0), "hp_affine scale"))
     raise ValueError(f"unknown map kind: {kind!r}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import holomap, moebius
-from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point
+from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point, json_number
 from .holomap import ConsistencyError, MapExpr, NonFiniteError, Scale
 
 LEDGER_SLACK = 1e-10
@@ -45,20 +45,14 @@ _SATURATED_GAP = 1600.0 * _EPS
 _HELD_RADIUS = 1.0 - _SATURATED_GAP  # exact: |v| > this iff 1 - |v| < _SATURATED_GAP
 # consecutive steps beyond the radius that orbit_bounded reads as escape
 _ESCAPE_RUN = 3
+_VERIFY_TOL = 1e-9  # verify_backward_orbit's bound on each |f_n(w_n) - w_{n-1}|
+_BALL_RING = 8  # points that ball_samples takes on the ball's sphere
 
 _UNIT_SCALE = Scale(1.0)
 
 
 def _scale_product_rule(params: dict) -> Callable[[int], MapExpr]:
-    power = params.get("power", 2.0)
-    if isinstance(power, bool) or not isinstance(power, (int, float)):  # a JSON number only
-        raise DomainError(f"scale_product power must be a number: {power!r}")
-    try:
-        power = float(power)
-    except OverflowError:
-        raise DomainError(
-            f"scale_product power must convert to a float, got {power.bit_length()} bits"
-        ) from None
+    power = json_number(params.get("power", 2.0), "scale_product power")
     if not (math.isfinite(power) and power > 0):
         raise DomainError(f"scale_product power must be finite and positive: {power!r}")
     new, put = object.__new__, object.__setattr__
@@ -115,14 +109,6 @@ class GeneratorStream:
     def from_rule(cls, rule: Callable[[int], MapExpr], name: str = "", params: dict | None = None) -> "GeneratorStream":
         return cls("rule", (), rule, name, dict(params or {}))
 
-    @classmethod
-    def constant(cls, f: MapExpr) -> "GeneratorStream":
-        return cls.from_cycle([f])
-
-    @property
-    def length(self) -> int | None:
-        return len(self.maps) if self.kind == "list" else None
-
     def generator_at(self, n: int) -> MapExpr:
         if n > 0:  # every step's case first: rule, cycle, list
             if self.kind == "rule":
@@ -135,6 +121,10 @@ class GeneratorStream:
         if n == 0:
             return holomap.identity_map()
         raise ValueError("stream index must be >= 0")
+
+    def position(self, n: int) -> int | None:
+        """The cycle position (n - 1) mod p of generator n; None off a cycle."""
+        return (n - 1) % len(self.maps) if self.kind == "cycle" else None
 
 
 def stream_to_json(stream: GeneratorStream) -> dict:
@@ -302,17 +292,8 @@ class RightOrbitState(_Engine):
         # det, which only derivatives read
         self.matrix: tuple | None = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
         self._det = 1.0 + 0.0j if jets else None
-        self._period = len(stream.maps) if stream.kind == "cycle" else 0
-        # cycle position (n - 1) mod period -> what _position returns
+        # cycle position (n - 1) mod p -> what _position returns
         self._by_position: dict[int, list] = {}
-
-    @property
-    def composed(self) -> MapExpr:
-        if not self.parts:
-            return holomap.identity_map()
-        if len(self.parts) == 1:
-            return self.parts[0]
-        return holomap.Compose(tuple(self.parts))
 
     def advance(self) -> "RightOrbitState":
         n = self.n + 1
@@ -338,7 +319,7 @@ class RightOrbitState(_Engine):
         mod p is computed once, and _step keeps in replayed the (values,
         derivs) of its last replay there, from which R_{n+p} starts.
         """
-        pos = (n - 1) % self._period if self._period else None
+        pos = self.stream.position(n)
         record = self._by_position.get(pos)
         if record is None:
             fm = f.matrix() if self.matrix is not None else None
@@ -385,7 +366,7 @@ class RightOrbitState(_Engine):
         else:
             earlier = record[3]  # R_{n-p} at the seeds
             if earlier is not None:
-                pairs = [self._tail(z, self._period, dz) for z, dz in zip(*earlier)]
+                pairs = [self._tail(z, len(self.stream.maps), dz) for z, dz in zip(*earlier)]
             else:
                 pairs = [self._tail(s, n, 1.0 + 0.0j if jets else None) for s in self.seeds]
             fresh, fresh_derivs = (list(t) for t in zip(*pairs))
@@ -447,39 +428,33 @@ class BackwardOrbit:
             raise DomainError("backward orbit needs at least w_0")
         object.__setattr__(self, "points", pts)
 
-    def __len__(self):
-        return len(self.points)
-
 
 @dataclass(frozen=True)
 class BackwardOrbitCheck:
     ok: bool
     max_step_residual: float
     composed_residual: float  # |R_N(w_N) - w_0|, diagnostic only
-    step_residuals: tuple
 
 
-def verify_backward_orbit(stream: GeneratorStream, orbit: BackwardOrbit, tol: float = 1e-9) -> BackwardOrbitCheck:
+def verify_backward_orbit(stream: GeneratorStream, orbit: BackwardOrbit) -> BackwardOrbitCheck:
     """Check f_n(w_n) = w_{n-1} step by step, in O(N) evaluations.
 
     The end-to-end residual |R_N(w_N) - w_0| of the whole orbit is
     reported as a diagnostic but excluded from the verdict: recomposing N
     steps can amplify one rounding error exponentially (w^(2^N) magnifies
     relative error by 2^N), so only the per-step identities are held to
-    the tolerance.
+    _VERIFY_TOL.
     """
     pts = orbit.points
     gens = [stream.generator_at(n) for n in range(1, len(pts))]
-    steps = tuple(abs(holomap.eval_raw(f, w) - prev) for f, w, prev in zip(gens, pts[1:], pts))
+    step_max = max((abs(holomap.eval_raw(f, w) - prev) for f, w, prev in zip(gens, pts[1:], pts)), default=0.0)
     v = pts[-1]
     for f in reversed(gens):
         v = holomap.eval_raw(f, v)
-    step_max = max(steps, default=0.0)
     return BackwardOrbitCheck(
-        ok=step_max <= tol,
+        ok=step_max <= _VERIFY_TOL,
         max_step_residual=step_max,
         composed_residual=abs(v - pts[0]),
-        step_residuals=steps,
     )
 
 
@@ -491,7 +466,6 @@ class OrbitBoundReport:
     max_omega: float
     escaped: bool
     first_escape: int | None
-    exceed_count: int
 
 
 def _engine(stream: GeneratorStream, seeds, side: str):
@@ -511,7 +485,7 @@ class _Escape:
     def __init__(self, engine, radius: float):
         self.engine, self.radius = engine, radius
         self.max_omega = _omega_raw(0j, engine.values[0])
-        self.run = self.exceed = 0
+        self.run = 0
         self.first = None
 
     def advance(self) -> None:
@@ -519,7 +493,6 @@ class _Escape:
         om = _omega_raw(0j, self.engine.advance().values[0])
         self.max_omega = max(self.max_omega, om)
         self.run = self.run + 1 if om > self.radius else 0
-        self.exceed += self.run > 0
         if self.run == _ESCAPE_RUN and self.first is None:
             self.first = self.engine.n - _ESCAPE_RUN + 1
 
@@ -543,18 +516,17 @@ def orbit_bounded(
         max_omega=watch.max_omega,
         escaped=watch.first is not None,
         first_escape=watch.first,
-        exceed_count=watch.exceed,
     )
 
 
-def ball_samples(ball: HyperbolicBall, ring: int = 8):
-    """Center plus a ring on the hyperbolic sphere of the given ball."""
+def ball_samples(ball: HyperbolicBall):
+    """Center plus _BALL_RING points on the hyperbolic sphere of the given ball."""
     c = ball.center
     move = moebius.make_disc_auto(c, 0.0) if c != 0 else None
     r = math.tanh(ball.radius)
     pts = [c]
-    for k in range(ring):
-        u = r * cmath.exp(2j * math.pi * k / ring)
+    for k in range(_BALL_RING):
+        u = r * cmath.exp(2j * math.pi * k / _BALL_RING)
         pts.append(moebius.apply(move, u) if move is not None else u)
     return tuple(pts)
 

@@ -29,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import DomainError, disc_point
+from .geometry import DomainError, disc_point, json_point
 
 DISC = "disc"
 HALF_PLANE = "half_plane"
@@ -265,7 +265,6 @@ class AutClass:
     fixed_points: tuple
     multipliers: tuple
     translation_length: float | None = None
-    borderline: bool = False
 
 
 def _disc_rep(g: MoebiusMap):
@@ -311,9 +310,7 @@ def classify_auto(g: MoebiusMap) -> AutClass:
         else:
             fp = b / (d - a)
         fp /= abs(fp)  # parabolic fixed points sit on the unit circle
-        return AutClass(
-            "parabolic", (fp,), (mult(fp),), None, borderline=abs(tr - 2.0) > 0.0
-        )
+        return AutClass("parabolic", (fp,), (mult(fp),))
 
     roots = _quad_roots(c, d - a, -b)
     if tr < 2.0:
@@ -413,7 +410,7 @@ def from_json(obj: dict) -> MoebiusMap:
     mat = obj["matrix"]
     if len(mat) != 4:
         raise ValueError("mobius matrix must list four [re, im] entries (a, b, c, d)")
-    a, b, c, d = (complex(re, im) for re, im in mat)
+    a, b, c, d = (json_point(e, "mobius matrix entry") for e in mat)
     domain = obj.get("domain")
     if domain is None:
         if _is_su11(a, b, c, d):

@@ -39,16 +39,8 @@ from .ifs import (
 from .moebius import MoebiusMap
 
 
-def make_grid(radii=(0.3, 0.6), per_circle: int = 12) -> tuple:
-    """The origin, then sample points on concentric circles."""
-    pts = [0j]
-    for r in radii:
-        for k in range(per_circle):
-            pts.append(r * cmath.exp(2j * math.pi * k / per_circle))
-    return tuple(pts)
-
-
-DEFAULT_GRID = make_grid()
+# the origin, then 12 points on each of the circles |z| = 0.3 and 0.6
+DEFAULT_GRID = (0j, *(r * cmath.exp(2j * math.pi * k / 12) for r in (0.3, 0.6) for k in range(12)))
 DEFAULT_PROBE = 0.5
 TOL = 1e-8  # default bound on the windowed sum of per-step grid movements
 TOL_ZERO = 1e-9  # a collapse size below this means h == 0
@@ -318,7 +310,7 @@ def mu_step(f: MapExpr, z, mu: int, N: int) -> MuStepReport:
     if auto is not None:
         val = _omega_raw(zv, moebius.apply(moebius.power(auto, mu), zv))
         return MuStepReport(value=val, trace=(val,) * (N + 1), exact=True)
-    cursor = LeftOrbitCursor(GeneratorStream.constant(f), (zv,), track_pairs=False)
+    cursor = LeftOrbitCursor(GeneratorStream.from_cycle([f]), (zv,), track_pairs=False)
     orbit = [zv]
     for _ in range(N + mu):
         orbit.append(cursor.advance().computed[0])
@@ -370,7 +362,7 @@ def semiconjugacy_probe(f: MapExpr, N: int = 400) -> ProbeReport:
     either no window ever settled below tolerance, or the probe
     modulus was still visibly sliding downward at the best window.
     """
-    stream = GeneratorStream.constant(f)
+    stream = GeneratorStream.from_cycle([f])
     scan = left_straighten(stream, N, tol=0.0)
     if scan.degenerate:
         return ProbeReport("none", None, None, None, scan)

@@ -154,7 +154,7 @@ def test_criterion_06_right_limit_classification():
         assert abs(harmonic.limit_estimate) < 1e-4
         basel = criteria.classify_right_limits(_scale_stream(2.0), 10_000, z0=0.5)
         assert basel.kind == "nonconstant_limit"
-        grid = straighten.make_grid()
+        grid = straighten.DEFAULT_GRID
         cur = RightOrbitState(_scale_stream(2.0), grid)
         for _ in range(10_000):
             cur.advance()
@@ -165,7 +165,7 @@ def test_criterion_07_backward_orbit_straightening():
     with _criterion(7, "squaring backward orbit verifies and straightens to nonconstant h"):
         stream = GeneratorStream.from_cycle([Monomial(2)])
         orbit = BackwardOrbit(tuple(0.5 ** (2.0**-n) for n in range(41)))
-        check = ifs.verify_backward_orbit(stream, orbit, tol=1e-12)
+        check = ifs.verify_backward_orbit(stream, orbit)
         assert check.ok and check.max_step_residual < 1e-12
         res = straighten.right_straighten(stream, orbit)
         assert res.converged and not res.degenerate
@@ -182,7 +182,7 @@ def test_criterion_08_mu_step():
             assert abs(rep.value - ATANH_HALF) <= 1e-9
             assert len(rep.trace) == N + 1
             assert all(t == rep.value for t in rep.trace)
-        grid_inf = min(straighten.mu_step(f, z, 1, 10).value for z in straighten.make_grid())
+        grid_inf = min(straighten.mu_step(f, z, 1, 10).value for z in straighten.DEFAULT_GRID)
         assert abs(grid_inf - 0.5 * math.log(3.0)) < 1e-3
         for z in (0j, 0.3 + 0.2j, -0.4 + 0.1j):
             s = {k: straighten.mu_step(f, z, k, 10).value for k in range(1, 11)}

@@ -722,6 +722,40 @@ def test_non_finite_stream_exits_2(tmp_path):
         assert not (tmp_path / "orbit.csv").exists()
 
 
+_BIG = "1" + "0" * 400  # an integer no float holds
+
+
+@pytest.mark.parametrize("gen", [
+    '{"kind": "scale", "factor": [true, 0]}',
+    '{"kind": "scale", "factor": [%s, 0]}' % _BIG,
+    '{"kind": "blaschke", "zeros": [[0.3, 0]], "phase": "0.5"}',
+    '{"kind": "blaschke", "zeros": [[0.3, 0]], "phase": true}',
+    '{"kind": "blaschke", "zeros": [[0.3, 0]], "phase": %s}' % _BIG,
+    '{"kind": "hp_affine", "translation": [0, 1], "scale": true}',
+    '{"kind": "hp_affine", "translation": [0, 1], "scale": "2"}',
+    '{"kind": "mobius", "matrix": [[true, 0], [0, 0], [0, 0], [1, 0]]}',
+], ids=["scale-true", "scale-int-1e400", "phase-string", "phase-true", "phase-int-1e400",
+        "hp-scale-true", "hp-scale-string", "mobius-true"])
+def test_map_spec_number_that_is_no_json_number_exits_2(tmp_path, capsys, gen):
+    # complex() and float() would read true as 1 and "0.5" as 0.5, and a
+    # 400-digit integer escaped as an OverflowError
+    spec = '{"type": "cycle", "generators": [%s]}' % gen
+    assert cli.main(["--out", str(tmp_path), "simulate", "-N", "3", "--stream", spec]) == 2
+    assert "bad stream spec: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_orbit_point_that_is_no_json_number_exits_2(tmp_path, capsys):
+    orbit = tmp_path / "orbit.json"
+    orbit.write_text("[[0.5, 0], [0.5, false]]", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["--out", str(out), "straighten", "--side", "right", "-N", "1", "--orbit", str(orbit),
+                   "--stream", '{"type": "cycle", "generators": [{"kind": "monomial", "power": 2}]}'])
+    assert rc == 2
+    assert "bad orbit file: orbit point must be a number" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("power", ["true", '"2"', "null", "[2]", "1%s" % ("0" * 400)],
                          ids=["true", "string", "null", "list", "int-1e400"])
 def test_scale_product_power_that_is_no_json_number_exits_2(tmp_path, capsys, power):
@@ -821,7 +855,7 @@ def test_series_and_straighten_rows_bytes_match_per_field_format():
 def test_margins_rows_bytes_match_per_field_format(tmp_path):
     assert cli.main(["--out", str(tmp_path), "verify", "--kind", "transfer",
                      "--fuzz", "4", "--seed", "3"]) == 0
-    rep = bounds.fuzz_margins("transfer", 4, 3, coefficient=2.0, keep_rows=4)
+    rep = bounds.fuzz_margins("transfer", 4, 3, coefficient=2.0)
 
     def cfmt(z):
         return "%.17g%+.17gj" % (z.real, z.imag)

@@ -15,6 +15,8 @@ from ifslab.geometry import (
     disc_point,
     halfplane_distance,
     halfplane_point,
+    json_number,
+    json_point,
 )
 
 ATANH_HALF = 0.5493061443340548  # atanh(0.5)
@@ -98,6 +100,17 @@ def test_halfplane_point_rejects_lower():
         halfplane_point(1.0 - 0.1j)
     with pytest.raises(DomainError):
         halfplane_point(2.0)
+
+
+def test_json_number_takes_ints_and_floats_only():
+    assert json_number(2, "x") == 2.0 and type(json_number(2, "x")) is float
+    assert json_number(-0.0, "x") == 0.0 and math.copysign(1.0, json_number(-0.0, "x")) < 0
+    assert json_point([1, -0.5], "x") == complex(1.0, -0.5)
+    for bad in (True, False, "0.5", None, [1.0], 10 ** 400):
+        with pytest.raises(DomainError, match="^x must"):
+            json_number(bad, "x")
+    with pytest.raises(DomainError, match="^x must be a number: False"):
+        json_point([0.5, False], "x")
 
 
 def test_cayley_returns_plain_complex():

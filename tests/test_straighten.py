@@ -1,6 +1,7 @@
 """Coordinate straightening for left and right systems, and the
 boundary-step trichotomy probe."""
 
+import cmath
 import math
 from collections import Counter
 
@@ -25,7 +26,6 @@ from ifslab.straighten import (
     WINDOW,
     StraightenResult,
     left_straighten,
-    make_grid,
     mu_step,
     right_straighten,
     semiconjugacy_probe,
@@ -41,9 +41,11 @@ def scale_product_stream(power: int) -> GeneratorStream:
 
 
 def test_make_grid():
-    g = make_grid(radii=(0.5,), per_circle=6)
-    assert len(g) == 7 and g[0] == 0j
-    assert all(abs(abs(p) - 0.5) < 1e-15 for p in g[1:])
+    # the origin, then 12 points on each of the circles |z| = 0.3 and 0.6
+    assert len(DEFAULT_GRID) == 25 and DEFAULT_GRID[0] == 0j
+    for i, p in enumerate(DEFAULT_GRID[1:]):
+        r, k = (0.3, 0.6)[i // 12], i % 12
+        assert abs(p - cmath.rect(r, 2 * math.pi * k / 12)) < 1e-15
 
 
 def test_left_telescoping_straightens_to_half_scale():
@@ -84,6 +86,20 @@ def test_left_strict_contraction_degenerates():
     res = left_straighten(GeneratorStream.from_cycle([Scale(0.5)]), 200)
     assert res.degenerate
     assert abs(res.h_at_probe) < 1e-8
+
+
+@pytest.mark.parametrize("probe", [
+    pytest.param(1.5e-9, marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 15 (ride-along): the left collapse test compares |H_n(probe)| "
+        "with the absolute TOL_ZERO, so a probe this small reads as a collapse at step 2",
+    )),
+    2e-9,
+])
+def test_tiny_left_probe_is_no_collapse(probe):
+    # h(z) = z/2 on the Basel stream is nonconstant, so no probe collapses
+    res = left_straighten(scale_product_stream(2), 400, probe=probe)
+    assert not res.degenerate
 
 
 @pytest.mark.parametrize("probe", [0j, 1e-12, TOL_ZERO])
