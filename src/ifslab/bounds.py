@@ -14,6 +14,13 @@ default):
 
 The margins hold for every holomorphic self-map; automorphisms make
 lipschitz_2, transfer and approx_auto degenerate (both sides vanish).
+
+Points are validated once, where they enter: margin and
+best_automorphism check theirs with disc_point, and fuzz_margins draws
+its points and maps valid by construction, so it builds the maps
+trusted (without the constructors' checks) and skips the public
+wrappers.  Each point of a draw takes one jet, which serves f(w),
+f'(w), the distortion and the approximating automorphism alike.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from random import Random
 
 from . import holomap, moebius
 from .geometry import _omega_raw, disc_point
-from .holomap import MapExpr, NonFiniteError
+from .holomap import Blaschke, Compose, MapExpr, NonFiniteError, Scale, _distortion_from_jet
 from .moebius import MoebiusMap
 
 MARGIN_KINDS = ("euclid_gap", "lipschitz_2", "transfer", "approx_auto")
@@ -44,16 +51,32 @@ def best_automorphism(f: MapExpr, w) -> MoebiusMap:
     if auto is not None:
         return auto
     wv = disc_point(w)
-    fw, d = f.jet(wv)
-    phi = moebius.make_disc_auto(wv, 0.0)
-    psi = moebius.make_disc_auto(fw, 0.0)
+    return _best_automorphism(wv, *f.jet(wv))
+
+
+# make_disc_auto's phase factor at the angle 0; multiplying by it as
+# make_disc_auto does keeps every entry the same, signed zeros included
+_UNIT = cmath.exp(1j * 0.0)
+
+
+def _best_automorphism(wv: complex, fw: complex, d: complex) -> MoebiusMap:
+    """best_automorphism of a map that is no automorphism, from its jet
+    (fw, d) = (f(wv), f'(wv)) at the interior point wv.
+
+    psi o rot o inverse(phi), with phi and psi the make_disc_auto maps of
+    wv and fw at the angle 0, made in canonical form by the float
+    operations of make_disc_auto, inverse, compose and canonical on entry
+    tuples; fw is checked as make_disc_auto checks it.
+    """
+    fw = disc_point(fw)
+    psi = (_UNIT, _UNIT * fw, fw.conjugate(), 1.0 + 0j)  # make_disc_auto(fw, 0)
+    inner = (1.0 + 0j, -(_UNIT * wv), -wv.conjugate(), _UNIT)  # inverse(make_disc_auto(wv, 0))
     gprime = d * (1.0 - abs(wv) ** 2) / (1.0 - abs(fw) ** 2)
-    inner = moebius.inverse(phi)
     if abs(gprime) > 0:
         alpha = math.atan2(gprime.imag, gprime.real)
-        rot = moebius._trusted(cmath.exp(1j * alpha), 0j, 0j, 1.0 + 0j, moebius.DISC)
-        inner = moebius.compose(rot, inner)
-    return moebius.canonical(moebius.compose(psi, inner))
+        inner = moebius._matmul((cmath.exp(1j * alpha), 0j, 0j, 1.0 + 0j), inner)
+    entries = moebius._canonical_entries(*moebius._matmul(psi, inner))
+    return moebius._trusted(*entries, moebius.DISC)
 
 
 @dataclass(frozen=True)
@@ -74,26 +97,34 @@ def margin(kind: str, f: MapExpr | None, z, w, coefficient: float = 2.0) -> Marg
     near the float maximum makes rhs overflow), since no margin read
     from an infinite or NaN side means anything.
     """
-    zv, wv = disc_point(z), disc_point(w)
+    return _margin(kind, f, disc_point(z), disc_point(w), coefficient)
+
+
+def _margin(kind: str, f: MapExpr | None, zv: complex, wv: complex, coefficient: float) -> MarginReport:
+    """margin at the interior points zv and wv, which the caller has checked."""
     om = _omega_raw(zv, wv)
     if kind == "euclid_gap":
         lhs = abs(zv - wv)
         rhs = coefficient * (1.0 - abs(wv)) * math.sinh(2.0 * om)
     elif kind == "lipschitz_2":
-        dz = holomap.distortion(f, zv)
-        dw = holomap.distortion(f, wv)
+        dz = _distortion_from_jet(zv, *f.jet(zv))
+        dw = _distortion_from_jet(wv, *f.jet(wv))
         if min(dz, dw) > 1.0 - 1e-12:
             lhs = 0.0  # distortion pinned at 1 everywhere means f is an automorphism
         else:
             lhs = _omega_raw(complex(dz), complex(dw))
         rhs = coefficient * om
     elif kind == "transfer":
-        lhs = 1.0 - holomap.distortion(f, zv)
-        rhs = coefficient * math.exp(4.0 * om) * (1.0 - holomap.distortion(f, wv))
+        lhs = 1.0 - _distortion_from_jet(zv, *f.jet(zv))
+        rhs = coefficient * math.exp(4.0 * om) * (1.0 - _distortion_from_jet(wv, *f.jet(wv)))
     elif kind == "approx_auto":
-        gamma = best_automorphism(f, wv)
+        # one jet at w gives gamma and the distortion
+        gamma = holomap.as_automorphism(f)
+        fw, d = f.jet(wv)
+        if gamma is None:
+            gamma = _best_automorphism(wv, fw, d)
         lhs = _omega_raw(holomap.eval_raw(f, zv), moebius.apply(gamma, zv))
-        rhs = coefficient * math.exp(4.0 * om) * (1.0 - holomap.distortion(f, wv))
+        rhs = coefficient * math.exp(4.0 * om) * (1.0 - _distortion_from_jet(wv, fw, d))
     else:
         raise ValueError(f"unknown margin kind {kind!r}")
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
@@ -125,12 +156,20 @@ def boundary_defect(f: MapExpr, tau=1.0) -> DefectReport:
     return DefectReport(holomap._RADIAL_R, tuple(ratios), holomap._richardson(ratios))
 
 
+_new, _put = object.__new__, object.__setattr__
+
+
 def random_self_map(rng: Random) -> MapExpr:
     """Random finite product of one to four disc factors, occasionally damped.
 
     Zeros land uniformly in the disc of radius 0.8 so the maps stay
     honestly non-degenerate; about half the draws get an extra inward
     scaling, which keeps strict contractions well represented.
+
+    The nodes are built trusted, without their constructors' checks:
+    every zero lies within radius 0.8, the phase is finite and the scale
+    factor lies in [0.7, 1), so each is valid by construction, and the
+    fields hold what the constructors would store.
     """
     m = rng.randint(1, 4)
     zeros = []
@@ -138,9 +177,15 @@ def random_self_map(rng: Random) -> MapExpr:
         r = 0.8 * math.sqrt(rng.random())
         a = 2.0 * math.pi * rng.random()
         zeros.append(r * cmath.exp(1j * a))
-    f: MapExpr = holomap.Blaschke(tuple(zeros), 2.0 * math.pi * rng.random())
+    f = _new(Blaschke)
+    _put(f, "zeros", tuple(zeros))
+    _put(f, "phase", 2.0 * math.pi * rng.random())
     if rng.random() < 0.5:
-        f = holomap.Compose((holomap.Scale(0.7 + 0.3 * rng.random()), f))
+        s = _new(Scale)
+        _put(s, "factor", complex(0.7 + 0.3 * rng.random()))
+        g = _new(Compose)
+        _put(g, "parts", (s, f))
+        return g
     return f
 
 
@@ -185,7 +230,7 @@ def fuzz_margins(
         f = None if kind == "euclid_gap" else random_self_map(rng)
         z = _random_point(rng)
         w = _random_point(rng)
-        rep = margin(kind, f, z, w, coefficient)
+        rep = _margin(kind, f, z, w, coefficient)
         if rep.margin < min_margin:
             min_margin = rep.margin
             worst = rep

@@ -139,13 +139,14 @@ class Blaschke:
 
     def jet(self, z: complex):
         ph = cmath.exp(1j * self.phase)
-        vals = [(z - zj) / (1.0 - zj.conjugate() * z) for zj in self.zeros]
+        dens = [1.0 - zj.conjugate() * z for zj in self.zeros]
+        vals = [(z - zj) / q for zj, q in zip(self.zeros, dens)]
         out = ph
         for w in vals:
             out *= w
         total = 0.0 + 0.0j
-        for j, zj in enumerate(self.zeros):
-            dj = (1.0 - abs(zj) ** 2) / (1.0 - zj.conjugate() * z) ** 2
+        for j, (zj, q) in enumerate(zip(self.zeros, dens)):
+            dj = (1.0 - abs(zj) ** 2) / q ** 2
             rest = 1.0 + 0.0j
             for i, v in enumerate(vals):
                 if i != j:

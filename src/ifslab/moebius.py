@@ -219,14 +219,19 @@ def canonical(g: MoebiusMap) -> MoebiusMap:
     The sign makes the first entry of modulus above 1e-12 have positive
     real part (imaginary part positive on the real-part tie).
     """
-    a, b, c, d = _det1(*g.entries())
+    return _trusted(*_canonical_entries(*g.entries()), g.domain)
+
+
+def _canonical_entries(a, b, c, d):
+    """The entries of canonical's representative of the matrix (a, b, c, d)."""
+    a, b, c, d = _det1(a, b, c, d)
     m = _scale((a, b, c, d))
     for e in (a, b, c, d):
         if abs(e) > 1e-12 * m:
             if e.real < -1e-12 * m or (abs(e.real) <= 1e-12 * m and e.imag < 0):
                 a, b, c, d = -a, -b, -c, -d
             break
-    return _trusted(a, b, c, d, g.domain)
+    return a, b, c, d
 
 
 def matrix_distance(g: MoebiusMap, h: MoebiusMap) -> float:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifslab import holomap, moebius
-from ifslab.geometry import disc_distance
+from ifslab.geometry import DomainError, _omega_raw, disc_distance, disc_point
 from ifslab.holomap import Blaschke, Compose, Mobius, Monomial, Scale
 from ifslab.bounds import (
     MARGIN_KINDS,
+    _random_point,
     best_automorphism,
     boundary_defect,
     fuzz_margins,
@@ -168,3 +169,112 @@ def test_margin_nonnegative_property(seed):
     w = 0.7 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
     for kind in MARGIN_KINDS:
         assert margin(kind, f, z, w).margin >= -1e-9
+
+
+def _rebuilt(f):
+    """f rebuilt through the validating constructors."""
+    if isinstance(f, Compose):
+        return Compose(tuple(_rebuilt(p) for p in f.parts))
+    if isinstance(f, Scale):
+        return Scale(f.factor)
+    return Blaschke(f.zeros, f.phase)
+
+
+def test_random_maps_are_valid_maps():
+    # the fuzzer builds its maps without the constructors' checks; each
+    # must be the map the constructors build and store, field for field
+    for seed in range(2000):
+        f = random_self_map(random.Random(seed))
+        g = _rebuilt(f)
+        assert g == f, seed
+        b = f.parts[1] if isinstance(f, Compose) else f
+        assert all(type(z) is complex for z in b.zeros) and type(b.phase) is float
+        if isinstance(f, Compose):
+            assert type(f.parts[0].factor) is complex
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("kind", MARGIN_KINDS)
+def test_fuzz_rows_equal_the_public_path(kind, seed):
+    # fuzz_margins skips the public checks; every row must still be the
+    # one that validated maps, margin and best_automorphism give
+    c = 2.0
+    rng = random.Random(seed)
+    rows = fuzz_margins(kind, 300, seed, coefficient=c).rows
+    assert len(rows) == 300
+    for row in rows:
+        f = None if kind == "euclid_gap" else _rebuilt(random_self_map(rng))
+        z, w = _random_point(rng), _random_point(rng)
+        if kind == "approx_auto":
+            lhs = _omega_raw(f.eval(z), moebius.apply(best_automorphism(f, w), z))
+            rhs = c * math.exp(4.0 * _omega_raw(z, w)) * (1.0 - holomap.distortion(f, w))
+            ref = (kind, z, w, lhs, rhs, rhs - lhs, c)
+        else:
+            r = margin(kind, f, z, w, c)
+            ref = (r.kind, r.z, r.w, r.lhs, r.rhs, r.margin, r.coefficient)
+        assert (row.kind, row.z, row.w, row.lhs, row.rhs, row.margin, row.coefficient) == ref
+
+
+def _chain_best_automorphism(f, w):
+    """best_automorphism as a chain of validated moebius maps."""
+    auto = holomap.as_automorphism(f)
+    if auto is not None:
+        return auto
+    wv = disc_point(w)
+    fw, d = f.jet(wv)
+    phi = moebius.make_disc_auto(wv, 0.0)
+    psi = moebius.make_disc_auto(fw, 0.0)
+    gprime = d * (1.0 - abs(wv) ** 2) / (1.0 - abs(fw) ** 2)
+    inner = moebius.inverse(phi)
+    if abs(gprime) > 0:
+        alpha = math.atan2(gprime.imag, gprime.real)
+        rot = moebius.MoebiusMap(cmath.exp(1j * alpha), 0j, 0j, 1.0 + 0j, moebius.DISC)
+        inner = moebius.compose(rot, inner)
+    return moebius.canonical(moebius.compose(psi, inner))
+
+
+def _bits(g):
+    return tuple((e.real.hex(), e.imag.hex()) for e in g.entries()) + (g.domain,)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0.0, max_value=0.97),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+@settings(max_examples=200)
+def test_best_automorphism_equals_the_chain(seed, r, a):
+    f = random_self_map(random.Random(seed))
+    w = cmath.rect(r, a)
+    assert _bits(best_automorphism(f, w)) == _bits(_chain_best_automorphism(f, w))
+
+
+def test_best_automorphism_branches_equal_the_chain():
+    # an automorphism comes back unchanged
+    g = moebius.make_disc_auto(0.4, 1.0)
+    assert best_automorphism(Mobius(g), 0.3j) is g
+    one = Blaschke((0.2 - 0.5j,), 0.7)
+    assert best_automorphism(one, 0.3j) == one.matrix()
+    # f#(w) = 0: the rotation is dropped
+    sq = best_automorphism(Monomial(2), 0.0)
+    assert _bits(sq) == _bits(_chain_best_automorphism(Monomial(2), 0.0))
+    assert _bits(sq) == _bits(moebius.identity())
+    # the generic case
+    f = Blaschke((0.3, -0.2 + 0.1j), 0.7)
+    assert _bits(best_automorphism(f, 0.25 - 0.15j)) == _bits(_chain_best_automorphism(f, 0.25 - 0.15j))
+
+
+def test_approx_auto_keeps_the_named_abort_at_f_of_w():
+    # f(w) lies 2.1e-14 from the circle: gamma cannot be built there
+    f = Compose((Mobius(moebius.make_disc_auto(0.9, 0.0)), Monomial(2)))
+    with pytest.raises(DomainError, match="not an interior disc point"):
+        margin("approx_auto", f, 0.3, 1 - 2e-13)
+
+
+def test_public_entry_points_check_their_points():
+    for kind in MARGIN_KINDS:
+        for z, w in ((1.2, 0.1), (0.1, 1.0)):
+            with pytest.raises(DomainError, match="not an interior disc point"):
+                margin(kind, Monomial(2), z, w)
+    with pytest.raises(DomainError, match="not an interior disc point"):
+        best_automorphism(Monomial(2), 1.0)
