@@ -245,11 +245,6 @@ class DenseBuild:
     certs: tuple
     exhausted: bool
 
-    @property
-    def stream(self) -> GeneratorStream:
-        """The maps as a stream; the build made them, so from_list's check is skipped."""
-        return GeneratorStream("list", self.maps)
-
 
 def build_dense(targets, k_cap: int = 1_000_000) -> DenseBuild:
     """Hit each target automorphism as a milestone of one left system.

@@ -73,9 +73,17 @@ def json_number(v, what: str) -> float:
         raise DomainError(f"{what} must convert to a float, got {v.bit_length()} bits") from None
 
 
+def json_array(v, what: str, size: int | None = None) -> list:
+    """A JSON array, of size items when size is given."""
+    if not isinstance(v, list) or size not in (None, len(v)):
+        items = "" if size is None else f" of {size} items"
+        raise DomainError(f"{what} must be a JSON array{items}: {v!r}")
+    return v
+
+
 def json_point(v, what: str) -> complex:
     """A JSON [re, im] pair of numbers as a complex."""
-    re, im = v
+    re, im = json_array(v, what, 2)
     return complex(json_number(re, what), json_number(im, what))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Union, get_args
 
 from . import moebius
-from .geometry import _EPS, DomainError, disc_point, _omega_raw, json_number, json_point
+from .geometry import _EPS, DomainError, disc_point, _omega_raw, json_array, json_number, json_point
 from .moebius import MoebiusMap
 
 # |a| within this of 1 makes Scale(a) a rotation, and Im t within it of 0
@@ -510,34 +510,6 @@ def denjoy_wolff(f: MapExpr) -> DWReport:
     )
 
 
-def map_to_json(f: MapExpr) -> dict:
-    if isinstance(f, Monomial):
-        return {"kind": "monomial", "power": f.power}
-    if isinstance(f, Scale):
-        return {"kind": "scale", "factor": [f.factor.real, f.factor.imag]}
-    if isinstance(f, Blaschke):
-        return {
-            "kind": "blaschke",
-            "zeros": [[z.real, z.imag] for z in f.zeros],
-            "phase": f.phase,
-        }
-    if isinstance(f, Constant):
-        return {"kind": "constant", "value": [f.value.real, f.value.imag]}
-    if isinstance(f, Mobius):
-        return moebius.to_json(f.map)
-    if isinstance(f, Compose):
-        return {"kind": "compose", "parts": [map_to_json(p) for p in f.parts]}
-    if isinstance(f, HalfPlaneAffine):
-        out = {
-            "kind": "hp_affine",
-            "translation": [f.translation.real, f.translation.imag],
-        }
-        if f.scale != 1.0:
-            out["scale"] = f.scale
-        return out
-    raise TypeError(f"not a MapExpr: {f!r}")
-
-
 def map_from_json(obj: dict) -> MapExpr:
     if not isinstance(obj, dict):
         raise ValueError(f"a map must be a JSON object, got {obj!r}")
@@ -554,14 +526,14 @@ def _map_from_json(kind, obj: dict) -> MapExpr:
     if kind == "scale":
         return Scale(json_point(obj["factor"], "scale factor"))
     if kind == "blaschke":
-        zeros = tuple(json_point(z, "blaschke zero") for z in obj["zeros"])
+        zeros = tuple(json_point(z, "blaschke zero") for z in json_array(obj["zeros"], "blaschke zeros"))
         return Blaschke(zeros, json_number(obj.get("phase", 0.0), "blaschke phase"))
     if kind == "constant":
         return Constant(json_point(obj["value"], "constant value"))
     if kind == "mobius":
         return Mobius(moebius.from_json(obj))
     if kind == "compose":
-        return Compose(tuple(map_from_json(p) for p in obj["parts"]))
+        return Compose(tuple(map_from_json(p) for p in json_array(obj["parts"], "compose parts")))
     if kind == "hp_affine":
         t = json_point(obj["translation"], "hp_affine translation")
         return HalfPlaneAffine(t, json_number(obj.get("scale", 1.0), "hp_affine scale"))

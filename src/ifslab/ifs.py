@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import holomap, moebius
-from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point, json_number
+from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point, json_array, json_number
 from .holomap import ConsistencyError, MapExpr, NonFiniteError, Scale
 
 LEDGER_SLACK = 1e-10
@@ -86,8 +86,6 @@ class GeneratorStream:
     kind: str  # "list" | "cycle" | "rule"
     maps: tuple = ()
     rule: Callable[[int], MapExpr] | None = None
-    rule_name: str = ""
-    rule_params: dict = field(default_factory=dict)
 
     @classmethod
     def from_list(cls, maps) -> "GeneratorStream":
@@ -106,8 +104,8 @@ class GeneratorStream:
         return cls("cycle", ms)
 
     @classmethod
-    def from_rule(cls, rule: Callable[[int], MapExpr], name: str = "", params: dict | None = None) -> "GeneratorStream":
-        return cls("rule", (), rule, name, dict(params or {}))
+    def from_rule(cls, rule: Callable[[int], MapExpr]) -> "GeneratorStream":
+        return cls("rule", (), rule)
 
     def generator_at(self, n: int) -> MapExpr:
         if n > 0:  # every step's case first: rule, cycle, list
@@ -127,17 +125,6 @@ class GeneratorStream:
         return (n - 1) % len(self.maps) if self.kind == "cycle" else None
 
 
-def stream_to_json(stream: GeneratorStream) -> dict:
-    if stream.kind in ("list", "cycle"):
-        return {
-            "type": stream.kind,
-            "generators": [holomap.map_to_json(f) for f in stream.maps],
-        }
-    if not stream.rule_name:
-        raise ValueError("only named rules can be serialized")
-    return {"type": "rule", "name": stream.rule_name, "params": dict(stream.rule_params)}
-
-
 def stream_from_json(obj: dict) -> GeneratorStream:
     if not isinstance(obj, dict):
         raise ValueError(f"a stream must be a JSON object, got {obj!r}")
@@ -145,14 +132,17 @@ def stream_from_json(obj: dict) -> GeneratorStream:
     if kind in ("list", "cycle"):
         if "generators" not in obj:
             raise ValueError(f"{kind} stream lacks required key 'generators'")
-        maps = [holomap.map_from_json(g) for g in obj["generators"]]
+        maps = [holomap.map_from_json(g) for g in json_array(obj["generators"], f"{kind} stream generators")]
         return GeneratorStream.from_list(maps) if kind == "list" else GeneratorStream.from_cycle(maps)
     if kind == "rule":
-        name = obj.get("name")
+        name, params = obj.get("name"), obj.get("params", {})
+        if not isinstance(name, str):
+            raise ValueError(f"rule stream name must be a string: {name!r}")
+        if not isinstance(params, dict):
+            raise ValueError(f"rule stream params must be a JSON object: {params!r}")
         if name not in RULES:
             raise ValueError(f"unknown stream rule {name!r}")
-        params = dict(obj.get("params", {}))
-        return GeneratorStream.from_rule(RULES[name](params), name, params)
+        return GeneratorStream.from_rule(RULES[name](dict(params)))
     raise ValueError(f"unknown stream type {kind!r}")
 
 
@@ -366,9 +356,9 @@ class RightOrbitState(_Engine):
         else:
             earlier = record[3]  # R_{n-p} at the seeds
             if earlier is not None:
-                pairs = [self._tail(z, len(self.stream.maps), dz) for z, dz in zip(*earlier)]
+                pairs = [_replay(self.parts, len(self.stream.maps), z, dz) for z, dz in zip(*earlier)]
             else:
-                pairs = [self._tail(s, n, 1.0 + 0.0j if jets else None) for s in self.seeds]
+                pairs = [_replay(self.parts, n, s, 1.0 + 0.0j if jets else None) for s in self.seeds]
             fresh, fresh_derivs = (list(t) for t in zip(*pairs))
             record[3] = (fresh, fresh_derivs)
         values = list(self.values)
@@ -399,21 +389,21 @@ class RightOrbitState(_Engine):
         self.values = values
         self.derivs = derivs
 
-    def _tail(self, z: complex, k: int, dz: complex | None = None) -> tuple:
-        """f_1 o ... o f_k at z, applying f_k first.
 
-        Returns the value and, given the derivative dz of z, the
-        derivative carried along by the chain rule (else None).
-        """
-        parts = self.parts
-        if dz is None:
-            for j in range(k - 1, -1, -1):
-                z = holomap.eval_raw(parts[j], z)
-        else:
-            for j in range(k - 1, -1, -1):
-                z, d = parts[j].jet(z)
-                dz = d * dz
-        return z, dz
+def _replay(maps, k: int, z: complex, dz: complex | None = None) -> tuple:
+    """maps[0] o ... o maps[k-1] at z, applying maps[k-1] first.
+
+    Returns the value and, given the derivative dz of z, the derivative
+    carried along by the chain rule through each map's jet (else None).
+    """
+    if dz is None:
+        for j in range(k - 1, -1, -1):
+            z = holomap.eval_raw(maps[j], z)
+    else:
+        for j in range(k - 1, -1, -1):
+            z, d = maps[j].jet(z)
+            dz = d * dz
+    return z, dz
 
 
 @dataclass(frozen=True)
@@ -448,13 +438,10 @@ def verify_backward_orbit(stream: GeneratorStream, orbit: BackwardOrbit) -> Back
     pts = orbit.points
     gens = [stream.generator_at(n) for n in range(1, len(pts))]
     step_max = max((abs(holomap.eval_raw(f, w) - prev) for f, w, prev in zip(gens, pts[1:], pts)), default=0.0)
-    v = pts[-1]
-    for f in reversed(gens):
-        v = holomap.eval_raw(f, v)
     return BackwardOrbitCheck(
         ok=step_max <= _VERIFY_TOL,
         max_step_residual=step_max,
-        composed_residual=abs(v - pts[0]),
+        composed_residual=abs(_replay(gens, len(gens), pts[-1])[0] - pts[0]),
     )
 
 

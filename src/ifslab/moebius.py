@@ -29,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import DomainError, disc_point, json_point
+from .geometry import DomainError, disc_point, json_array, json_point
 
 DISC = "disc"
 HALF_PLANE = "half_plane"
@@ -412,10 +412,7 @@ def from_json(obj: dict) -> MoebiusMap:
         raise ValueError(f"a mobius payload must be a JSON object, got {obj!r}")
     if obj.get("kind") != "mobius":
         raise ValueError(f"not a mobius payload: {obj!r}")
-    mat = obj["matrix"]
-    if len(mat) != 4:
-        raise ValueError("mobius matrix must list four [re, im] entries (a, b, c, d)")
-    a, b, c, d = (json_point(e, "mobius matrix entry") for e in mat)
+    a, b, c, d = (json_point(e, "mobius matrix entry") for e in json_array(obj["matrix"], "mobius matrix", 4))
     domain = obj.get("domain")
     if domain is None:
         if _is_su11(a, b, c, d):

@@ -8,7 +8,6 @@ individual unit suites pin the finer-grained behavior.
 import cmath
 import contextlib
 import filecmp
-import json
 import math
 import random
 
@@ -38,9 +37,7 @@ def _point(rng: random.Random, radius: float) -> complex:
 
 
 def _scale_stream(power: float) -> GeneratorStream:
-    return GeneratorStream.from_rule(
-        lambda n: Scale(1.0 - 1.0 / (n + 1) ** power), "scale_product", {"power": power}
-    )
+    return GeneratorStream.from_rule(lambda n: Scale(1.0 - 1.0 / (n + 1) ** power))
 
 
 def test_criterion_01_schwarz_pick_isometry():
@@ -251,9 +248,7 @@ def test_criterion_12_fixed_point_tracking():
         stream = GeneratorStream.from_rule(
             lambda n: Compose(
                 (Mobius(moebius.make_disc_auto(0.1 + 0.01 / n**2, 0.0)), Scale(0.5))
-            ),
-            "contraction_demo",
-            {},
+            )
         )
         rep = criteria.track_fixed_points(stream, 1000)
         assert rep.residual_max < 1e-10
@@ -272,14 +267,11 @@ def test_criterion_13_artifact_determinism(tmp_path):
         basel = '{"type": "rule", "name": "scale_product", "params": {"power": 2}}'
         harmonic = '{"type": "rule", "name": "scale_product", "params": {"power": 1}}'
         track = tmp_path / "track.json"
+        # the cycle of Mobius(make_disc_auto(0.1, 0.0)) o Scale(0.5)
         track.write_text(
-            json.dumps(
-                ifs.stream_to_json(
-                    GeneratorStream.from_cycle(
-                        [Compose((Mobius(moebius.make_disc_auto(0.1, 0.0)), Scale(0.5)))]
-                    )
-                )
-            ),
+            '{"type": "cycle", "generators": [{"kind": "compose", "parts": ['
+            '{"kind": "mobius", "matrix": [[1.0, 0.0], [0.1, 0.0], [0.1, -0.0], [1.0, 0.0]], "domain": "disc"}, '
+            '{"kind": "scale", "factor": [0.5, 0.0]}]}]}',
             encoding="utf-8",
         )
         commands = {

@@ -28,9 +28,10 @@ def _lines(path):
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def _stream_file(tmp_path, name, stream):
+def _stream_file(tmp_path, name, generator):
+    """A file holding the cycled stream of one generator spec."""
     p = tmp_path / name
-    p.write_text(json.dumps(ifs.stream_to_json(stream)), encoding="utf-8")
+    p.write_text(json.dumps({"type": "cycle", "generators": [generator]}), encoding="utf-8")
     return str(p)
 
 
@@ -566,8 +567,10 @@ def test_gallery_dense_malformed_targets_file_exits_2(tmp_path, capsys, text, me
 
 
 def test_fixed_points(tmp_path):
-    f = holomap.Compose((holomap.Mobius(moebius.make_disc_auto(0.1, 0.0)), holomap.Scale(0.5)))
-    spec = _stream_file(tmp_path, "stream.json", ifs.GeneratorStream.from_cycle([f]))
+    # Mobius(make_disc_auto(0.1, 0.0)) o Scale(0.5)
+    auto = {"kind": "mobius", "matrix": [[1.0, 0.0], [0.1, 0.0], [0.1, -0.0], [1.0, 0.0]], "domain": "disc"}
+    f = {"kind": "compose", "parts": [auto, {"kind": "scale", "factor": [0.5, 0.0]}]}
+    spec = _stream_file(tmp_path, "stream.json", f)
     rc = cli.main(["--out", str(tmp_path), "fixed-points", "--stream", spec, "-N", "300"])
     assert rc == 0
     doc = _read_json(tmp_path / "fixed_points.json")
@@ -577,8 +580,10 @@ def test_fixed_points(tmp_path):
 
 
 def test_refusal_writes_diagnostics(tmp_path):
-    rot = holomap.Mobius(moebius.make_disc_auto(0.0, 0.7))
-    spec = _stream_file(tmp_path, "stream.json", ifs.GeneratorStream.from_cycle([rot]))
+    # Mobius(make_disc_auto(0.0, 0.7)), a rotation
+    rot = {"kind": "mobius", "matrix": [[0.7648421872844885, 0.644217687237691], [0.0, 0.0], [0.0, -0.0], [1.0, 0.0]],
+           "domain": "disc"}
+    spec = _stream_file(tmp_path, "stream.json", rot)
     rc = cli.main(["--out", str(tmp_path), "fixed-points", "--stream", spec, "-N", "100"])
     assert rc == 3
     diag = _read_json(tmp_path / "diagnostics.json")
@@ -660,6 +665,29 @@ def test_stream_missing_key_names_key_and_map(tmp_path, capsys, spec, message):
     assert cli.main(["--out", str(tmp_path), "simulate", "--stream", spec]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "orbit.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ('{"type": "rule", "name": "scale_product", "params": null}', "rule stream params must be a JSON object"),
+        ('{"type": "rule", "name": ["x"]}', "rule stream name must be a string"),
+        ('{"type": "cycle", "generators": {"kind": "scale", "factor": [0.5, 0]}}',
+         "cycle stream generators must be a JSON array"),
+        ('{"type": "list", "generators": [{"kind": "blaschke", "zeros": 5}]}', "blaschke zeros must be a JSON array"),
+        ('{"type": "cycle", "generators": [{"kind": "scale", "factor": [0.5]}]}',
+         "scale factor must be a JSON array of 2 items"),
+        ('{"type": "cycle", "generators": [{"kind": "compose", "parts": {"kind": "monomial", "power": 2}}]}',
+         "compose parts must be a JSON array"),
+        ('{"type": "cycle", "generators": [{"kind": "mobius", "matrix": [[1, 0]]}]}',
+         "mobius matrix must be a JSON array of 4 items"),
+    ],
+)
+def test_stream_of_the_wrong_shape_exits_2_naming_the_field(tmp_path, capsys, spec, message):
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "simulate", "--stream", spec]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_stream_file_with_array_top_level_exits_2(tmp_path, capsys):

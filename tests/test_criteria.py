@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifslab import holomap, ifs, moebius
-from ifslab.holomap import Blaschke, Compose, Constant, InconclusiveError, Mobius, Monomial, Scale
+from ifslab.holomap import Blaschke, Compose, Constant, HalfPlaneAffine, InconclusiveError, Mobius, Monomial, Scale
 from ifslab.ifs import GeneratorStream
 from ifslab.criteria import (
     SeriesConfig,
@@ -25,9 +25,7 @@ BANACH_LIMIT = 0.19615242270663188  # sqrt(27) - 5, fixed point of the limit map
 
 
 def scale_product_stream(power: int) -> GeneratorStream:
-    return GeneratorStream.from_rule(
-        lambda n: Scale(1.0 - 1.0 / (n + 1) ** power), "scale_product", {"power": power}
-    )
+    return GeneratorStream.from_rule(lambda n: Scale(1.0 - 1.0 / (n + 1) ** power))
 
 
 def contraction_stream() -> GeneratorStream:
@@ -37,7 +35,7 @@ def contraction_stream() -> GeneratorStream:
         b = 0.1 + 0.01 / n**2
         return Compose((Mobius(moebius.make_disc_auto(b, 0.0)), Scale(0.5)))
 
-    return GeneratorStream.from_rule(gen, "contraction_demo", {})
+    return GeneratorStream.from_rule(gen)
 
 
 def test_harmonic_series_diverges():
@@ -224,6 +222,14 @@ def test_track_fixed_points_contraction_stream():
 def test_track_fixed_points_refuses_rotations():
     with pytest.raises(TrackingRefusal):
         track_fixed_points(GeneratorStream.from_cycle([Scale(1j)]), 20)
+
+
+def test_track_fixed_points_refuses_a_boundary_attractor():
+    # w |-> w + 1 + i contracts at every guard sample, but its Denjoy-Wolff
+    # point is on the circle: the Newton polish fails, and so does the fallback
+    stream = GeneratorStream.from_cycle([HalfPlaneAffine(1.0 + 1.0j)])
+    with pytest.raises(TrackingRefusal, match="generator 1 has no interior attracting point"):
+        track_fixed_points(stream, 20)
 
 
 def test_track_fixed_points_refuses_weak_contraction():

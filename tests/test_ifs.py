@@ -20,7 +20,6 @@ from ifslab.ifs import (
     compact_divergence,
     orbit_bounded,
     stream_from_json,
-    stream_to_json,
     verify_backward_orbit,
 )
 
@@ -28,9 +27,7 @@ ATANH_03 = 0.30951960420311175  # atanh(0.3)
 
 
 def scale_product_stream(power: int) -> GeneratorStream:
-    return GeneratorStream.from_rule(
-        lambda n: Scale(1.0 - 1.0 / (n + 1) ** power), "scale_product", {"power": power}
-    )
+    return GeneratorStream.from_rule(lambda n: Scale(1.0 - 1.0 / (n + 1) ** power))
 
 
 def test_held_values_can_be_fed_back_as_seeds():
@@ -100,17 +97,33 @@ def test_stream_indexing_conventions(stream):
         assert [stream.position(n) for n in (1, 2, 3, 40)] == [0, 1, 0, 1]
 
 
-def test_stream_json_roundtrip():
+def test_stream_json_specs_parse():
     s = GeneratorStream.from_cycle([Blaschke((0.2, -0.1j), 0.3), Monomial(2)])
-    t = stream_from_json(stream_to_json(s))
+    t = stream_from_json({"type": "cycle", "generators": [
+        {"kind": "blaschke", "zeros": [[0.2, 0.0], [0.0, -0.1]], "phase": 0.3}, {"kind": "monomial", "power": 2},
+    ]})
+    assert t == s
     for n in (1, 2, 3):
         f, g = s.generator_at(n), t.generator_at(n)
         for z in (0.1, 0.2 - 0.3j):
             assert holomap.eval_raw(f, z) == holomap.eval_raw(g, z)
 
     r = scale_product_stream(2)
-    r2 = stream_from_json(stream_to_json(r))
+    r2 = stream_from_json({"type": "rule", "name": "scale_product", "params": {"power": 2}})
     assert r2.generator_at(5) == r.generator_at(5)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "list", "generators": []}, "explicit stream needs at least one generator"),
+        ({"type": "cycle", "generators": []}, "cycled stream needs at least one generator"),
+        ({"type": "cycle", "generators": [{"kind": "spiral"}]}, "unknown map kind: 'spiral'"),
+    ],
+)
+def test_stream_json_rejects_empty_streams_and_unknown_maps(spec, message):
+    with pytest.raises(ValueError, match=message):
+        stream_from_json(spec)
 
 
 def test_stream_json_rejects_unknown():
@@ -586,6 +599,18 @@ def test_compact_divergence_hyperbolic():
     rep = compact_divergence(GeneratorStream.from_cycle([g]), HyperbolicBall(0.0, 1.0), 30)
     assert rep.first_permanent == 4
     assert all(rep.disjoint_flags[rep.first_permanent - 1 :])
+
+
+def test_orbit_reports_on_the_right_side():
+    # one generator cycled: R_n = L_n, so the right engine, on its matrix
+    # path, reports what the left one does
+    g = Mobius(moebius.MoebiusMap(math.cosh(0.5), math.sinh(0.5), math.sinh(0.5), math.cosh(0.5), moebius.DISC))
+    stream = GeneratorStream.from_cycle([g])
+    rep = orbit_bounded(stream, 0.0, 20, 2.2, side="right")  # omega(0, R_n(0)) = n / 2
+    assert rep.side == "right" and rep.first_escape == 5
+    assert rep.max_omega == pytest.approx(orbit_bounded(stream, 0.0, 20, 2.2).max_omega, rel=1e-6)
+    div = compact_divergence(stream, HyperbolicBall(0.0, 1.0), 30, side="right")
+    assert div == compact_divergence(stream, HyperbolicBall(0.0, 1.0), 30)
 
 
 def test_orbit_reports_reject_unknown_side():

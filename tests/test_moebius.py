@@ -162,9 +162,7 @@ def test_straightener_gammas_pass_the_public_check():
     # a unit phase; the public check must still accept it, and every entry
     # must be complex, or to_json would write an integer imaginary part
     hyperbolic = ifs.GeneratorStream.from_cycle([holomap.Mobius(MoebiusMap(1.25, 0.75, 0.75, 1.25, DISC))])
-    scale_product = ifs.GeneratorStream.from_rule(
-        lambda n: holomap.Scale(1.0 - 1.0 / (n + 1) ** 2), "scale_product", {"power": 2}
-    )
+    scale_product = ifs.GeneratorStream.from_rule(lambda n: holomap.Scale(1.0 - 1.0 / (n + 1) ** 2))
     squaring = ifs.GeneratorStream.from_cycle([holomap.Monomial(2)])
     orbit = ifs.BackwardOrbit(tuple(0.5 ** (2.0 ** -n) for n in range(31)))
     runs = [
@@ -257,6 +255,16 @@ def test_kth_root_of_parabolic(k):
     assert classify_auto(r).kind == "parabolic"
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_kth_root_of_half_plane_map_with_negative_trace(k):
+    # w |-> (w - 3)/2, whose real det-1 representative has trace -3/sqrt(2):
+    # the root flips its sign and stays in the half-plane's real matrices
+    g = MoebiusMap(-1.0, 3.0, 0.0, -2.0, HALF_PLANE)
+    r = kth_root(g, k)
+    assert r.domain == HALF_PLANE and (r.a + r.d).real > 0
+    assert matrix_distance(power(r, k), g) < 1e-11
+
+
 def test_kth_root_tends_to_identity():
     g = make_disc_auto(0.5, 0.3)
     gaps = [matrix_distance(kth_root(g, k), identity()) for k in (1, 4, 16, 64)]
@@ -290,6 +298,18 @@ def test_halfplane_transport_conjugates_action():
         z2 = apply(h, z)
         rhs = 1j * (1.0 + z2) / (1.0 - z2)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "matrix, domain",
+    [
+        ([[1, 0], [0.5, 0], [0.5, 0], [1, 0]], DISC),
+        ([[2, 0], [1, 0], [0, 0], [1, 0]], HALF_PLANE),
+        ([[0, 0], [1, 0], [1, 0], [0, 0]], GENERIC),  # z |-> 1/z reverses the half-plane
+    ],
+)
+def test_json_without_a_domain_infers_it(matrix, domain):
+    assert moebius.from_json({"kind": "mobius", "matrix": matrix}).domain == domain
 
 
 @given(autos())

@@ -35,9 +35,12 @@ HALF_LOG_TWO = 0.34657359027997264  # log(2)/2
 
 
 def scale_product_stream(power: int) -> GeneratorStream:
-    return GeneratorStream.from_rule(
-        lambda n: Scale(1.0 - 1.0 / (n + 1) ** power), "scale_product", {"power": power}
-    )
+    return GeneratorStream.from_rule(lambda n: Scale(1.0 - 1.0 / (n + 1) ** power))
+
+
+def test_one_step_has_no_window_residual():
+    res = left_straighten(GeneratorStream.from_cycle([Scale(0.5)]), 1)
+    assert res.steps == 1 and res.window_residual is None
 
 
 def test_make_grid():
