@@ -20,7 +20,10 @@ best_automorphism check theirs with disc_point, and fuzz_margins draws
 its points and maps valid by construction, so it builds the maps
 trusted (without the constructors' checks) and skips the public
 wrappers.  Each point of a draw takes one jet, which serves f(w),
-f'(w), the distortion and the approximating automorphism alike.
+f'(w), the distortion and the approximating automorphism alike.  A
+draw is kept as a plain row (z, w, lhs, rhs, margin), since its kind
+and coefficient are the fuzz run's; only the worst draw becomes a
+MarginReport.
 """
 
 from __future__ import annotations
@@ -97,11 +100,14 @@ def margin(kind: str, f: MapExpr | None, z, w, coefficient: float = 2.0) -> Marg
     near the float maximum makes rhs overflow), since no margin read
     from an infinite or NaN side means anything.
     """
-    return _margin(kind, f, disc_point(z), disc_point(w), coefficient)
+    zv, wv = disc_point(z), disc_point(w)
+    lhs, rhs = _sides(kind, f, zv, wv, coefficient)
+    return MarginReport(kind, zv, wv, lhs, rhs, rhs - lhs, coefficient)
 
 
-def _margin(kind: str, f: MapExpr | None, zv: complex, wv: complex, coefficient: float) -> MarginReport:
-    """margin at the interior points zv and wv, which the caller has checked."""
+def _sides(kind: str, f: MapExpr | None, zv: complex, wv: complex, coefficient: float) -> tuple:
+    """(lhs, rhs) of margin at the interior points zv and wv, which the
+    caller has checked."""
     om = _omega_raw(zv, wv)
     if kind == "euclid_gap":
         lhs = abs(zv - wv)
@@ -129,7 +135,7 @@ def _margin(kind: str, f: MapExpr | None, zv: complex, wv: complex, coefficient:
         raise ValueError(f"unknown margin kind {kind!r}")
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NonFiniteError(f"{kind} margin at z = {zv!r}, w = {wv!r} has lhs {lhs!r} and rhs {rhs!r}")
-    return MarginReport(kind, zv, wv, lhs, rhs, rhs - lhs, coefficient)
+    return lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -202,9 +208,9 @@ class FuzzReport:
     draws: int
     seed: int
     min_margin: float
-    worst: MarginReport
+    worst: MarginReport  # the one draw kept as a MarginReport; it carries the coefficient
     empirical_coefficient: float | None
-    rows: tuple
+    rows: tuple  # one plain tuple (z, w, lhs, rhs, margin) per draw
 
 
 def fuzz_margins(
@@ -222,6 +228,7 @@ def fuzz_margins(
     if kind not in MARGIN_KINDS:
         raise ValueError(f"unknown margin kind {kind!r}")
     rng = Random(seed)
+    scaled = kind in ("transfer", "approx_auto")
     worst = None
     min_margin = math.inf
     emp = 0.0
@@ -230,22 +237,22 @@ def fuzz_margins(
         f = None if kind == "euclid_gap" else random_self_map(rng)
         z = _random_point(rng)
         w = _random_point(rng)
-        rep = _margin(kind, f, z, w, coefficient)
-        if rep.margin < min_margin:
-            min_margin = rep.margin
-            worst = rep
-        if kind in ("transfer", "approx_auto"):
-            unit = rep.rhs / coefficient
+        lhs, rhs = _sides(kind, f, z, w, coefficient)
+        row = (z, w, lhs, rhs, rhs - lhs)
+        if row[4] < min_margin:
+            min_margin, worst = row[4], row
+        if scaled:
+            unit = rhs / coefficient
             # draws with a vanishing right side only measure rounding noise
             if unit > 1e-9:
-                emp = max(emp, rep.lhs / unit)
-        rows.append(rep)
+                emp = max(emp, lhs / unit)
+        rows.append(row)
     return FuzzReport(
         kind=kind,
         draws=draws,
         seed=seed,
         min_margin=min_margin,
-        worst=worst,
-        empirical_coefficient=emp if kind in ("transfer", "approx_auto") else None,
+        worst=None if worst is None else MarginReport(kind, *worst, coefficient),
+        empirical_coefficient=emp if scaled else None,
         rows=tuple(rows),
     )

@@ -351,10 +351,10 @@ def _cmd_classify(args, out: pathlib.Path) -> int:
 
 def _cmd_verify(args, out: pathlib.Path) -> int:
     rep = bounds.fuzz_margins(args.kind, args.fuzz, args.seed, coefficient=args.coefficient)
+    prefix = "%s,%d," % (rep.kind, args.seed)
     rows = (
-        "%s,%d,%.17g%+.17gj,%.17g%+.17gj,%.17g,%.17g,%.17g"
-        % (r.kind, args.seed, r.z.real, r.z.imag, r.w.real, r.w.imag, r.lhs, r.rhs, r.margin)
-        for r in rep.rows
+        prefix + "%.17g%+.17gj,%.17g%+.17gj,%.17g,%.17g,%.17g" % (z.real, z.imag, w.real, w.imag, lhs, rhs, m)
+        for z, w, lhs, rhs, m in rep.rows
     )
     _write_csv(out / "margins.csv", MARGINS_HEADER, rows)
     doc = _report(

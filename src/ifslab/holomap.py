@@ -116,6 +116,10 @@ class Blaschke:
 
     The zero list must be nonempty; use a Mobius node for automorphisms
     you already have in matrix form.
+
+    jet is the product rule on (value, derivative) pairs, one pass over
+    the m zeros (O(m)); its value takes eval's float operations, so it
+    equals eval's bits, and only the derivative's rounding is its own.
     """
 
     zeros: tuple
@@ -138,21 +142,16 @@ class Blaschke:
         return out
 
     def jet(self, z: complex):
-        ph = cmath.exp(1j * self.phase)
-        dens = [1.0 - zj.conjugate() * z for zj in self.zeros]
-        vals = [(z - zj) / q for zj, q in zip(self.zeros, dens)]
-        out = ph
-        for w in vals:
-            out *= w
-        total = 0.0 + 0.0j
-        for j, (zj, q) in enumerate(zip(self.zeros, dens)):
-            dj = (1.0 - abs(zj) ** 2) / q ** 2
-            rest = 1.0 + 0.0j
-            for i, v in enumerate(vals):
-                if i != j:
-                    rest *= v
-            total += dj * rest
-        return out, ph * total
+        out = cmath.exp(1j * self.phase)
+        d = 0j
+        for zj in self.zeros:
+            q = 1.0 - zj.conjugate() * z
+            v = (z - zj) / q
+            # the factor's derivative is formed before it meets out, so
+            # one zero rounds as the sum over factors did
+            d = d * v + out * ((1.0 - abs(zj) ** 2) / (q * q))
+            out *= v
+        return out, d
 
     def matrix(self) -> MoebiusMap | None:
         if len(self.zeros) != 1:
@@ -228,11 +227,13 @@ class Compose:
         return z, d
 
     def matrix(self) -> MoebiusMap | None:
+        # every part answers before any product, so a part with no matrix
+        # costs no moebius.compose
+        ms = [part.matrix() for part in self.parts]
+        if None in ms:
+            return None
         acc = moebius.identity()
-        for part in self.parts:
-            m = part.matrix()
-            if m is None:
-                return None
+        for m in ms:
             acc = moebius.compose(acc, m)
         return acc
 

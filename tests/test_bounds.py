@@ -41,7 +41,7 @@ def test_every_bound_applies_its_coefficient():
         assert five.rhs == pytest.approx(2.5 * two.rhs, rel=1e-15), kind
     a = fuzz_margins("transfer", 50, seed=3, coefficient=2.0)
     b = fuzz_margins("transfer", 50, seed=3, coefficient=5.0)
-    assert [r.margin for r in b.rows] != [r.margin for r in a.rows]
+    assert [r[4] for r in b.rows] != [r[4] for r in a.rows]
     assert b.empirical_coefficient == pytest.approx(a.empirical_coefficient, rel=1e-14)
 
 
@@ -200,19 +200,24 @@ def test_fuzz_rows_equal_the_public_path(kind, seed):
     # one that validated maps, margin and best_automorphism give
     c = 2.0
     rng = random.Random(seed)
-    rows = fuzz_margins(kind, 300, seed, coefficient=c).rows
+    rep = fuzz_margins(kind, 300, seed, coefficient=c)
+    assert rep.kind == kind and rep.worst.kind == kind and rep.worst.coefficient == c
+    rows = rep.rows
     assert len(rows) == 300
+    # the worst draw is the first row of least margin, as a MarginReport
+    worst = rep.worst
+    assert (worst.z, worst.w, worst.lhs, worst.rhs, worst.margin) == min(rows, key=lambda r: r[4])
     for row in rows:
         f = None if kind == "euclid_gap" else _rebuilt(random_self_map(rng))
         z, w = _random_point(rng), _random_point(rng)
         if kind == "approx_auto":
             lhs = _omega_raw(f.eval(z), moebius.apply(best_automorphism(f, w), z))
             rhs = c * math.exp(4.0 * _omega_raw(z, w)) * (1.0 - holomap.distortion(f, w))
-            ref = (kind, z, w, lhs, rhs, rhs - lhs, c)
+            ref = (z, w, lhs, rhs, rhs - lhs)
         else:
             r = margin(kind, f, z, w, c)
-            ref = (r.kind, r.z, r.w, r.lhs, r.rhs, r.margin, r.coefficient)
-        assert (row.kind, row.z, row.w, row.lhs, row.rhs, row.margin, row.coefficient) == ref
+            ref = (r.z, r.w, r.lhs, r.rhs, r.margin)
+        assert row == ref
 
 
 def _chain_best_automorphism(f, w):

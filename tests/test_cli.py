@@ -889,7 +889,7 @@ def test_margins_rows_bytes_match_per_field_format(tmp_path):
         return "%.17g%+.17gj" % (z.real, z.imag)
 
     assert _lines(tmp_path / "margins.csv")[1:] == [
-        _per_field(r.kind, "3", cfmt(r.z), cfmt(r.w), r.lhs, r.rhs, r.margin) for r in rep.rows
+        _per_field(rep.kind, "3", cfmt(z), cfmt(w), lhs, rhs, m) for z, w, lhs, rhs, m in rep.rows
     ]
 
 

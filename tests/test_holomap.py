@@ -4,7 +4,9 @@ import cmath
 import json
 import math
 import random
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +317,85 @@ def test_jet_value_is_eval_bit_for_bit(f, z):
     assert f.jet(z)[0] == f.eval(z)
     assert f.eval(z) == holomap.eval_raw(f, z)
     assert holomap._distortion_from_jet(z, *f.jet(z)) == distortion(f, z)
+
+
+def _quadratic_blaschke_derivative(b, z):
+    """B'(z) by the sum over j of the j-th factor's derivative times the
+    other m - 1 factors: the O(m^2) formula the product rule replaced."""
+    ph = cmath.exp(1j * b.phase)
+    dens = [1.0 - zj.conjugate() * z for zj in b.zeros]
+    vals = [(z - zj) / q for zj, q in zip(b.zeros, dens)]
+    total = 0.0 + 0.0j
+    for j, (zj, q) in enumerate(zip(b.zeros, dens)):
+        dj = (1.0 - abs(zj) ** 2) / q ** 2
+        rest = 1.0 + 0.0j
+        for i, v in enumerate(vals):
+            if i != j:
+                rest *= v
+        total += dj * rest
+    return ph * total
+
+
+def _exact(z):
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _div(a, b):
+    den = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den
+
+
+def _blaschke_derivative_terms(b, z):
+    """The m terms ph (1 - |z_j|^2) / q_j^2 prod_{i != j} v_i of B'(z), in
+    exact rational arithmetic on the float inputs and the float phase
+    factor cmath.exp(1j * phase)."""
+    zx = _exact(z)
+    ph = _exact(cmath.exp(1j * b.phase))
+    zs = [_exact(zj) for zj in b.zeros]
+    qs = [(1 - (zj[0] * zx[0] + zj[1] * zx[1]), -(zj[0] * zx[1] - zj[1] * zx[0])) for zj in zs]
+    vs = [_div((zx[0] - zj[0], zx[1] - zj[1]), q) for zj, q in zip(zs, qs)]
+    terms = []
+    for j, (zj, q) in enumerate(zip(zs, qs)):
+        t = _mul(ph, _div((1 - zj[0] ** 2 - zj[1] ** 2, Fraction(0)), _mul(q, q)))
+        for i, v in enumerate(vs):
+            if i != j:
+                t = _mul(t, v)
+        terms.append(t)
+    return terms
+
+
+def _error(approx, exact):
+    return abs(complex(float(Fraction(approx.real) - exact[0]), float(Fraction(approx.imag) - exact[1])))
+
+
+@given(
+    st.lists(
+        st.builds(cmath.rect, st.floats(min_value=0.0, max_value=0.9999), st.floats(-math.pi, math.pi)),
+        min_size=1,
+        max_size=6,
+    ),
+    disc_pts(0.999999),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_blaschke_jet_product_rule_against_exact_reference(zeros, z, phase):
+    # the O(m) product rule takes eval's float operations for the value,
+    # and its derivative's error exceeds the O(m^2) formula's by at most
+    # 2 m eps S, S the sum of the magnitudes of the exact terms of B'(z)
+    b = Blaschke(tuple(zeros), phase)
+    value, d = b.jet(z)
+    ev = b.eval(z)
+    assert (value.real.hex(), value.imag.hex()) == (ev.real.hex(), ev.imag.hex())
+    terms = _blaschke_derivative_terms(b, z)
+    exact = (sum(t[0] for t in terms), sum(t[1] for t in terms))
+    scale = sum(abs(complex(float(t[0]), float(t[1]))) for t in terms)
+    m = len(zeros)
+    eps = sys.float_info.epsilon
+    assert _error(d, exact) <= _error(_quadratic_blaschke_derivative(b, z), exact) + 2 * m * eps * scale
 
 
 @given(nested_maps(), disc_pts())
