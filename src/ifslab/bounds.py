@@ -21,9 +21,10 @@ its points and maps valid by construction, so it builds the maps
 trusted (without the constructors' checks) and skips the public
 wrappers.  Each point of a draw takes one jet, which serves f(w),
 f'(w), the distortion and the approximating automorphism alike.  A
-draw is kept as a plain row (z, w, lhs, rhs, margin), since its kind
-and coefficient are the fuzz run's; only the worst draw becomes a
-MarginReport.
+draw is a plain row (z, w, lhs, rhs, margin), since its kind and
+coefficient are the fuzz run's; fuzz_margins folds its summary as it
+draws and hands each row on as it is drawn, so no run keeps its draws,
+and only the worst draw becomes a MarginReport.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from random import Random
+from typing import Callable
 
 from . import holomap, moebius
 from .geometry import _omega_raw, disc_point
@@ -204,13 +206,15 @@ def _random_point(rng: Random) -> complex:
 
 @dataclass(frozen=True)
 class FuzzReport:
+    """The summary of a fuzz run, folded as it draws: the draws themselves
+    go to fuzz_margins' row callback, if any, and are not kept."""
+
     kind: str
     draws: int
     seed: int
     min_margin: float
     worst: MarginReport  # the one draw kept as a MarginReport; it carries the coefficient
     empirical_coefficient: float | None
-    rows: tuple  # one plain tuple (z, w, lhs, rhs, margin) per draw
 
 
 def fuzz_margins(
@@ -218,12 +222,15 @@ def fuzz_margins(
     draws: int,
     seed: int,
     coefficient: float = 2.0,
+    row: Callable[[tuple], None] | None = None,
 ) -> FuzzReport:
     """Hammer one bound with random maps and point pairs.
 
     empirical_coefficient is the smallest constant that would have
     covered every draw of transfer or approx_auto, a sharpness probe for
-    the default 2.
+    the default 2.  row, when given, is called with each draw's plain row
+    (z, w, lhs, rhs, margin) as it is drawn, so memory stays flat in the
+    number of draws.
     """
     if kind not in MARGIN_KINDS:
         raise ValueError(f"unknown margin kind {kind!r}")
@@ -232,21 +239,21 @@ def fuzz_margins(
     worst = None
     min_margin = math.inf
     emp = 0.0
-    rows = []
     for _ in range(draws):
         f = None if kind == "euclid_gap" else random_self_map(rng)
         z = _random_point(rng)
         w = _random_point(rng)
         lhs, rhs = _sides(kind, f, z, w, coefficient)
-        row = (z, w, lhs, rhs, rhs - lhs)
-        if row[4] < min_margin:
-            min_margin, worst = row[4], row
+        drawn = (z, w, lhs, rhs, rhs - lhs)
+        if drawn[4] < min_margin:
+            min_margin, worst = drawn[4], drawn
         if scaled:
             unit = rhs / coefficient
             # draws with a vanishing right side only measure rounding noise
             if unit > 1e-9:
                 emp = max(emp, lhs / unit)
-        rows.append(row)
+        if row is not None:
+            row(drawn)
     return FuzzReport(
         kind=kind,
         draws=draws,
@@ -254,5 +261,4 @@ def fuzz_margins(
         min_margin=min_margin,
         worst=None if worst is None else MarginReport(kind, *worst, coefficient),
         empirical_coefficient=emp if scaled else None,
-        rows=tuple(rows),
     )

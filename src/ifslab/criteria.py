@@ -12,14 +12,12 @@ threshold.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 
 from . import holomap
 from .geometry import disc_point
-from .holomap import InconclusiveError
+from .holomap import ConsistencyError, InconclusiveError
 from .ifs import _Escape, GeneratorStream, LeftOrbitCursor, RightOrbitState
 
 
@@ -49,6 +47,15 @@ _POLISH_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SeriesReport:
+    """The deficit series along the left orbit of base_point.
+
+    verdict and product_residual_max come from the fold (_Series).  Only
+    distortion_series keeps every step: terms, partial_sums and products
+    hold the n = 1..N values and orbit the points L_0(z), ..., L_N(z).  The
+    reports of classify_left_limits leave those four empty, so its memory
+    stays flat in N; its row callback sees the first point's steps instead.
+    """
+
     base_point: complex
     terms: tuple
     partial_sums: tuple
@@ -58,77 +65,127 @@ class SeriesReport:
     product_residual_max: float
 
 
-def _series_verdict(partial_sums, products, terms) -> str:
-    if partial_sums[-1] > SERIES.divergence_threshold and products[-1] < SERIES.divergence_product_tol:
+class _Series:
+    """One base point's deficit series, folded one step at a time.
+
+    It keeps the running partial sum, the running product of the f_n#,
+    the running product of the step derivatives (L_n'(z), None at n = 0),
+    the largest gap between the distortion of L_n at z read from L_n'(z)
+    and the product of the f_n#, which agree up to rounding; and the last
+    SERIES.summable_window terms and products, which is all
+    _series_verdict reads.  at is L_n(z), where the next term is taken.
+    error is the first error of the series, which _left_series raises
+    once its sweep is over; once stopped, the series takes no further
+    step.
+    """
+
+    def __init__(self, z: complex):
+        self.base_point = self.at = z
+        self.n = 0
+        self.partial_sum = 0.0
+        self.product = 1.0
+        self.deriv = None
+        self.residual_max = 0.0
+        self.terms = deque(maxlen=SERIES.summable_window)
+        self.products = deque(maxlen=SERIES.summable_window)
+        self.error = None
+        self.stopped = False
+        self._base_gap = 1.0 - abs(z) ** 2
+
+    def add(self, v: complex, dv: complex) -> float:
+        """Fold the step to v = f_n(at), with dv = f_n'(at); returns its term 1 - f_n#(at)."""
+        d = holomap._distortion_from_jet(self.at, v, dv)
+        term = 1.0 - d
+        self.n += 1
+        self.partial_sum += term
+        self.product *= d
+        self.deriv = dv if self.deriv is None else self.deriv * dv
+        direct = abs(self.deriv) * self._base_gap / (1.0 - abs(v) ** 2)  # v lies off the band
+        self.residual_max = max(self.residual_max, abs(direct - self.product))
+        self.terms.append(term)
+        self.products.append(self.product)
+        self.at = v
+        return term
+
+    def stop(self, error: Exception) -> None:
+        self.stopped = True
+        if self.error is None:
+            self.error = error
+
+    def report(self, terms=(), partial_sums=(), products=(), orbit=()) -> SeriesReport:
+        return SeriesReport(
+            base_point=self.base_point,
+            terms=terms,
+            partial_sums=partial_sums,
+            products=products,
+            orbit=orbit,
+            verdict=_series_verdict(self),
+            product_residual_max=self.residual_max,
+        )
+
+
+def _series_verdict(s: _Series) -> str:
+    if s.partial_sum > SERIES.divergence_threshold and s.product < SERIES.divergence_product_tol:
         return "diverging"
-    w = SERIES.summable_window
-    if len(terms) >= w:
-        tail = sum(terms[-w:])
-        swing = max(products[-w:]) - min(products[-w:])
-        if tail < SERIES.summable_tol and swing < SERIES.product_cauchy_tol:
+    if s.n >= SERIES.summable_window:
+        swing = max(s.products) - min(s.products)
+        if sum(s.terms) < SERIES.summable_tol and swing < SERIES.product_cauchy_tol:
             return "summable_so_far"
     return "inconclusive"
 
 
-def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: float | None = None):
-    """The deficit series along the left orbits of pts, from one jet-carrying
-    cursor; None if by the horizon the first point's reported orbit escapes
-    escape_radius, when given, by orbit_bounded's rule.  A series ends at a
-    constant generator (ValueError) or where the cursor holds its value
-    (InconclusiveError); that error, or a distortion's, is raised after the
-    sweep, the first point's first.  product_residual_max is the largest gap
-    between the product and the composite distortion, equal up to rounding.
+def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: float | None = None, row=None):
+    """The deficit series along the left orbits of pts, folded (_Series) as
+    one jet-carrying cursor sweeps them; None if by the horizon the first
+    point's reported orbit escapes escape_radius, when given, by
+    orbit_bounded's rule.  row, when given, is called at each step of the
+    first point's series with the tuple (n, term, partial sum, product,
+    L_{n-1}(z)).  A series ends at a constant generator (ValueError) or
+    where the cursor holds its value (InconclusiveError); that error, or a
+    distortion's earlier ConsistencyError, is raised after the sweep, the
+    first point's first.
     """
     cursor = LeftOrbitCursor(stream, pts, track_pairs=False, jets=True)
     watch = None if escape_radius is None else _Escape(cursor, escape_radius)
-    runs = [[[z], [], None] for z in cursor.seeds]  # orbit, step derivatives, error
+    series = [_Series(z) for z in cursor.seeds]
+    first = series[0]
     for n in range(1, N + 1):
-        if watch is None and runs[0][2] is not None:
-            break  # a lone series (no escape check) ends at its error
+        if watch is None and first.stopped:
+            break  # a lone series (no escape check) ends where it stops
         (cursor if watch is None else watch).advance()
         constant = holomap._as_constant(cursor.generator) is not None
-        for i, (run, v, dv) in enumerate(zip(runs, cursor.computed, cursor.derivs)):
-            if run[2] is not None:
+        for i, (s, v, dv) in enumerate(zip(series, cursor.computed, cursor.derivs)):
+            if s.stopped:
                 continue
             if constant:
-                run[2] = ValueError(f"generator {n} is constant; the deficit series needs nonconstant maps")
+                s.stop(ValueError(f"generator {n} is constant; the deficit series needs nonconstant maps"))
             elif i in cursor.saturated_seeds:
                 msg = f"left orbit entered the held band at step {n}: {v!r}"
-                run[2] = InconclusiveError(msg, partial={"step": n, "last": v})
-            else:
-                run[0].append(v)
-                run[1].append(dv)
+                s.stop(InconclusiveError(msg, partial={"step": n, "last": v}))
+            elif s.error is None:  # a series past its distortion's error only watches for its stop
+                at = s.at
+                try:
+                    term = s.add(v, dv)
+                except ConsistencyError as e:
+                    s.error = e
+                    continue
+                if row is not None and s is first:
+                    row((n, term, s.partial_sum, s.product, at))
     if watch is not None and watch.first is not None:
         return None
-    reports = []
-    for z, (orbit, derivs, stop) in zip(cursor.seeds, runs):
-        dists = [holomap._distortion_from_jet(at, v, dv) for at, v, dv in zip(orbit, orbit[1:], derivs)]
-        if stop is not None:
-            raise stop
-        terms = tuple(1.0 - d for d in dists)
-        prods = tuple(accumulate(dists, operator.mul))
-        resid_max = 0.0
-        for v, deriv, prod in zip(orbit[1:], accumulate(derivs, operator.mul), prods):
-            direct = abs(deriv) * (1.0 - abs(z) ** 2) / (1.0 - abs(v) ** 2)  # v lies off the band
-            resid_max = max(resid_max, abs(direct - prod))
-        sums = tuple(accumulate(terms))
-        reports.append(
-            SeriesReport(
-                base_point=z,
-                terms=terms,
-                partial_sums=sums,
-                products=prods,
-                orbit=tuple(orbit),
-                verdict=_series_verdict(sums, prods, terms),
-                product_residual_max=resid_max,
-            )
-        )
-    return tuple(reports)
+    for s in series:
+        if s.error is not None:
+            raise s.error
+    return series
 
 
 def distortion_series(stream: GeneratorStream, N: int, z0=0j) -> SeriesReport:
-    """Terms 1 - f_n#(L_{n-1} z0), their sums and products along the left orbit of z0 (see _left_series)."""
-    return _left_series(stream, N, (disc_point(z0),))[0]
+    """Terms 1 - f_n#(L_{n-1} z0), their sums and products along the left
+    orbit of z0, with every step collected from the fold (see _left_series)."""
+    steps = []
+    (s,) = _left_series(stream, N, (disc_point(z0),), row=steps.append)
+    _, terms, sums, prods, orbit = zip(*steps) if steps else ((),) * 5
+    return s.report(terms, sums, prods, orbit + (s.at,))
 
 
 @dataclass(frozen=True)
@@ -144,6 +201,7 @@ def classify_left_limits(
     stream: GeneratorStream,
     N: int,
     base_points=(0j, 0.3 + 0.2j),
+    row=None,
 ) -> LeftLimitReport:
     """Classify the limit behavior of L_n at the horizon N, in one sweep.
 
@@ -154,15 +212,20 @@ def classify_left_limits(
     limits nonconstant.  Verdicts are required to agree across the base
     points; disagreement or any inconclusive verdict is reported as
     inconclusive rather than silently preferring one point.  A series
-    error stands only once escape is ruled out.
+    error stands only once escape is ruled out.  The series are folded as
+    the sweep runs, so memory stays flat in N: the reports keep their
+    verdicts, not their steps, and row, when given, is called with each
+    step (n, term, partial sum, product, L_{n-1}(z)) of the first base
+    point's series, a tuple, as it is taken.
     """
     pts = tuple(disc_point(p) for p in base_points)
     if len(pts) < 2:
         raise ValueError("need at least two base points for cross-checking")
-    reports = _left_series(stream, N, pts, _ESCAPE_RADIUS)
-    if reports is None:
+    series = _left_series(stream, N, pts, _ESCAPE_RADIUS, row)
+    if series is None:
         return LeftLimitReport("not_relatively_compact", (), (), True, _ESCAPE_RADIUS)
-    limits = tuple(r.orbit[-1] for r in reports)
+    reports = tuple(s.report() for s in series)
+    limits = tuple(s.at for s in series)
     verdicts = {r.verdict for r in reports}
     agreement = len(verdicts) == 1
     if not agreement or "inconclusive" in verdicts:
@@ -214,7 +277,7 @@ def classify_right_limits(
     prods = []
     for n in range(1, N + 1):
         state.advance()
-        if holomap._as_constant(state.parts[-1]) is not None:
+        if holomap._as_constant(state.generator) is not None:
             raise ValueError(f"generator {n} is constant; the distortion product needs nonconstant maps")
         values.append(state.values[0])
         if n in marks and not state.saturated_seeds:

@@ -11,8 +11,10 @@ gives nested images and the step bound
 
 Right cost model: while every generator is fractional-linear (its
 f.matrix() is not None), R_n is one raw matrix product, rescaled
-exactly by powers of two, at O(1) per step.  Otherwise R_n(s) is
-replayed through the stored composition: O(p) per step on a cycled
+exactly by powers of two, at O(1) per step, and keeps no generator.
+Otherwise R_n(s) is replayed through f_1, ..., f_n, read from a list's
+or a cycle's maps, and on a rule stream from the generators the engine
+stores once the run leaves the matrix path: O(p) per step on a cycled
 stream of period p, which reuses R_{n-p}, and O(n) per step on list and
 rule streams.  A cycled stream also computes each position's matrix
 entries and ledger bounds once.  Both engines stop checking what
@@ -20,9 +22,10 @@ double precision can no longer resolve: the left cursor freezes a
 pair's distance ledger, the right one skips a step's ledger, and both
 hold a seed's reported value under one rule (_Engine) while its
 computed value lies within ~1600 ulps of the boundary; computed keeps
-the unheld values.  The left cursor also keeps the generator f_n it
-applied and, with jets on, the step derivatives f_n'(L_{n-1}(s)), so
-every left orbit in criteria and straighten runs on it.
+the unheld values.  Both keep the generator f_n of the last step; the
+left cursor also keeps, with jets on, the step derivatives
+f_n'(L_{n-1}(s)), so every left orbit in criteria and straighten runs
+on it.
 A right value that is not finite is a named abort (NonFiniteError),
 never a silent NaN.
 """
@@ -158,7 +161,7 @@ class _Engine:
     saturated_seeds for good.  Once the computed value leaves the band,
     values follows it again.  A seed that itself lies in the band is
     reported at step 0 but never held for that: only computed values
-    count.
+    count.  generator is the f_n of the last step (None at n = 0).
     """
 
     def __init__(self, stream: GeneratorStream, seeds):
@@ -167,6 +170,7 @@ class _Engine:
         if not self.seeds:
             raise ValueError("need at least one seed")
         self.n = 0
+        self.generator = None
         self.values = list(self.seeds)
         self.computed = self.values  # the engine's values at the seeds, held or not
         self.saturated_seeds = set()
@@ -175,8 +179,7 @@ class _Engine:
 class LeftOrbitCursor(_Engine):
     """Tracks L_n at a fixed set of seeds, one generator application per step.
 
-    generator is the f_n of the last step.  With jets on, each step takes
-    f_n.jet at every seed, which gives computed bit for bit as eval does,
+    With jets on, each step takes f_n.jet at every seed, which gives computed bit for bit as eval does,
     and derivs holds the step derivatives f_n'(L_{n-1}(s)) (1 at n = 0).
     With track_pairs on, every seed pair carries a distance ledger that
     must be non-increasing (up to LEDGER_SLACK); an increase trips a
@@ -190,7 +193,6 @@ class LeftOrbitCursor(_Engine):
 
     def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True, jets: bool = False):
         super().__init__(stream, seeds)
-        self.generator = None
         self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
         self.pair_distances = {}  # empty with track_pairs off
         self.saturated_pairs = set()
@@ -241,16 +243,21 @@ class LeftOrbitCursor(_Engine):
 
 
 class RightOrbitState(_Engine):
-    """Tracks R_n at fixed seeds, keeping the composed map as it grows.
+    """Tracks R_n at fixed seeds.
 
     While every generator so far is fractional-linear (f.matrix() is not
     None), R_n is one running product of raw matrix entries, a plain
-    4-tuple multiplied by each generator's entries in O(1) per step.
-    When the entries' absolute sum leaves [1/4, 4] the product is
-    rescaled by a power of two, which is exact and never reads the det.
-    Otherwise R_n(s) is replayed through the stored composition, f_n
-    first and f_1 last, which costs O(n) per step on list and rule
-    streams.  A cycled stream of period p is linear in N: R_n = C o
+    4-tuple multiplied by each generator's entries in O(1) per step, and
+    the engine keeps no generator, so its memory stays flat in N.  When
+    the entries' absolute sum leaves [1/4, 4] the product is rescaled by
+    a power of two, which is exact and never reads the det.  Otherwise
+    R_n(s) is replayed through f_1, ..., f_n, f_n first and f_1 last,
+    which costs O(n) per step on list and rule streams.  A replay reads
+    the generators from the stream's maps, repeated to n maps on a
+    cycle; a rule stream has none, so when it leaves the matrix path at
+    step n the engine fetches f_1, ..., f_n again into parts (None
+    otherwise) and appends each later f_n.  A cycled stream of period p
+    is linear in N: R_n = C o
     R_{n-p} with C = f_1 o ... o f_p, and the replay of R_n passes
     through R_{n-p}(s) after its first n - p evaluations, so applying
     f_p, ..., f_1 to the stored R_{n-p}(s) makes the same evaluations on
@@ -277,7 +284,7 @@ class RightOrbitState(_Engine):
     def __init__(self, stream: GeneratorStream, seeds, jets: bool = False):
         super().__init__(stream, seeds)
         self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
-        self.parts = []  # f_1 ... f_n in order
+        self.parts = None  # f_1 ... f_n, kept only by a rule stream off the matrix path
         # entries (a, b, c, d) of R_n up to a power-of-two scale, and their
         # det, which only derivatives read
         self.matrix: tuple | None = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
@@ -287,14 +294,17 @@ class RightOrbitState(_Engine):
 
     def advance(self) -> "RightOrbitState":
         n = self.n + 1
-        f = self.stream.generator_at(n)
-        self.parts.append(f)
+        f = self.generator = self.stream.generator_at(n)
         record = self._position(n, f)
         if self.matrix is not None:
             if record[0] is None:
                 self.matrix = None
+                if self.stream.kind == "rule":  # a pure rule gives f_1 ... f_{n-1} again
+                    self.parts = [self.stream.generator_at(j) for j in range(1, n)]
             else:
                 self._multiply(record[0], record[1], n)
+        if self.parts is not None:
+            self.parts.append(f)
         self._step(n, record)
         self.n = n
         return self
@@ -355,10 +365,13 @@ class RightOrbitState(_Engine):
                 fresh_derivs.append(self._det / (den * den) if jets else None)
         else:
             earlier = record[3]  # R_{n-p} at the seeds
+            maps = self.stream.maps if self.parts is None else self.parts
             if earlier is not None:
-                pairs = [_replay(self.parts, len(self.stream.maps), z, dz) for z, dz in zip(*earlier)]
+                pairs = [_replay(maps, len(maps), z, dz) for z, dz in zip(*earlier)]
             else:
-                pairs = [_replay(self.parts, n, s, 1.0 + 0.0j if jets else None) for s in self.seeds]
+                if n > len(maps):  # a cycle: its maps repeated past f_n
+                    maps = maps * -(-n // len(maps))
+                pairs = [_replay(maps, n, s, 1.0 + 0.0j if jets else None) for s in self.seeds]
             fresh, fresh_derivs = (list(t) for t in zip(*pairs))
             record[3] = (fresh, fresh_derivs)
         values = list(self.values)

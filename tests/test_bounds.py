@@ -4,6 +4,7 @@ and the boundary distortion defect."""
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,12 @@ def test_overflowing_side_is_a_named_abort():
         fuzz_margins("approx_auto", 3, seed=0, coefficient=1e308)
 
 
+def _fuzz_rows(kind, draws, seed, **kw):
+    """fuzz_margins' report and the rows it handed on, in draw order."""
+    rows = []
+    return fuzz_margins(kind, draws, seed, row=rows.append, **kw), rows
+
+
 def test_every_bound_applies_its_coefficient():
     f = Scale(0.5)
     for kind in MARGIN_KINDS:
@@ -39,9 +46,9 @@ def test_every_bound_applies_its_coefficient():
         five = margin(kind, f, 0.1 + 0.2j, 0.3, coefficient=5.0)
         assert five.lhs == two.lhs
         assert five.rhs == pytest.approx(2.5 * two.rhs, rel=1e-15), kind
-    a = fuzz_margins("transfer", 50, seed=3, coefficient=2.0)
-    b = fuzz_margins("transfer", 50, seed=3, coefficient=5.0)
-    assert [r[4] for r in b.rows] != [r[4] for r in a.rows]
+    a, a_rows = _fuzz_rows("transfer", 50, seed=3, coefficient=2.0)
+    b, b_rows = _fuzz_rows("transfer", 50, seed=3, coefficient=5.0)
+    assert [r[4] for r in b_rows] != [r[4] for r in a_rows]
     assert b.empirical_coefficient == pytest.approx(a.empirical_coefficient, rel=1e-14)
 
 
@@ -124,11 +131,24 @@ def test_fuzz_margins_hold(kind):
 
 
 def test_fuzz_determinism():
-    a = fuzz_margins("transfer", 500, seed=3)
-    b = fuzz_margins("transfer", 500, seed=3)
+    a, a_rows = _fuzz_rows("transfer", 500, seed=3)
+    b, b_rows = _fuzz_rows("transfer", 500, seed=3)
     assert a.min_margin == b.min_margin
-    assert len(a.rows) == 500  # every draw's row is kept
-    assert a.rows == b.rows
+    assert len(a_rows) == 500  # every draw's row is handed on
+    assert a_rows == b_rows
+
+
+def test_fuzz_margins_peak_memory_is_flat_in_draws():
+    # as scripts/run_margin_fuzz.py calls it: no row callback, and no draw kept
+    peaks = []
+    for draws in (2_000, 8_000):
+        tracemalloc.start()
+        try:
+            fuzz_margins("approx_auto", draws, seed=7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 512 * 1024
 
 
 def test_fuzz_empirical_coefficient():
@@ -200,9 +220,8 @@ def test_fuzz_rows_equal_the_public_path(kind, seed):
     # one that validated maps, margin and best_automorphism give
     c = 2.0
     rng = random.Random(seed)
-    rep = fuzz_margins(kind, 300, seed, coefficient=c)
+    rep, rows = _fuzz_rows(kind, 300, seed, coefficient=c)
     assert rep.kind == kind and rep.worst.kind == kind and rep.worst.coefficient == c
-    rows = rep.rows
     assert len(rows) == 300
     # the worst draw is the first row of least margin, as a MarginReport
     worst = rep.worst

@@ -6,6 +6,7 @@ import filecmp
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -18,6 +19,10 @@ from ifslab.geometry import _omega_raw
 BASEL = '{"type": "rule", "name": "scale_product", "params": {"power": 2}}'
 HARMONIC = '{"type": "rule", "name": "scale_product", "params": {"power": 1}}'
 SQUARING = '{"type": "cycle", "generators": [{"kind": "monomial", "power": 2}]}'
+# z -> (z + a)/(1 + a z) with a = 0.999999999: L_1(0) lies 1e-9 inside the
+# circle and L_2(0) in the engines' hold band
+NEAR_CIRCLE = ('{"type": "cycle", "generators": [{"kind": "mobius", "matrix": '
+               '[[1, 0], [0.999999999, 0], [0.999999999, 0], [1, 0]], "domain": "disc"}]}')
 
 
 def _read_json(path):
@@ -146,6 +151,36 @@ def test_classify_left_matches_library(tmp_path):
     lines = _lines(tmp_path / "series.csv")
     assert lines[0] == cli.SERIES_HEADER
     assert len(lines) == 1 + 5000
+
+
+def test_classify_basel_series_csv_in_closed_form(tmp_path):
+    # from base point 0 the Basel terms 1 - a_n = 1/(n+1)^2 are exact
+    # floats, and so is every partial sum (a multiple of 2^-53 below 1), so
+    # the streamed running sum must equal the exact sum of the float terms
+    # bit for bit; the product telescopes to (N+2)/(2(N+1))
+    n_max = 10_000
+    assert cli.main(["--out", str(tmp_path), "classify", "--stream", BASEL, "-N", str(n_max)]) == 0
+    rows = [line.split(",") for line in _lines(tmp_path / "series.csv")[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, n_max + 1))
+    exact = Fraction(0)
+    for n, (_, term, total, _, _, _) in enumerate(rows, start=1):
+        assert float(term) == 1.0 - (1.0 - 1.0 / (n + 1) ** 2)
+        exact += Fraction(float(term))
+        assert Fraction(float(total)) == exact, n
+    telescoped = (n_max + 2) / (2 * (n_max + 1))
+    assert float(rows[-1][3]) == pytest.approx(telescoped, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("horizon, listing", [
+    (2, ["diagnostics.json"]),  # the series' band abort at step 2
+    (3, ["classify.json"]),  # the orbit escapes
+])
+def test_classify_left_leaves_no_series_csv_on_abort_or_escape(tmp_path, horizon, listing):
+    # series.csv streams as the sweep runs; neither an abort nor an escape
+    # keeps it, as a file or as a temporary one
+    rc = cli.main(["--out", str(tmp_path), "classify", "-N", str(horizon), "--stream", NEAR_CIRCLE])
+    assert rc == (3 if horizon == 2 else 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
 
 def test_classify_right_matches_library(tmp_path):
@@ -869,9 +904,7 @@ def test_orbit_rows_bytes_match_per_field_format():
 
 def test_series_and_straighten_rows_bytes_match_per_field_format():
     odd = (-1.5e-320, float("nan"), -0.0, 0.30000000000000004)
-    rep = SimpleNamespace(terms=odd[:1], partial_sums=odd[1:2], products=odd[2:3],
-                          orbit=(complex(odd[3], odd[0]), 0.5j))
-    assert list(cli._series_rows(rep)) == [_per_field("1", *odd[:3], odd[3], odd[0])]
+    assert cli._series_row((1, *odd[:3], complex(odd[3], odd[0]))) == _per_field("1", *odd[:3], odd[3], odd[0])
     res = SimpleNamespace(steps=2, residual_trace=(odd[0],), probe_trace=odd[1:3],
                           distortion_trace=(float("inf"), odd[3]))
     assert list(cli._straighten_rows(res)) == [
@@ -883,13 +916,14 @@ def test_series_and_straighten_rows_bytes_match_per_field_format():
 def test_margins_rows_bytes_match_per_field_format(tmp_path):
     assert cli.main(["--out", str(tmp_path), "verify", "--kind", "transfer",
                      "--fuzz", "4", "--seed", "3"]) == 0
-    rep = bounds.fuzz_margins("transfer", 4, 3, coefficient=2.0)
+    drawn = []
+    rep = bounds.fuzz_margins("transfer", 4, 3, coefficient=2.0, row=drawn.append)
 
     def cfmt(z):
         return "%.17g%+.17gj" % (z.real, z.imag)
 
     assert _lines(tmp_path / "margins.csv")[1:] == [
-        _per_field(rep.kind, "3", cfmt(z), cfmt(w), lhs, rhs, m) for z, w, lhs, rhs, m in rep.rows
+        _per_field(rep.kind, "3", cfmt(z), cfmt(w), lhs, rhs, m) for z, w, lhs, rhs, m in drawn
     ]
 
 
@@ -952,6 +986,23 @@ def test_simulate_peak_memory_per_row(tmp_path):
 
 
 def test_escape_return_svg_peak_memory(tmp_path):
-    # the orbit rows and the polyline stream; the Cayley points are the one O(N) list
+    # the orbit rows and the polyline stream; the orbit's trail, turned into
+    # its Cayley points in place, is the one O(N) list (1.9-2.3 MB over
+    # Python 3.10-3.13; a second list of the points made it 2.9-3.4 MB)
     argv = ["--out", str(tmp_path), "gallery", "--example", "escape_return", "--svg", "--nmax", "8"]
-    assert _traced_peak(argv) <= 4_000_000
+    assert _traced_peak(argv) <= 2_600_000
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["verify", "--kind", "transfer", "--fuzz"], 1_000),
+    (["classify", "--stream", BASEL, "-N"], 2_500),
+    (["classify", "--side", "right", "--stream", BASEL, "-N"], 5_000),
+    # a rule stream of scalings stays on the matrix path
+    (["simulate", "--side", "right", "--stream", BASEL, "-N"], 5_000),
+], ids=["verify", "classify-left", "classify-right", "simulate-right-rule"])
+def test_folded_commands_peak_memory_is_flat_in_n(tmp_path, argv, n):
+    # verify folds its draws and classify its series (left) or tail (right)
+    # as they run, the rows stream to disk, and the right engine keeps no
+    # generator on the matrix path: 4x the size costs no more memory
+    peaks = [_traced_peak(["--out", str(tmp_path / str(size))] + argv + [str(size)]) for size in (n, 4 * n)]
+    assert abs(peaks[1] - peaks[0]) < 512 * 1024

@@ -4,11 +4,12 @@ import cmath
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifslab import holomap, ifs, moebius
+from ifslab import criteria, holomap, ifs, moebius
 from ifslab.holomap import Blaschke, Compose, Constant, HalfPlaneAffine, InconclusiveError, Mobius, Monomial, Scale
 from ifslab.ifs import GeneratorStream
 from ifslab.criteria import (
@@ -307,3 +308,49 @@ def test_series_prefix_consistency(n):
     part = distortion_series(scale_product_stream(2), n, 0.2j)
     assert part.partial_sums == full.partial_sums[:n]
     assert part.products == full.products[:n]
+
+
+def _exact_scale_term(a: float, v: complex) -> Fraction:
+    """1 - f#(v) for f = Scale(a), a > 0, exactly in the floats a and v:
+    f#(v) = a (1 - |v|^2) / (1 - a^2 |v|^2)."""
+    a, r = Fraction(a), Fraction(v.real) ** 2 + Fraction(v.imag) ** 2
+    return 1 - a * (1 - r) / (1 - a * a * r)
+
+
+def test_basel_left_verdict_flips_where_the_exact_window_sum_predicts():
+    # Basel (scale_product power 2) from the default base points: the
+    # verdict turns summable once both trailing windows of summable_window
+    # terms sum below summable_tol.  The second point's window decides;
+    # its terms are rationals in the float factors and orbit points, so an
+    # exact Fraction sum predicts the step.  Had the exact sum lain within
+    # rounding (1e-12 relative) of the threshold, either verdict would do;
+    # here it lies 4e-5 relative away on both sides of the flip.
+    w = SeriesConfig().summable_window
+    tol = Fraction(SeriesConfig().summable_tol)
+    orbit = distortion_series(scale_product_stream(2), 3_400, 0.3 + 0.2j).orbit
+    terms = [None] + [_exact_scale_term(1.0 - 1.0 / (n + 1) ** 2, orbit[n - 1]) for n in range(1, 3_401)]
+    window = {n: sum(terms[n - w + 1 : n + 1]) for n in range(3_200, 3_401)}
+    flip = min(n for n in window if window[n] < tol)
+    assert all(window[n] < tol for n in range(flip, 3_401))  # the sums fall with n
+    assert flip == 3_316
+    for n in (flip - 1, flip):
+        assert abs(window[n] - tol) > 1e-12 * tol
+    stream = scale_product_stream(2)
+    assert classify_left_limits(stream, flip - 1).kind == "inconclusive"
+    assert classify_left_limits(stream, flip).kind == "nonconstant_limits"
+
+
+@pytest.mark.parametrize("t, step", [(0.3, 10), (0.5, 6), (0.77, 3)])
+def test_axis_translations_escape_at_the_predicted_step(t, step):
+    # automorphisms moving along the axis (-1, 1) add their translation
+    # lengths: omega(0, L_n(0)) = n atanh t, which first passes the escape
+    # radius at n = ceil(radius / atanh t); escape needs _ESCAPE_RUN steps
+    # beyond it, so classify reads it from that step + _ESCAPE_RUN - 1 on
+    radius = criteria._ESCAPE_RADIUS
+    assert step == math.ceil(radius / math.atanh(t))
+    stream = GeneratorStream.from_cycle([Mobius(moebius.make_disc_auto(t, 0.0))])
+    assert ifs.orbit_bounded(stream, 0j, 20, radius).first_escape == step
+    first_n = step + ifs._ESCAPE_RUN - 1
+    assert classify_left_limits(stream, first_n - 1).kind == "inconclusive"
+    for n in (first_n, first_n + 1, first_n + 5):
+        assert classify_left_limits(stream, n).kind == "not_relatively_compact"

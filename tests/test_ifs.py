@@ -271,7 +271,7 @@ def test_right_composed_property():
     st_ = RightOrbitState(s, (0.4,))
     for _ in range(3):
         st_.advance()
-    R = Compose(tuple(st_.parts))
+    R = Compose(tuple(s.generator_at(n) for n in range(1, st_.n + 1)))
     # R_3 = f_1 o f_2 o f_3
     expect = 0.5 * (0.8 * 0.4) ** 2
     assert holomap.eval_raw(R, 0.4) == pytest.approx(expect, abs=1e-15)
@@ -285,7 +285,8 @@ def test_right_cycle_replay_has_no_depth_limit():
     for _ in range(100_001):
         st_.advance()
     assert st_.matrix is None
-    assert st_.n == len(st_.parts) == 100_001
+    assert st_.n == 100_001
+    assert st_.parts is None  # a cycle's replay reads the stream's maps
     assert st_.values == [0j]  # 0.1 ** (2 ** n) underflows to 0
 
 
@@ -487,6 +488,9 @@ MOBIUS_FIRST = [Mobius(moebius.make_disc_auto(0.2 - 0.3j, 0.5)), Blaschke((0.3, 
         (GeneratorStream.from_cycle(MOBIUS_FIRST), 11, 1),
         (GeneratorStream.from_cycle(MOBIUS_FIRST), 200, 1),
         (GeneratorStream.from_list(PERIOD3 * 10), 30, 0),
+        # rule streams that leave the matrix path at step 2 and at step 5
+        (GeneratorStream.from_rule(lambda n: MOBIUS_FIRST[(n - 1) % 3]), 30, 1),
+        (GeneratorStream.from_rule(lambda n: Scale(0.9 - 0.1j) if n <= 4 else PERIOD3[n % 3]), 30, 4),
     ],
 )
 def test_right_values_bit_identical_to_replay(stream, N, matrix_steps):
@@ -499,6 +503,12 @@ def test_right_values_bit_identical_to_replay(stream, N, matrix_steps):
         state.advance()
         with_jets.advance()
         assert with_jets.values == state.values
+        # only a rule stream off the matrix path keeps f_1 ... f_n, fetched
+        # again when it left; a replay of a list or a cycle reads their maps
+        if stream.kind == "rule" and n > matrix_steps:
+            assert state.matrix is None and len(state.parts) == n
+        else:
+            assert state.parts is None
         if n <= matrix_steps:
             # the matrix path rounds unlike a replay and is not under test
             assert state.values == pytest.approx(ref[n], abs=1e-12)
