@@ -1,10 +1,12 @@
 """Command-line experiment runner.
 
 Artifacts are deterministic by construction: every float goes through
-one fixed format (``%.17g``, a complex column ``%.17g%+.17gj``), each
-CSV row is one ``%`` format of its artifact's row layout, JSON keys are
-sorted, and nothing embeds a timestamp or machine identifier, so the
-same configuration and seed produce byte-identical files.
+one fixed format (``%.17g``, a complex column ``%.17g%+.17gj``), JSON
+keys are sorted, and nothing embeds a timestamp or machine identifier,
+so the same configuration and seed produce byte-identical files.  The
+rows of orbit.csv and series.csv are formatted a block at a time, one
+``%`` of the row layout repeated over about CSV_CHUNK rows, and every
+other CSV row is one ``%`` of its layout; both give the same bytes.
 
 Every JSON artifact is a report dataclass's fields as they are
 (``_report``), converted by the writer's hook as it reaches them
@@ -40,23 +42,27 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import pathlib
 import sys
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote  # the C function
-from math import isfinite
+from math import atanh, isfinite
 
 from . import bounds, criteria, gallery, holomap, ifs, moebius, straighten
 from .geometry import DomainError, _omega_raw, disc_point, json_point
 
 ORBIT_HEADER = "n,seed_re,seed_im,value_re,value_im,omega_to_origin,step_omega"
+_ORBIT_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g"
 STRAIGHTEN_HEADER = "n,residual,abs_h_w,distortion_at_0"
 SERIES_HEADER = "n,term,partial_sum,product,orbit_re,orbit_im"
+_SERIES_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
 MARGINS_HEADER = "kind,seed,z,w,lhs,rhs,margin"
 CSV_CHUNK = 512  # rows per write
 SVG_CHUNK = 4096  # polyline points per write
 JSON_CHUNK = 8192  # JSON pieces per write
+_real, _imag = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 class CLIError(Exception):
@@ -126,51 +132,56 @@ def _write_text(fh, text: str) -> None:
 
 
 @contextlib.contextmanager
-def _csv(path: pathlib.Path, header: str, line=None, partial: pathlib.Path | None = None):
-    """put(row), which takes one row of the CSV artifact path.  The rows
-    are kept as they come and go out CSV_CHUNK a write (_artifact), each
-    turned into its line (without the newline) by line(row), or taken as
-    the line itself when line is None.  Formatting a whole chunk at once,
-    apart from the work that makes the rows, measured faster than
-    formatting each row as it is made (by about 0.8 us a verify draw).
-    If a numerical abort cuts the rows short and partial is given, every
-    row so far is kept there, named with its count in the error's
+def _csv(path: pathlib.Path, header: str, block=None, partial: pathlib.Path | None = None):
+    """put(item), which takes the next item of the CSV artifact path: a
+    text of one or more lines (without the last newline), or, when block
+    is given, a row, whose line block(rows) makes with the rest of its
+    chunk as one text.  A multi-line text counts its lines.  Items are
+    kept until the next one would take them past CSV_CHUNK lines and then
+    go out in one write (_artifact), so a block of CSV_CHUNK lines or
+    fewer goes out as it is, with no copy joined to another.  If a
+    numerical abort cuts the items short and partial is given, every
+    line so far is kept there, named with its count in the error's
     partial; a complete write removes a stale one."""
     with _artifact(path, partial) as fh:
         _write_text(fh, header + "\n")
-        chunk, done = [], 0
+        chunk, lines, done = [], 0, 0
 
         def write() -> None:
-            _write_text(fh, "\n".join(chunk if line is None else map(line, chunk)) + "\n")
+            nonlocal chunk, lines, done
+            if chunk:  # the last newline on its own, not in a copy of the text
+                _write_text(fh, "\n".join(chunk) if block is None else block(chunk))
+                _write_text(fh, "\n")
+            chunk, lines, done = [], 0, done + lines
 
-        def put(row) -> None:
-            nonlocal chunk, done
-            chunk.append(row)
-            if len(chunk) == CSV_CHUNK:
+        def put(item) -> None:
+            nonlocal lines
+            count = 1 if block else item.count("\n") + 1
+            if lines + count > CSV_CHUNK:
                 write()
-                chunk, done = [], done + CSV_CHUNK
+            chunk.append(item)
+            lines += count
 
         try:
             yield put
         except _NUMERIC_ABORTS as e:
             if partial is not None:
-                rows = {"file": partial.name, "rows": done + len(chunk)}
+                rows = {"file": partial.name, "rows": done + lines}
                 e.partial = {**(getattr(e, "partial", None) or {}), **rows}
             raise
-        finally:  # the last short chunk, of a complete run or kept on an abort
-            if chunk:
-                write()
+        finally:  # the last chunk, of a complete run or kept on an abort
+            write()
     if partial is not None:
         partial.unlink(missing_ok=True)
 
 
 def _write_csv(path: pathlib.Path, header: str, rows) -> None:
-    """rows yields formatted lines without their newline.  If a numerical
-    abort cuts them short, every line so far is kept as <stem>.partial.csv
-    (see _csv)."""
+    """rows yields texts of one or more formatted lines, without the last
+    newline.  If a numerical abort cuts them short, every line so far is
+    kept as <stem>.partial.csv (see _csv)."""
     with _csv(path, header, partial=path.with_name(path.stem + ".partial" + path.suffix)) as put:
-        for row in rows:
-            put(row)
+        for text in rows:
+            put(text)
 
 
 _float_repr = float.__repr__
@@ -264,38 +275,89 @@ def _load_stream(spec: str) -> ifs.GeneratorStream:
         raise CLIError(f"bad stream spec: {e}")
 
 
-def _orbit_rows(cur, steps: int, trail: list | None = None):
-    """Yields the orbit.csv rows of steps 0..steps, advancing the orbit engine cur.
+def _orbit_block(n: int, seed_cols: list, old: list, new: list, template: str) -> str:
+    """The orbit.csv lines of steps n + 1, n + 2, ..., whose values new
+    holds seed by seed, after the step whose values old holds: one % of
+    template, _ORBIT_ROW once a line, over columns made by map."""
+    seeds = len(seed_cols)
+    args = [None] * (6 * len(new))
+    for i, cols in enumerate(seed_cols):
+        args[6 * i :: 6 * seeds] = range(n + 1, n + 1 + len(new) // seeds)
+        args[6 * i + 1 :: 6 * seeds] = itertools.repeat(cols, len(new) // seeds)
+    args[2::6] = map(_real, new)
+    args[3::6] = map(_imag, new)
+    try:  # _omega_raw(0j, v) is exactly atanh|v| for |v| < 1, and NaN for NaN
+        args[4::6] = map(atanh, map(abs, new))
+    except ValueError:  # |v| >= 1: an infinite value
+        args[4::6] = map(_omega_raw, itertools.repeat(0j), new)
+    # chain(old, new) runs one step behind new: each value's previous one
+    args[5::6] = map(_omega_raw, itertools.chain(old, new), new)
+    args = tuple(args)  # the list goes before the text is made
+    return template % args
 
-    The engine replaces its values list on each advance.  A value that
-    carries over as the same object (a held right seed) gets the row of
-    its first repeat again, with step_omega 0, under the new n.  trail,
-    if given, collects the first seed's value at every step.
+
+def _held_block(n: int, seed_cols: list, old: list, new: list, repeats: list) -> str:
+    """The lines _orbit_block gives, made row by row for a block in which
+    a held seed's value carries over as the same object: its row is the
+    row of its first repeat again, with step_omega 0, under the new n,
+    from the text kept in repeats (per seed: [value, its row after "n,"])."""
+    seeds = len(seed_cols)
+    lines = []
+    for j, (ov, nv) in enumerate(zip(itertools.chain(old, new), new)):
+        k, cols, rep = n + 1 + j // seeds, seed_cols[j % seeds], repeats[j % seeds]
+        if nv is not ov:
+            lines.append(_ORBIT_ROW % (k, cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(ov, nv)))
+            continue
+        if rep[0] is not nv:
+            rep[:] = nv, _ORBIT_ROW[3:] % (cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(nv, nv))
+        lines.append("%d,%s" % (k, rep[1]))
+    return "\n".join(lines)
+
+
+def _orbit_rows(cur, steps: int, trail: list | None = None):
+    """Yields the orbit.csv lines of steps 0..steps, advancing the orbit
+    engine cur, as texts of a block of lines each.
+
+    A block is CSV_CHUNK // seeds steps, so its row count does not grow
+    with the seed count, and goes out through _orbit_block, or through
+    _held_block when a held seed's value carries over as the same object
+    from the step before (the engine replaces its values list on each
+    advance, and keeps a held seed's value).  If an advance ends in a
+    numerical abort, the rows of the steps made so far are yielded before
+    the error.  trail, if given, collects the first seed's value at every
+    step.
     """
-    row = "%d,%s,%.17g,%.17g,%.17g,%.17g"
-    atanh = math.atanh
+    seeds = len(cur.seeds)
     seed_cols = ["%.17g,%.17g" % (s.real, s.imag) for s in cur.seeds]
     old = cur.values
-    for cols, v in zip(seed_cols, old):
-        yield row % (0, cols, v.real, v.imag, _omega_raw(0j, v), 0.0)
-    repeats = [[None, ""] for _ in seed_cols]  # per seed: [value, its row after "n,"]
+    yield "\n".join(_ORBIT_ROW % (0, cols, v.real, v.imag, _omega_raw(0j, v), 0.0) for cols, v in zip(seed_cols, old))
     if trail is not None:
         trail.append(old[0])
-    for n in range(1, steps + 1):
-        cur.advance()
-        new = cur.values
-        for cols, ov, nv, rep in zip(seed_cols, old, new, repeats):
-            if nv is not ov:
-                # _omega_raw(0j, v) is exactly atanh|v| for |v| < 1; NaN and inf go through it
-                origin = atanh(r) if (r := abs(nv)) < 1.0 else _omega_raw(0j, nv)
-                yield row % (n, cols, nv.real, nv.imag, origin, _omega_raw(ov, nv))
-                continue
-            if rep[0] is not nv:
-                rep[:] = nv, row[3:] % (cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(nv, nv))
-            yield "%d,%s" % (n, rep[1])
+    per_block = max(1, CSV_CHUNK // seeds)
+    full = "\n".join([_ORBIT_ROW] * (per_block * seeds))
+    repeats = [[None, ""] for _ in seed_cols]
+    n = 0
+    while n < steps:
+        new, error = [], None  # the block's values, step by step
+        try:
+            for _ in range(min(per_block, steps - n)):
+                new += cur.advance().values
+        except _NUMERIC_ABORTS as e:  # the rows so far go out first, kept as partial
+            error = e
+        count = len(new) // seeds
+        # chain(old, new) runs one step behind new: each value's previous one
+        if any(map(operator.is_, itertools.chain(old, new), new)):
+            yield _held_block(n, seed_cols, old, new, repeats)
+        elif new:
+            template = full if count == per_block else "\n".join([_ORBIT_ROW] * len(new))
+            yield _orbit_block(n, seed_cols, old, new, template)
+        if new:
+            old = new[-seeds:]
         if trail is not None:
-            trail.append(new[0])
-        old = new
+            trail += new[::seeds]
+        if error is not None:
+            raise error
+        n += count
 
 
 def _cmd_simulate(args, out: pathlib.Path) -> int:
@@ -353,7 +415,19 @@ def _series_row(step: tuple) -> str:
     """The series.csv line of a series step (n, term, partial sum, product,
     L_{n-1}(z))."""
     n, term, total, product, at = step
-    return "%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (n, term, total, product, at.real, at.imag)
+    return _SERIES_ROW % (n, term, total, product, at.real, at.imag)
+
+
+def _series_lines(steps: list, full: str) -> str:
+    """The series.csv lines of steps, through one % of _SERIES_ROW
+    repeated: full when steps is a whole chunk, else made on the spot."""
+    ns, terms, totals, products, ats = zip(*steps)
+    args = [None] * (6 * len(steps))
+    args[0::6], args[1::6], args[2::6], args[3::6] = ns, terms, totals, products
+    args[4::6] = map(_real, ats)
+    args[5::6] = map(_imag, ats)
+    args = tuple(args)  # the list goes before the text is made
+    return (full if len(steps) == CSV_CHUNK else "\n".join([_SERIES_ROW] * len(steps))) % args
 
 
 def _cmd_classify(args, out: pathlib.Path) -> int:
@@ -361,8 +435,10 @@ def _cmd_classify(args, out: pathlib.Path) -> int:
     extra = {"config": criteria.SERIES}  # the fixed verdict thresholds
     if args.side == "left":
         base = tuple(_parse_complex(s) for s in (args.base_point or ["0", "0.3+0.2j"]))
-        # the first base point's series streams to series.csv as the sweep takes it
-        with _csv(out / "series.csv", SERIES_HEADER, _series_row) as put:
+        # the first base point's series streams to series.csv as the sweep
+        # takes it, a chunk of steps to each % format
+        lines = functools.partial(_series_lines, full="\n".join([_SERIES_ROW] * CSV_CHUNK))
+        with _csv(out / "series.csv", SERIES_HEADER, lines) as put:
             rep = criteria.classify_left_limits(stream, args.horizon, base_points=base, row=put)
             if not rep.series:  # an escaping orbit: no series to write
                 raise _Drop
@@ -392,8 +468,11 @@ def _cmd_verify(args, out: pathlib.Path) -> int:
         cols = (z.real, z.imag, w.real, w.imag, lhs, rhs, m)
         return prefix + "%.17g%+.17gj,%.17g%+.17gj,%.17g,%.17g,%.17g" % cols
 
+    def margins_lines(draws: list) -> str:
+        return "\n".join(map(margins_row, draws))
+
     # each draw's row goes to margins.csv as it is drawn
-    with _csv(out / "margins.csv", MARGINS_HEADER, margins_row) as put:
+    with _csv(out / "margins.csv", MARGINS_HEADER, margins_lines) as put:
         rep = bounds.fuzz_margins(args.kind, args.fuzz, args.seed, coefficient=args.coefficient, row=put)
     doc = _report(
         rep,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Union, get_args
 
 from . import moebius
-from .geometry import _EPS, DomainError, disc_point, _omega_raw, json_array, json_number, json_point
+from .geometry import _EPS, DomainError, disc_point, json_array, json_number, json_point
 from .moebius import MoebiusMap
 
 # |a| within this of 1 makes Scale(a) a rotation, and Im t within it of 0
@@ -343,17 +343,6 @@ def _distortion_from_jet(z: complex, w: complex, d: complex) -> float:
     if val > 1.0 + tol:
         raise ConsistencyError(f"distortion {val!r} above 1 at {z!r}")
     return min(max(val, 0.0), 1.0)
-
-
-def distortion_via_quotient(f: MapExpr, z, h: float) -> float:
-    """Finite-difference distortion omega(f(z+h), f(z)) / omega(z+h, z)."""
-    zv = disc_point(z)
-    zh = disc_point(zv + h)  # rejects steps that leave the disc
-    num = _omega_raw(eval_raw(f, zh), eval_raw(f, zv))
-    den = _omega_raw(zh, zv)
-    if den == 0.0:
-        raise DomainError("quotient step h must be nonzero")
-    return num / den
 
 
 def as_automorphism(f: MapExpr):

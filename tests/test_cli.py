@@ -153,6 +153,21 @@ def test_classify_left_matches_library(tmp_path):
     assert len(lines) == 1 + 5000
 
 
+def test_classify_left_series_csv_in_blocks_matches_the_sweep(tmp_path):
+    # series.csv goes out CSV_CHUNK steps to a % format; each line is still
+    # the one-row format of the step the library's sweep reports for it
+    n_max = 1300
+    assert n_max > 2 * cli.CSV_CHUNK and n_max % cli.CSV_CHUNK
+    # the first base point off 0, so that the orbit columns are not 0
+    assert cli.main(["--out", str(tmp_path), "classify", "--stream", BASEL, "-N", str(n_max),
+                     "--base-point", "0.3+0.2j", "--base-point", "0"]) == 0
+    stream = ifs.stream_from_json(json.loads(BASEL))
+    steps = []
+    criteria.classify_left_limits(stream, n_max, base_points=(0.3 + 0.2j, 0j), row=steps.append)
+    assert len(steps) == n_max and steps[-1][4].imag != 0.0
+    assert _lines(tmp_path / "series.csv") == [cli.SERIES_HEADER] + [cli._series_row(s) for s in steps]
+
+
 def test_classify_basel_series_csv_in_closed_form(tmp_path):
     # from base point 0 the Basel terms 1 - a_n = 1/(n+1)^2 are exact
     # floats, and so is every partial sum (a multiple of 2^-53 below 1), so
@@ -273,23 +288,46 @@ class _Expanding(holomap.Scale):
         return self.factor * z * (1.0 + 1e-6)
 
 
-def test_left_ledger_abort_keeps_the_rows_streamed_so_far(tmp_path, monkeypatch):
-    # 2 seeds x steps 0..2500 = 5002 rows: one full chunk and part of the next
-    healthy = [holomap.Scale(1j)] * 2500
-    argv = ["simulate", "--stream", SCALE_07, "-N", "2600",
-            "--seed-point", "0", "--seed-point", "0.3+0.2j"]
-    faulty = ifs.GeneratorStream.from_cycle(healthy + [_Expanding(1j)])
+class _Tripping(holomap.Scale):
+    """A rotation whose evaluation raises the ledger's error: a lone seed
+    has no pair for the left ledger to check."""
+
+    def eval(self, z):
+        raise holomap.ConsistencyError("planted fault")
+
+
+# the faulty step: one inside a block, the first step of the first block,
+# the first and last steps of the third block (CSV_CHUNK // seeds steps
+# each) and one past it
+_BLOCK_EDGES = {
+    "mid-block": lambda steps: 2501,
+    "first-block-first": lambda steps: 1,
+    "first": lambda steps: 2 * steps + 1,
+    "last": lambda steps: 3 * steps,
+    "past-last": lambda steps: 3 * steps + 1,
+}
+
+
+@pytest.mark.parametrize("edge", _BLOCK_EDGES)
+@pytest.mark.parametrize("seeds", [1, 2])
+def test_left_ledger_abort_keeps_the_rows_streamed_so_far(tmp_path, monkeypatch, seeds, edge):
+    fault = _BLOCK_EDGES[edge](cli.CSV_CHUNK // seeds)
+    rows = seeds * fault  # steps 0 .. fault - 1
+    healthy = [holomap.Scale(1j)] * (fault - 1)
+    argv = ["simulate", "--stream", SCALE_07, "-N", str(fault + 100),
+            "--seed-point", "0"] + ["--seed-point", "0.3+0.2j"] * (seeds - 1)
+    faulty = ifs.GeneratorStream.from_cycle(healthy + [(_Expanding if seeds == 2 else _Tripping)(1j)])
     monkeypatch.setattr(cli.ifs, "stream_from_json", lambda obj: faulty)
     assert cli.main(["--out", str(tmp_path / "faulty")] + argv) == 3
     diag = _strict_json(tmp_path / "faulty" / "diagnostics.json")
     assert diag["error"] == "ConsistencyError"
-    assert diag["partial"] == {"file": "orbit.partial.csv", "rows": 5002}
+    assert diag["partial"] == {"file": "orbit.partial.csv", "rows": rows}
     assert not (tmp_path / "faulty" / "orbit.csv").exists()
     clean = ifs.GeneratorStream.from_cycle(healthy + [holomap.Scale(1j)])
     monkeypatch.setattr(cli.ifs, "stream_from_json", lambda obj: clean)
     assert cli.main(["--out", str(tmp_path / "clean")] + argv) == 0
     kept = _lines(tmp_path / "faulty" / "orbit.partial.csv")
-    assert len(kept) == 1 + 5002 > 1 + cli.CSV_CHUNK
+    assert len(kept) == 1 + rows
     assert kept == _lines(tmp_path / "clean" / "orbit.csv")[: len(kept)]
 
 
@@ -879,6 +917,20 @@ class _ScriptedOrbit:
         return self
 
 
+def _orbit_lines(seeds, steps, trail=None):
+    """The orbit.csv lines _orbit_rows makes of a scripted orbit, and the
+    same lines formatted field by field."""
+    # the rows come as texts of a block of lines each
+    made = "\n".join(cli._orbit_rows(_ScriptedOrbit(seeds, steps), len(steps), trail)).split("\n")
+    expected, old = [], seeds
+    for n, new in enumerate([seeds, *steps]):
+        for s, ov, nv in zip(seeds, old, new):
+            step = _omega_raw(ov, nv) if n else 0.0
+            expected.append(_per_field(str(n), s.real, s.imag, nv.real, nv.imag, _omega_raw(0j, nv), step))
+        old = new
+    return made, expected
+
+
 def test_orbit_rows_bytes_match_per_field_format():
     seeds = (-0j, 0j)  # equal as values, different columns
     nan, inf = float("nan"), float("inf")
@@ -888,17 +940,42 @@ def test_orbit_rows_bytes_match_per_field_format():
     # the same value objects carried over, as for a held right seed
     steps += [[0.3 - 0.4j, steps[-1][1]]] * 3
     trail = []
-    rows = list(cli._orbit_rows(_ScriptedOrbit(seeds, steps), 14, trail))
-    expected, old = [], seeds
-    for n, new in enumerate([seeds, *steps]):
-        for s, ov, nv in zip(seeds, old, new):
-            step = _omega_raw(ov, nv) if n else 0.0
-            expected.append(_per_field(str(n), s.real, s.imag, nv.real, nv.imag, _omega_raw(0j, nv), step))
-        old = new
+    rows, expected = _orbit_lines(seeds, steps, trail)
     assert rows == expected
     assert rows[0].startswith("0,-0,-0,") and rows[1].startswith("0,0,0,")
     assert rows[-1].startswith("14,0,0,")
     assert {"nan", "-inf", "4.9406564584124654e-324"} <= {f for r in rows for f in r.split(",")}
+    assert [repr(v) for v in trail] == [repr(new[0]) for new in [seeds, *steps]]
+
+
+def test_orbit_rows_bytes_match_per_field_format_across_blocks():
+    # two seeds over 1 000 steps: blocks of CSV_CHUNK // 2 steps, the last
+    # one short; seed 1 is held (the same value object) from step 200 into
+    # the second block, released at step 301 and held again at another
+    # value over steps 401-410; infinities come only in the third block,
+    # whose origin distances then go value by value
+    block = cli.CSV_CHUNK // 2
+    assert 300 // block == 1 and 200 // block == 0 and 1000 > 3 * block
+    nan, inf = float("nan"), float("inf")
+    odd = (-0.5 + 5e-324j, 1e-310 - 0.25j, complex(-0.0, -0.0), complex(nan, 0.3),
+           complex(0.1, -0.0), complex(-1e-320, nan), 0.3 + 0.2j, complex(2.2250738585072014e-308, -0.0))
+    seeds = (-0j, complex(5e-324, -0.0))
+    steps = []
+    for n in range(1, 1001):
+        v0, v1 = odd[n % len(odd)], odd[(3 * n + 1) % len(odd)] * 0.5
+        if 2 * block < n <= 3 * block and n % 7 == 0:
+            v0 = complex(-inf, 1e-320) if n % 2 else complex(inf, -0.0)
+        # a fresh object at every step, unless held
+        v1 = steps[-1][1] if 200 <= n <= 300 or 401 <= n <= 410 else complex(v1.real, v1.imag)
+        steps.append([complex(v0.real, v0.imag), v1])
+    assert steps[199][1] is steps[299][1] is not steps[300][1]
+    assert steps[399][1] is steps[409][1] != steps[199][1]
+    trail = []
+    rows, expected = _orbit_lines(seeds, steps, trail)
+    assert len(rows) == len(expected) == 2 * 1001
+    assert rows == expected
+    fields = {f for r in rows for f in r.split(",")}
+    assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "2.2250738585072014e-308"} <= fields
     assert [repr(v) for v in trail] == [repr(new[0]) for new in [seeds, *steps]]
 
 
