@@ -193,8 +193,9 @@ def _json_pieces(v, nl: str, out: list, fh) -> None:
 
     Keys are strings, as every report's are.  The type tests are the
     stdlib's, with bool before int; no other value passes two of them, so
-    they come in the order of the values reports hold most.  A container
-    writes out to fh, and empties it, whenever it holds JSON_CHUNK pieces.
+    they come in the order of the values reports hold most.  A list
+    writes out to fh, and empties it, whenever it holds JSON_CHUNK pieces;
+    a report's dicts hold a few keys, and their long values are lists.
     """
     if isinstance(v, (list, tuple)):
         if not v:
@@ -223,9 +224,6 @@ def _json_pieces(v, nl: str, out: list, fh) -> None:
             out.append(sep + _quote(key) + ": ")
             _json_pieces(item, inner, out, fh)
             sep = "," + inner
-            if len(out) >= JSON_CHUNK:
-                _write_text(fh, "".join(out))
-                out.clear()
         out.append(nl + "}")
     elif isinstance(v, str):
         out.append(_quote(v))
@@ -330,7 +328,8 @@ def _orbit_rows(cur, steps: int, trail: list | None = None):
     seeds = len(cur.seeds)
     seed_cols = ["%.17g,%.17g" % (s.real, s.imag) for s in cur.seeds]
     old = cur.values
-    yield "\n".join(_ORBIT_ROW % (0, cols, v.real, v.imag, _omega_raw(0j, v), 0.0) for cols, v in zip(seed_cols, old))
+    # row 0 as a block whose values are their own previous ones: step_omega 0.0
+    yield _orbit_block(-1, seed_cols, old, old, "\n".join([_ORBIT_ROW] * seeds))
     if trail is not None:
         trail.append(old[0])
     per_block = max(1, CSV_CHUNK // seeds)
@@ -409,13 +408,6 @@ def _cmd_straighten(args, out: pathlib.Path) -> int:
     _write_json(out / "straighten.json", doc)
     _write_csv(out / "straighten.csv", STRAIGHTEN_HEADER, _straighten_rows(res))
     return 0
-
-
-def _series_row(step: tuple) -> str:
-    """The series.csv line of a series step (n, term, partial sum, product,
-    L_{n-1}(z))."""
-    n, term, total, product, at = step
-    return _SERIES_ROW % (n, term, total, product, at.real, at.imag)
 
 
 def _series_lines(steps: list, full: str) -> str:

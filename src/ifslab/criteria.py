@@ -74,9 +74,8 @@ class _Series:
     and the product of the f_n#, which agree up to rounding; and the last
     SERIES.summable_window terms and products, which is all
     _series_verdict reads.  at is L_n(z), where the next term is taken.
-    error is the first error of the series, which _left_series raises
-    once its sweep is over; once stopped, the series takes no further
-    step.
+    error is the error that stopped the series, which _left_series raises
+    once its sweep is over; a series with an error takes no further step.
     """
 
     def __init__(self, z: complex):
@@ -89,7 +88,6 @@ class _Series:
         self.terms = deque(maxlen=SERIES.summable_window)
         self.products = deque(maxlen=SERIES.summable_window)
         self.error = None
-        self.stopped = False
         self._base_gap = 1.0 - abs(z) ** 2
 
     def add(self, v: complex, dv: complex) -> float:
@@ -106,11 +104,6 @@ class _Series:
         self.products.append(self.product)
         self.at = v
         return term
-
-    def stop(self, error: Exception) -> None:
-        self.stopped = True
-        if self.error is None:
-            self.error = error
 
     def report(self, terms=(), partial_sums=(), products=(), orbit=()) -> SeriesReport:
         return SeriesReport(
@@ -134,35 +127,35 @@ def _series_verdict(s: _Series) -> str:
     return "inconclusive"
 
 
-def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: float | None = None, row=None):
+def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: float = math.inf, row=None):
     """The deficit series along the left orbits of pts, folded (_Series) as
     one jet-carrying cursor sweeps them; None if by the horizon the first
-    point's reported orbit escapes escape_radius, when given, by
-    orbit_bounded's rule.  row, when given, is called at each step of the
-    first point's series with the tuple (n, term, partial sum, product,
-    L_{n-1}(z)).  A series ends at a constant generator (ValueError) or
-    where the cursor holds its value (InconclusiveError); that error, or a
-    distortion's earlier ConsistencyError, is raised after the sweep, the
-    first point's first.
+    point's reported orbit escapes escape_radius by orbit_bounded's rule.
+    row, when given, is called at each step of the first point's series
+    with the tuple (n, term, partial sum, product, L_{n-1}(z)).  A series
+    stops at a constant generator (ValueError), where the cursor holds its
+    value (InconclusiveError) or at a distortion's ConsistencyError; that
+    error is raised after the sweep, the first point's first.  A lone
+    series ends the sweep where it stops, so the stream is read no further.
     """
     cursor = LeftOrbitCursor(stream, pts, track_pairs=False, jets=True)
-    watch = None if escape_radius is None else _Escape(cursor, escape_radius)
+    watch = _Escape(cursor, escape_radius)
     series = [_Series(z) for z in cursor.seeds]
     first = series[0]
     for n in range(1, N + 1):
-        if watch is None and first.stopped:
-            break  # a lone series (no escape check) ends where it stops
-        (cursor if watch is None else watch).advance()
+        if len(series) == 1 and first.error is not None:
+            break  # a lone series ends where it stops: the stream may end there
+        watch.advance()
         constant = holomap._as_constant(cursor.generator) is not None
         for i, (s, v, dv) in enumerate(zip(series, cursor.computed, cursor.derivs)):
-            if s.stopped:
+            if s.error is not None:
                 continue
             if constant:
-                s.stop(ValueError(f"generator {n} is constant; the deficit series needs nonconstant maps"))
+                s.error = ValueError(f"generator {n} is constant; the deficit series needs nonconstant maps")
             elif i in cursor.saturated_seeds:
                 msg = f"left orbit entered the held band at step {n}: {v!r}"
-                s.stop(InconclusiveError(msg, partial={"step": n, "last": v}))
-            elif s.error is None:  # a series past its distortion's error only watches for its stop
+                s.error = InconclusiveError(msg, partial={"step": n, "last": v})
+            else:
                 at = s.at
                 try:
                     term = s.add(v, dv)
@@ -171,7 +164,7 @@ def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: flo
                     continue
                 if row is not None and s is first:
                     row((n, term, s.partial_sum, s.product, at))
-    if watch is not None and watch.first is not None:
+    if watch.first is not None:
         return None
     for s in series:
         if s.error is not None:

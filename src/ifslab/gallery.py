@@ -19,7 +19,6 @@ halves at every stage.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -199,26 +198,23 @@ def certify_not_compactly_divergent(build: EscapeReturnBuild, ball: HyperbolicBa
     return CompactnessCert(ball=ball, returns=tuple(returns), exits=tuple(exits))
 
 
-@functools.lru_cache(maxsize=16)
-def _circle(radius: float, samples: int) -> tuple:
-    return tuple(radius * cmath.exp(2j * math.pi * t / samples) for t in range(samples))
+# the 128 equally spaced sample points of the circle |z| = 0.9
+_CIRCLE = tuple(0.9 * cmath.exp(2j * math.pi * t / 128) for t in range(128))
 
 
-def sup_deviation(m: MoebiusMap, radius: float = 0.9, samples: int = 128) -> float:
-    """Largest |m(z) - z| over `samples` equally spaced points of the
-    circle |z| = radius.  This is a maximum over the samples only; the
-    maximum over the circle, which by the maximum principle would bound
-    the deviation on the disc of that radius, can lie between samples
-    and exceed it (ROADMAP item 2).
+def sup_deviation(m: MoebiusMap) -> float:
+    """Largest |m(z) - z| over the 128 points of _CIRCLE.  This is a
+    maximum over the samples only; the maximum over the circle, which by
+    the maximum principle would bound the deviation on the disc of radius
+    0.9, can lie between samples and exceed it (ROADMAP item 2).
 
-    The sample points are computed once per (radius, samples) and
-    shared; each point goes through the same float expression as
+    Each point goes through the same float expression as
     `moebius.apply`, so the result is that of applying m point by point,
     and a pole on the circle raises `SingularityError` the same way.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
     worst = 0.0
-    for z in _circle(radius, samples):
+    for z in _CIRCLE:
         den = c * z + d
         if den == 0:
             raise moebius.SingularityError(f"pole of Moebius map at z = {z!r}")
@@ -246,14 +242,17 @@ class DenseBuild:
     exhausted: bool
 
 
-def build_dense(targets, k_cap: int = 1_000_000) -> DenseBuild:
+_K_CAP = 1_000_000  # largest count k a dense stage may cut its bridge into
+
+
+def build_dense(targets) -> DenseBuild:
     """Hit each target automorphism as a milestone of one left system.
 
     Stage j must bridge from the previous milestone to target j; the
     bridge M is cut into k equal k-th roots, with k the least count in
-    1..k_cap whose root moves none of 128 sampled points of the circle
-    |z| = 0.9 further than 2^-j.  Identity bridges contribute no
-    generators.  If no k up to k_cap passes (k_cap = 0 included), the
+    1.._K_CAP whose root moves none of the 128 points of _CIRCLE further
+    than 2^-j (sup_deviation).  Identity bridges contribute no
+    generators.  If no k up to _K_CAP passes (_K_CAP = 0 included), the
     build stops with exhausted=True and no certificate for that stage.
     A stage whose milestone misses its target by more than 1e-8 in
     matrix distance is certified and ends the build with exhausted=True.
@@ -265,14 +264,14 @@ def build_dense(targets, k_cap: int = 1_000_000) -> DenseBuild:
     count (1 before the first cut), since the budget halves; each later
     probe is at ceil(k dev / delta) from the latest probe, clamped into
     the open bracket (lo, hi) between the largest failing and the least
-    passing count probed so far (hi = k_cap + 1 while none has passed).
+    passing count probed so far (hi = _K_CAP + 1 while none has passed).
     When two probes in a row fail to halve the bracket, the next one
     bisects it (by the geometric mean while hi > 2 lo); when two probes
     with no pass fail to double lo, the next one is at 2 lo.  So a stage
     costs O(log k) roots and sup checks in the worst case, k the larger
     of the least count and the first probe, and two or three when the
     model holds, where trying k = 1, 2, 3, ... in turn cost k.  No count
-    is probed twice or above k_cap, and the chosen (k, root, deviation)
+    is probed twice or above _K_CAP, and the chosen (k, root, deviation)
     is the one computed by the probe at that k, so the generators and
     certificates are those of the scan.
 
@@ -306,13 +305,13 @@ def build_dense(targets, k_cap: int = 1_000_000) -> DenseBuild:
             continue
 
         # every probed k <= lo fails; chosen is the probe at hi, which
-        # passes, or None with hi = k_cap + 1 while no probe has passed
-        lo, hi, chosen = 0, k_cap + 1, None
-        k = min(guess, k_cap)
+        # passes, or None with hi = _K_CAP + 1 while no probe has passed
+        lo, hi, chosen = 0, _K_CAP + 1, None
+        k = min(guess, _K_CAP)
         back = last = (lo, hi)  # the bracket two probes and one probe ago
         while hi - lo > 1:
             root = moebius.kth_root(bridge, k)
-            dev = sup_deviation(root, 0.9, 128)
+            dev = sup_deviation(root)
             if dev <= delta:
                 chosen, hi = (k, root, dev), k
             else:

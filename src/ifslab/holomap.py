@@ -195,7 +195,10 @@ class Mobius:
         return (m.a * z + m.b) / (m.c * z + m.d)
 
     def jet(self, z: complex):
-        return _mobius_jet(self.map, z)
+        """(m(z), m'(z)) with the float operations of moebius.apply and moebius.deriv."""
+        m = self.map
+        den = m.c * z + m.d
+        return (m.a * z + m.b) / den, (m.a * m.d - m.b * m.c) / (den * den)
 
     def matrix(self) -> MoebiusMap | None:
         return self.map
@@ -244,13 +247,14 @@ class HalfPlaneAffine:
 
     Requires a finite translation with Im >= 0 and a finite scale > 0,
     which make the map a self-map of the upper half-plane.  It is stored
-    as a disc-side matrix through the Cayley transform, tagged DISC (an
-    automorphism) when Im(translation) <= _AUTO_EPS, GENERIC otherwise.
+    as a disc-side matrix map through the Cayley transform, tagged DISC
+    (an automorphism) when Im(translation) <= _AUTO_EPS, GENERIC
+    otherwise, and evaluated as a Mobius node evaluates its matrix.
     """
 
     translation: complex
     scale: float = 1.0
-    disc_matrix: MoebiusMap = field(init=False, compare=False, repr=False)
+    map: MoebiusMap = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         t = complex(self.translation)
@@ -265,28 +269,12 @@ class HalfPlaneAffine:
             moebius._matmul(moebius._CAYLEY, (s, t, 0.0, 1.0)), moebius._CAYLEY_ADJ
         )
         domain = moebius.DISC if t.imag <= _AUTO_EPS else moebius.GENERIC
-        object.__setattr__(
-            self, "disc_matrix", MoebiusMap(*moebius._det1(*m), domain=domain)
-        )
+        object.__setattr__(self, "map", MoebiusMap(*moebius._det1(*m), domain=domain))
 
-    def eval(self, z: complex) -> complex:
-        m = self.disc_matrix
-        return (m.a * z + m.b) / (m.c * z + m.d)
-
-    def jet(self, z: complex):
-        return _mobius_jet(self.disc_matrix, z)
-
-    def matrix(self) -> MoebiusMap | None:
-        return self.disc_matrix
+    eval, jet, matrix = Mobius.eval, Mobius.jet, Mobius.matrix
 
 
 MapExpr = Union[Monomial, Scale, Blaschke, Constant, Mobius, Compose, HalfPlaneAffine]
-
-
-def _mobius_jet(m: MoebiusMap, z: complex):
-    """(m(z), m'(z)) with the float operations of moebius.apply and moebius.deriv."""
-    den = m.c * z + m.d
-    return (m.a * z + m.b) / den, (m.a * m.d - m.b * m.c) / (den * den)
 
 
 def _require_nodes(parts: tuple, what: str) -> None:

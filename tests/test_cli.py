@@ -165,7 +165,9 @@ def test_classify_left_series_csv_in_blocks_matches_the_sweep(tmp_path):
     steps = []
     criteria.classify_left_limits(stream, n_max, base_points=(0.3 + 0.2j, 0j), row=steps.append)
     assert len(steps) == n_max and steps[-1][4].imag != 0.0
-    assert _lines(tmp_path / "series.csv") == [cli.SERIES_HEADER] + [cli._series_row(s) for s in steps]
+    assert _lines(tmp_path / "series.csv") == [cli.SERIES_HEADER] + [
+        _per_field(str(n), term, total, product, at.real, at.imag) for n, term, total, product, at in steps
+    ]
 
 
 def test_classify_basel_series_csv_in_closed_form(tmp_path):
@@ -981,7 +983,10 @@ def test_orbit_rows_bytes_match_per_field_format_across_blocks():
 
 def test_series_and_straighten_rows_bytes_match_per_field_format():
     odd = (-1.5e-320, float("nan"), -0.0, 0.30000000000000004)
-    assert cli._series_row((1, *odd[:3], complex(odd[3], odd[0]))) == _per_field("1", *odd[:3], odd[3], odd[0])
+    steps = [(1, *odd[:3], complex(odd[3], odd[0])), (2, *odd[1:], complex(odd[2], odd[1]))]
+    assert cli._series_lines(steps, full="") == "\n".join(
+        [_per_field("1", *odd[:3], odd[3], odd[0]), _per_field("2", *odd[1:], odd[2], odd[1])]
+    )
     res = SimpleNamespace(steps=2, residual_trace=(odd[0],), probe_trace=odd[1:3],
                           distortion_trace=(float("inf"), odd[3]))
     assert list(cli._straighten_rows(res)) == [

@@ -97,6 +97,15 @@ def test_constant_generator_rejected():
             run()
 
 
+def test_a_lone_series_ends_where_it_stops():
+    # past the constant generator 5 the 10-map list has 5 more maps, fewer
+    # than the horizon: a lone series reads the stream no further than its
+    # stop, so the stop is raised, not the list's end
+    s = GeneratorStream.from_list([Scale(0.5)] * 4 + [Constant(0.1)] + [Scale(0.5)] * 5)
+    with pytest.raises(ValueError, match="generator 5 is constant"):
+        distortion_series(s, 200)
+
+
 def test_left_classification_harmonic():
     rep = classify_left_limits(scale_product_stream(1), 2000)
     assert rep.kind == "constant_limits"

@@ -67,6 +67,16 @@ def test_distortion_above_one_is_named():
         holomap.distortion(_Expanding(cmath.exp(0.3j)), 0.5)
 
 
+def test_the_series_sweep_raises_its_first_points_distortion_error():
+    # every base point's series meets its distortion's ConsistencyError at
+    # step 1; the sweep runs on and raises the first base point's
+    for run in (lambda s: criteria.classify_left_limits(s, 50), lambda s: criteria.distortion_series(s, 50)):
+        with pytest.raises(ConsistencyError, match=r"distortion 1\.000001 above 1 at 0j$"):
+            run(_expanding_stream())
+    with pytest.raises(ConsistencyError, match=r"distortion \S+ above 1 at \(0\.3\+0\.2j\)$"):
+        criteria.classify_left_limits(_expanding_stream(), 50, base_points=(0.3 + 0.2j, 0j))
+
+
 def test_the_planted_node_without_its_expansion_passes():
     # the faults above come from the 1e-6 expansion alone: the same node
     # with expansion 1 runs the same paths and trips nothing

@@ -168,7 +168,6 @@ def test_sup_deviation():
     for _ in range(200):
         m = moebius.random_disc_auto(rng, 0.9)
         assert sup_deviation(m) == _sup_deviation_by_loop(m)
-    assert sup_deviation(m, 0.5, 7) == _sup_deviation_by_loop(m, 0.5, 7)
     # the first sample point is z = radius, the pole of this GENERIC map
     pole = moebius.MoebiusMap(1.0, 0.0, 1.0, -0.9, moebius.GENERIC)
     with pytest.raises(moebius.SingularityError):
@@ -185,11 +184,11 @@ def test_dense_frozen_shape(dense16):
     assert tuple(c.deviation for c in dense16.certs[-3:]) == DENSE_LAST_DEVIATIONS
 
 
-def _probes_by_stage(monkeypatch, targets, deviation=None, **kwargs):
-    """build_dense(targets, **kwargs) and, per stage that probed, its
-    bridge and the counts k it probed, in order.  With deviation given, a
-    probe at k measures deviation(k) in place of the root's sampled
-    deviation."""
+def _probes_by_stage(monkeypatch, targets, deviation=None, k_cap=None):
+    """build_dense(targets), under gallery._K_CAP = k_cap when given, and,
+    per stage that probed, its bridge and the counts k it probed, in
+    order.  With deviation given, a probe at k measures deviation(k) in
+    place of the root's sampled deviation."""
     stages = {}
     last = []
     kth_root = moebius.kth_root
@@ -201,8 +200,10 @@ def _probes_by_stage(monkeypatch, targets, deviation=None, **kwargs):
 
     monkeypatch.setattr(moebius, "kth_root", recording)
     if deviation is not None:
-        monkeypatch.setattr(gallery, "sup_deviation", lambda root, radius, samples: deviation(*last))
-    build = build_dense(targets, **kwargs)
+        monkeypatch.setattr(gallery, "sup_deviation", lambda root: deviation(*last))
+    if k_cap is not None:
+        monkeypatch.setattr(gallery, "_K_CAP", k_cap)
+    build = build_dense(targets)
     monkeypatch.undo()
     return build, list(stages.values())
 

@@ -35,7 +35,8 @@ def executable_lines() -> dict:
             for _, _, line in code.co_lines():
                 if line:  # 0 is a module's entry, not a source line
                     lines.setdefault(line, owner)
-            todo += [(c, c.co_qualname) for c in code.co_consts if hasattr(c, "co_lines")]
+            # co_qualname is new in Python 3.11; 3.10 names the function alone
+            todo += [(c, getattr(c, "co_qualname", c.co_name)) for c in code.co_consts if hasattr(c, "co_lines")]
         out[path.name] = lines
     return out
 
