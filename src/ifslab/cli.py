@@ -273,7 +273,7 @@ def _load_stream(spec: str) -> ifs.GeneratorStream:
         raise CLIError(f"bad stream spec: {e}")
 
 
-def _orbit_block(n: int, seed_cols: list, old: list, new: list, template: str) -> str:
+def _orbit_block(n: int, seed_cols: list, old: list, new: list, template: str, omegas=()) -> str:
     """The orbit.csv lines of steps n + 1, n + 2, ..., whose values new
     holds seed by seed, after the step whose values old holds: one % of
     template, _ORBIT_ROW once a line, over columns made by map."""
@@ -288,8 +288,10 @@ def _orbit_block(n: int, seed_cols: list, old: list, new: list, template: str) -
         args[4::6] = map(atanh, map(abs, new))
     except ValueError:  # |v| >= 1: an infinite value
         args[4::6] = map(_omega_raw, itertools.repeat(0j), new)
-    # chain(old, new) runs one step behind new: each value's previous one
-    args[5::6] = map(_omega_raw, itertools.chain(old, new), new)
+    # the engine's, if it kept a step omega for every value; else from each
+    # value's previous one, which chain(old, new) runs one step behind new
+    kept = len(omegas) == len(new) and None not in omegas
+    args[5::6] = omegas if kept else map(_omega_raw, itertools.chain(old, new), new)
     args = tuple(args)  # the list goes before the text is made
     return template % args
 
@@ -319,12 +321,13 @@ def _orbit_rows(cur, steps: int, trail: list | None = None):
     A block is CSV_CHUNK // seeds steps, so its row count does not grow
     with the seed count, and goes out through _orbit_block, or through
     _held_block when a held seed's value carries over as the same object
-    from the step before (the engine replaces its values list on each
-    advance, and keeps a held seed's value).  If an advance ends in a
-    numerical abort, the rows of the steps made so far are yielded before
-    the error.  trail, if given, collects the first seed's value at every
-    step.
+    (the engine keeps a held seed's value in a new values list).  Its
+    step_omega column is the engine's step_omega (the right matrix step's
+    ledger omegas) if it kept one for every row, else omega of the
+    reported values.  An advance's numerical abort follows the rows of the
+    steps before it.  trail, if given, collects every step's first value.
     """
+    ledger = hasattr(cur, "step_omega")  # the right engine's
     seeds = len(cur.seeds)
     seed_cols = ["%.17g,%.17g" % (s.real, s.imag) for s in cur.seeds]
     old = cur.values
@@ -337,10 +340,12 @@ def _orbit_rows(cur, steps: int, trail: list | None = None):
     repeats = [[None, ""] for _ in seed_cols]
     n = 0
     while n < steps:
-        new, error = [], None  # the block's values, step by step
+        new, omegas, error = [], [], None  # the block's values and step omegas, step by step
         try:
             for _ in range(min(per_block, steps - n)):
                 new += cur.advance().values
+                if ledger:
+                    omegas += cur.step_omega or ()
         except _NUMERIC_ABORTS as e:  # the rows so far go out first, kept as partial
             error = e
         count = len(new) // seeds
@@ -349,7 +354,7 @@ def _orbit_rows(cur, steps: int, trail: list | None = None):
             yield _held_block(n, seed_cols, old, new, repeats)
         elif new:
             template = full if count == per_block else "\n".join([_ORBIT_ROW] * len(new))
-            yield _orbit_block(n, seed_cols, old, new, template)
+            yield _orbit_block(n, seed_cols, old, new, template, omegas)
         if new:
             old = new[-seeds:]
         if trail is not None:

@@ -250,18 +250,18 @@ def classify_right_limits(
     N: int,
     z0=0.5,
 ) -> RightLimitReport:
-    """Classify the pointwise limit of R_n at z0.
+    """Classify the pointwise limit of R_n at z0 over the first N steps.
 
-    R_n(z0) always converges (nested images); the question is whether
-    the limit map is constant.  The distortion of R_n at z0, sampled at
-    a few checkpoint horizons, decides: collapse toward zero reads as a
-    constant limit, a stable positive floor as nonconstant.  One sweep
-    of the right engine, carrying R_n'(z0), gives both the values and
-    the checkpoints.  A base point that saturates near the boundary
-    before the last checkpoint leaves the verdict inconclusive.  Raises
-    ValueError for a constant generator.  Only the values R_n(z0) of the
-    last SERIES.summable_window steps and the one before them are kept,
-    which is all the tail movement reads.
+    The verdict reads only the distortion of R_n at z0 at a few checkpoint
+    horizons: collapse toward zero reads as constant_limit, a stable
+    positive floor as nonconstant_limit.  It does not read whether R_n(z0)
+    converges, which fails for automorphism cycles (R_n(D) = D, and a
+    rotation's R_n(z0) circles for ever yet reads nonconstant_limit):
+    tail_movement, the largest move of R_n(z0) over the last
+    SERIES.summable_window steps, shows that, and no verdict reads it.
+    One right sweep carrying R_n'(z0) gives the values and checkpoints; a
+    base point that saturates before the last checkpoint reads
+    inconclusive.  Raises ValueError for a constant generator.
     """
     z = disc_point(z0)
     marks = sorted({max(1, (N * k) // _CHECKPOINTS) for k in range(1, _CHECKPOINTS + 1)})

@@ -9,25 +9,19 @@ gives nested images and the step bound
 
     omega(R_{n-1} z, R_n z) <= omega(z, f_n z).
 
-Right cost model: while every generator is fractional-linear (its
-f.matrix() is not None), R_n is one raw matrix product, rescaled
-exactly by powers of two, at O(1) per step, and keeps no generator.
-Otherwise R_n(s) is replayed through f_1, ..., f_n, read from a list's
-or a cycle's maps, and on a rule stream from the generators the engine
-stores once the run leaves the matrix path: O(p) per step on a cycled
-stream of period p, which reuses R_{n-p}, and O(n) per step on list and
-rule streams.  A cycled stream also computes each position's matrix
-entries and ledger bounds once.  Both engines stop checking what
-double precision can no longer resolve: the left cursor freezes a
-pair's distance ledger, the right one skips a step's ledger, and both
-hold a seed's reported value under one rule (_Engine) while its
-computed value lies within ~1600 ulps of the boundary; computed keeps
-the unheld values.  Both keep the generator f_n of the last step; the
-left cursor also keeps, with jets on, the step derivatives
-f_n'(L_{n-1}(s)), so every left orbit in criteria and straighten runs
-on it.
-A right value that is not finite is a named abort (NonFiniteError),
-never a silent NaN.
+Right cost model (RightOrbitState): O(1) per step while every generator
+is fractional-linear, as one running matrix product, whose step ledger's
+omegas orbit.csv takes as its step_omega column; otherwise a replay, in
+O(p) per step on a cycle of period p and O(n) on list and rule streams.
+Both engines stop checking what double precision can no longer resolve:
+the left cursor freezes a pair's distance ledger, the right one skips a
+step's ledger, and both hold a seed's reported value under one rule
+(_Engine) while its computed value lies within ~1600 ulps of the
+boundary; computed keeps the unheld values.  Both keep the generator f_n
+of the last step; with jets on, the left cursor also keeps the step
+derivatives f_n'(L_{n-1}(s)), which every left orbit in criteria and
+straighten reads.  A right value that is not finite is a named abort
+(NonFiniteError), never a silent NaN.
 """
 
 from __future__ import annotations
@@ -246,134 +240,135 @@ class RightOrbitState(_Engine):
     """Tracks R_n at fixed seeds.
 
     While every generator so far is fractional-linear (f.matrix() is not
-    None), R_n is one running product of raw matrix entries, a plain
-    4-tuple multiplied by each generator's entries in O(1) per step, and
-    the engine keeps no generator, so its memory stays flat in N.  When
-    the entries' absolute sum leaves [1/4, 4] the product is rescaled by
-    a power of two, which is exact and never reads the det.  Otherwise
-    R_n(s) is replayed through f_1, ..., f_n, f_n first and f_1 last,
-    which costs O(n) per step on list and rule streams.  A replay reads
-    the generators from the stream's maps, repeated to n maps on a
-    cycle; a rule stream has none, so when it leaves the matrix path at
-    step n the engine fetches f_1, ..., f_n again into parts (None
-    otherwise) and appends each later f_n.  A cycled stream of period p
-    is linear in N: R_n = C o
-    R_{n-p} with C = f_1 o ... o f_p, and the replay of R_n passes
-    through R_{n-p}(s) after its first n - p evaluations, so applying
-    f_p, ..., f_1 to the stored R_{n-p}(s) makes the same evaluations on
-    the same floats and gives R_n(s) bit for bit in O(p).  A cycled
-    stream keeps one record per position (n - 1) mod p (see _position);
-    a position not yet replayed, whose steps so far ran on the matrix
-    with its different rounding, replays in full once.
+    None), advance takes the matrix step in line: R_n is a running product
+    of raw matrix entries, a 4-tuple right-multiplied by f_n's in O(1) and
+    rescaled by an exact power of two when their absolute sum leaves
+    [1/4, 4], and no generator is kept.  Otherwise _step replays R_n(s)
+    through f_n, ..., f_1, O(n) per step on list and rule streams (a rule
+    stream fetches f_1, ..., f_n into parts when it leaves the matrix
+    path) and O(p) on a cycle of period p, since R_n = C o R_{n-p} with
+    C = f_1 o ... o f_p gives R_n(s) bit for bit from the stored R_{n-p}(s);
+    a position whose steps ran on the matrix replays in full once.
 
     Seeds follow _Engine's hold rule, and derivs with them.  The step
     ledger omega(R_{n-1}(s), R_n(s)) <= omega(s, f_n(s)) reads computed
     values and skips a step with either end in the band, so the step
-    that releases a seed goes unchecked.  A value, derivative or matrix
-    entry that is not finite raises NonFiniteError naming n.
+    that releases a seed goes unchecked.  The matrix step keeps the
+    ledger's omegas in step_omega (None for a skipped seed; the list is
+    None off the matrix path); read at unheld ends, each is the reported
+    values' omega, and orbit.csv takes it as its step_omega.  A value,
+    derivative or matrix entry that is not finite raises NonFiniteError.
 
-    With jets on, derivs carries R_n'(s) at each seed: det/(cs + d)^2 on
-    the matrix path, with the det kept as the running product of the
-    generators' dets times the squared rescale factors, and the chain
-    rule through each f_j's jet on a replay.  Values are the same bits
-    with jets on or off.  Jets stay off by default: simulate reads only
-    values, and carrying derivatives on every run measurably slowed the
-    right_orbit benchmark.
+    With jets on, derivs carries R_n'(s): det/(cs + d)^2 on the matrix
+    path (det: the generators' dets times the squared rescale factors),
+    the chain rule through each f_j's jet on a replay; values keep their
+    bits.  Jets are off by default, as simulate reads only values.
     """
 
     def __init__(self, stream: GeneratorStream, seeds, jets: bool = False):
         super().__init__(stream, seeds)
         self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
         self.parts = None  # f_1 ... f_n, kept only by a rule stream off the matrix path
-        # entries (a, b, c, d) of R_n up to a power-of-two scale, and their
-        # det, which only derivatives read
+        # R_n's entries (a, b, c, d) up to a power-of-two scale; their det only with jets
         self.matrix: tuple | None = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
         self._det = 1.0 + 0.0j if jets else None
         # cycle position (n - 1) mod p -> what _position returns
         self._by_position: dict[int, list] = {}
+        self.step_omega = None
 
     def advance(self) -> "RightOrbitState":
         n = self.n + 1
-        f = self.generator = self.stream.generator_at(n)
-        record = self._position(n, f)
-        if self.matrix is not None:
-            if record[0] is None:
-                self.matrix = None
-                if self.stream.kind == "rule":  # a pure rule gives f_1 ... f_{n-1} again
-                    self.parts = [self.stream.generator_at(j) for j in range(1, n)]
-            else:
-                self._multiply(record[0], record[1], n)
-        if self.parts is not None:
-            self.parts.append(f)
-        self._step(n, record)
-        self.n = n
-        return self
-
-    def _position(self, n: int, f: MapExpr) -> list:
-        """The record [entries, det, bounds, replayed] of step n.
-
-        entries are f's matrix entries, looked up only while R_n is on the
-        matrix path (else None), det their det, only for an engine that
-        carries derivatives, and bounds the step-ledger bound omega(s, f(s))
-        per seed.  On a cycled stream the record of the position (n - 1)
-        mod p is computed once, and _step keeps in replayed the (values,
-        derivs) of its last replay there, from which R_{n+p} starts.
-        """
-        pos = self.stream.position(n)
-        record = self._by_position.get(pos)
-        if record is None:
-            fm = f.matrix() if self.matrix is not None else None
-            entries = None if fm is None else fm.entries()
-            det = None if fm is None or self._det is None else moebius._det(*entries)
-            bounds = []
-            for s in self.seeds:
-                bounds.append(_omega_raw(s, holomap.eval_raw(f, s)))
-            record = [entries, det, bounds, None]
-            if pos is not None:
-                self._by_position[pos] = record
-        return record
-
-    def _multiply(self, g: tuple, gdet: complex, n: int) -> None:
-        """Right-multiply the running product by the entries g of f_n."""
+        stream = self.stream
+        f = self.generator = stream.generator_at(n)
+        record = self._by_position.get((n - 1) % len(stream.maps)) if stream.kind == "cycle" else None
+        record = record or self._position(n, f)  # stream.position(n) in line; made once per position
+        if self.matrix is None or record[0] is None:
+            if self.matrix is not None:  # R_n leaves the matrix path for good
+                self.matrix = self.step_omega = None
+                if stream.kind == "rule":  # a pure rule gives f_1 ... f_{n-1} again
+                    self.parts = [stream.generator_at(j) for j in range(1, n)]
+            if self.parts is not None:
+                self.parts.append(f)
+            self._step(n, record)
+            self.n = n
+            return self
+        # the matrix step: R_n = R_{n-1} f_n, at every seed under the hold rule and the ledger
         a, b, c, d = self.matrix
-        ga, gb, gc, gd = g
+        ga, gb, gc, gd = record[0]
         a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
-        det = None if gdet is None else self._det * gdet
+        det = None if record[1] is None else self._det * record[1]
         size = abs(a) + abs(b) + abs(c) + abs(d)  # NaN and inf propagate
         if not 0.25 <= size <= 4.0:
             if not 0.0 < size < math.inf:
-                raise NonFiniteError(
-                    f"right matrix product has entry sum {size!r} at n = {n}", partial={"n": n}
-                )
+                raise NonFiniteError(f"right matrix product has entry sum {size!r} at n = {n}", partial={"n": n})
             # a power of two scales every entry exactly; 2.0 ** 1024 overflows
             scale = 2.0 ** min(-math.frexp(size)[1], 1023)
             a, b, c, d = a * scale, b * scale, c * scale, d * scale
             if det is not None:
                 det = det * scale * scale
-        self.matrix = (a, b, c, d)
-        self._det = det
+        self.matrix, self._det = (a, b, c, d), det
+        fresh, derivs, omegas, held = [], [], [], ()
+        computed, bounds = self.computed, record[2]
+        for i, s in enumerate(self.seeds):
+            den = c * s + d
+            val = (a * s + b) / den
+            dv = None if det is None else det / (den * den)
+            if not (cmath.isfinite(val) and (dv is None or cmath.isfinite(dv))):
+                msg = f"right orbit of seed {i} is not finite at n = {n}: {val!r}"
+                raise NonFiniteError(msg, partial={"n": n, "seed": i})
+            fresh.append(val)
+            derivs.append(dv)
+            omegas.append(None)  # where the ledger skips the seed
+            gap = 1.0 - abs(val)
+            if gap < _SATURATED_GAP:  # abs(val) > _HELD_RADIUS: held
+                self.saturated_seeds.add(i)
+                held += (i,)
+                continue
+            prev = computed[i]
+            prev_gap = 1.0 - abs(prev)  # the step side degrades near the boundary, the bound side not
+            if prev_gap < gap:  # gap = min(gap, prev_gap), without the call
+                gap = prev_gap
+            if gap >= _SATURATED_GAP:
+                step = omegas[i] = _omega_raw(prev, val)
+                if step > bounds[i] + LEDGER_SLACK + 16.0 * _EPS / gap:
+                    raise ConsistencyError(f"right step {step!r} exceeded its bound {bounds[i]!r} at n = {n}")
+        values = fresh
+        if held:  # a held seed keeps its reported value and derivative
+            values = list(fresh)
+            for i in held:
+                values[i], derivs[i] = self.values[i], None if det is None else self.derivs[i]
+        self.computed, self.values, self.step_omega, self.n = fresh, values, omegas, n
+        self.derivs = None if det is None else derivs
+        return self
+
+    def _position(self, n: int, f: MapExpr) -> list:
+        """The record [entries, det, bounds, replayed] of step n: f's matrix
+        entries while R_n is on the matrix path (else None), their det with
+        jets on, the ledger bounds omega(s, f(s)), and on a cycle the
+        (values, derivs) of _step's last replay at the position (n - 1) mod
+        p, under which _by_position keeps the record for advance to find."""
+        fm = f.matrix() if self.matrix is not None else None
+        entries = None if fm is None else fm.entries()
+        det = None if fm is None or self._det is None else moebius._det(*entries)
+        record = [entries, det, [_omega_raw(s, holomap.eval_raw(f, s)) for s in self.seeds], None]
+        pos = self.stream.position(n)
+        if pos is not None:
+            self._by_position[pos] = record
+        return record
 
     def _step(self, n: int, record: list) -> None:
-        """Move every seed from R_{n-1}(s) to R_n(s) under the step ledger."""
+        """Replay every seed from R_{n-1}(s) to R_n(s) under the step ledger."""
         jets = self.derivs is not None
-        if self.matrix is not None:
-            a, b, c, d = self.matrix
-            fresh, fresh_derivs = [], []
-            for s in self.seeds:
-                den = c * s + d
-                fresh.append((a * s + b) / den)
-                fresh_derivs.append(self._det / (den * den) if jets else None)
+        earlier = record[3]  # R_{n-p} at the seeds
+        maps = self.stream.maps if self.parts is None else self.parts
+        if earlier is not None:
+            pairs = [_replay(maps, len(maps), z, dz) for z, dz in zip(*earlier)]
         else:
-            earlier = record[3]  # R_{n-p} at the seeds
-            maps = self.stream.maps if self.parts is None else self.parts
-            if earlier is not None:
-                pairs = [_replay(maps, len(maps), z, dz) for z, dz in zip(*earlier)]
-            else:
-                if n > len(maps):  # a cycle: its maps repeated past f_n
-                    maps = maps * -(-n // len(maps))
-                pairs = [_replay(maps, n, s, 1.0 + 0.0j if jets else None) for s in self.seeds]
-            fresh, fresh_derivs = (list(t) for t in zip(*pairs))
-            record[3] = (fresh, fresh_derivs)
+            if n > len(maps):  # a cycle: its maps repeated past f_n
+                maps = maps * -(-n // len(maps))
+            pairs = [_replay(maps, n, s, 1.0 + 0.0j if jets else None) for s in self.seeds]
+        fresh, fresh_derivs = (list(t) for t in zip(*pairs))
+        record[3] = (fresh, fresh_derivs)
         values = list(self.values)
         derivs = list(self.derivs) if jets else None
         for i, (prev, val, dv, bound) in enumerate(zip(self.computed, fresh, fresh_derivs, record[2])):

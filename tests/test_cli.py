@@ -919,11 +919,13 @@ class _ScriptedOrbit:
         return self
 
 
-def _orbit_lines(seeds, steps, trail=None):
-    """The orbit.csv lines _orbit_rows makes of a scripted orbit, and the
-    same lines formatted field by field."""
+def _orbit_lines(cur, steps, trail=None):
+    """The orbit.csv lines _orbit_rows makes of the orbit engine cur, whose
+    reported values at steps 1, 2, ... are steps, and the same lines
+    formatted field by field, with step_omega from the reported values."""
     # the rows come as texts of a block of lines each
-    made = "\n".join(cli._orbit_rows(_ScriptedOrbit(seeds, steps), len(steps), trail)).split("\n")
+    seeds = cur.seeds
+    made = "\n".join(cli._orbit_rows(cur, len(steps), trail)).split("\n")
     expected, old = [], seeds
     for n, new in enumerate([seeds, *steps]):
         for s, ov, nv in zip(seeds, old, new):
@@ -942,7 +944,7 @@ def test_orbit_rows_bytes_match_per_field_format():
     # the same value objects carried over, as for a held right seed
     steps += [[0.3 - 0.4j, steps[-1][1]]] * 3
     trail = []
-    rows, expected = _orbit_lines(seeds, steps, trail)
+    rows, expected = _orbit_lines(_ScriptedOrbit(seeds, steps), steps, trail)
     assert rows == expected
     assert rows[0].startswith("0,-0,-0,") and rows[1].startswith("0,0,0,")
     assert rows[-1].startswith("14,0,0,")
@@ -973,12 +975,38 @@ def test_orbit_rows_bytes_match_per_field_format_across_blocks():
     assert steps[199][1] is steps[299][1] is not steps[300][1]
     assert steps[399][1] is steps[409][1] != steps[199][1]
     trail = []
-    rows, expected = _orbit_lines(seeds, steps, trail)
+    rows, expected = _orbit_lines(_ScriptedOrbit(seeds, steps), steps, trail)
     assert len(rows) == len(expected) == 2 * 1001
     assert rows == expected
     fields = {f for r in rows for f in r.split(",")}
     assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "2.2250738585072014e-308"} <= fields
     assert [repr(v) for v in trail] == [repr(new[0]) for new in [seeds, *steps]]
+
+
+def test_orbit_rows_take_the_right_matrix_steps_omega_where_it_is_the_reported_one():
+    # a right matrix orbit: block - 22 rotations by i, 22 steps of
+    # z -> (z + 0.6)/(1 + 0.6 z) toward 1, 22 back and block rotations, so
+    # both seeds are held at step block and released at block + 1, the
+    # first step of the second CSV block, where the ledger skips them
+    block = cli.CSV_CHUNK // 2
+    out, back = (holomap.Mobius(moebius.make_disc_auto(a, 0.0)) for a in (0.6, -0.6))
+    turn = holomap.Scale(1j)
+    stream = ifs.GeneratorStream.from_cycle([turn] * (block - 22) + [out] * 22 + [back] * 22 + [turn] * block)
+    seeds = (0j, -0.3j)
+    twin, steps, omegas = ifs.RightOrbitState(stream, seeds), [], []
+    for _ in range(3 * block + 10):
+        steps.append(twin.advance().values)
+        omegas.append(twin.step_omega)
+    assert twin.matrix is not None and twin.saturated_seeds == {0, 1}
+    held, released = steps[block - 1], steps[block]
+    assert all(v is w for v, w in zip(held, steps[block - 2]))
+    assert not any(v is w for v, w in zip(released, held))
+    assert omegas[block] == [None, None]
+    # the third block takes every step_omega from the engine
+    assert all(None not in om for om in omegas[2 * block : 3 * block])
+    rows, expected = _orbit_lines(ifs.RightOrbitState(stream, seeds), steps)
+    assert len(rows) == 2 * len(steps) + 2
+    assert rows == expected
 
 
 def test_series_and_straighten_rows_bytes_match_per_field_format():

@@ -90,6 +90,40 @@ def test_the_planted_node_without_its_expansion_passes():
     assert holomap.distortion(healthy.generator_at(1), 0.5) == pytest.approx(1.0, abs=1e-15)
 
 
+class _MatrixPlanted(Scale):
+    """z |-> factor * z, a rotation, whose matrix() is expansion times
+    that: the right engine's matrix step reads the matrix, while the step
+    bound omega(s, f(s)) reads eval."""
+
+    expansion = 1.0
+
+    def matrix(self):
+        return moebius.MoebiusMap(self.expansion * self.factor, 0j, 0j, 1.0 + 0j)
+
+
+class _MatrixExpanding(_MatrixPlanted):
+    expansion = EXPANSION
+
+
+@pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
+def test_right_matrix_step_ledger_trips_at_step_1(jets):
+    # the matrix takes 0.5 to 0.5 e^{0.3i} (1 + 1e-6), further from 0.5
+    # than the bound omega(0.5, 0.5 e^{0.3i}) allows
+    state = RightOrbitState(GeneratorStream.from_cycle([_MatrixExpanding(cmath.exp(0.3j))]), (0.5,), jets=jets)
+    with pytest.raises(ConsistencyError, match=r"right step .* exceeded its bound .* at n = 1$"):
+        state.advance()
+    assert state.n == 0
+
+
+@pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
+def test_the_planted_matrix_without_its_expansion_passes(jets):
+    state = RightOrbitState(GeneratorStream.from_cycle([_MatrixPlanted(cmath.exp(0.3j))]), (0.5,), jets=jets)
+    for _ in range(50):
+        state.advance()
+    assert state.matrix is not None
+    assert state.values[0] == pytest.approx(0.5 * cmath.exp(15j), abs=1e-14)
+
+
 class _Stretching(_Planted):
     """z |-> factor z (1 + stretch |z|^2): exact at 0, where the left
     straightener reads its distortion, and expanding away from it."""
