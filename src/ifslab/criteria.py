@@ -70,10 +70,13 @@ class _Series:
 
     It keeps the running partial sum, the running product of the f_n#,
     the running product of the step derivatives (L_n'(z), None at n = 0),
-    the largest gap between the distortion of L_n at z read from L_n'(z)
-    and the product of the f_n#, which agree up to rounding; and the last
-    SERIES.summable_window terms and products, which is all
+    the largest difference between the distortion of L_n at z read from
+    L_n'(z) and the product of the f_n#, which agree up to rounding; and
+    the last SERIES.summable_window terms and products, which is all
     _series_verdict reads.  at is L_n(z), where the next term is taken.
+    1 - |L_n(z)|^2 is carried from one step to the next: each step
+    computes it once, as its distortion's and its residual's denominator,
+    and the next step passes it to the distortion as 1 - |at|^2.
     error is the error that stopped the series, which _left_series raises
     once its sweep is over; a series with an error takes no further step.
     """
@@ -88,21 +91,26 @@ class _Series:
         self.terms = deque(maxlen=SERIES.summable_window)
         self.products = deque(maxlen=SERIES.summable_window)
         self.error = None
-        self._base_gap = 1.0 - abs(z) ** 2
+        self._base_gap = self._gap = 1.0 - abs(z) ** 2
 
     def add(self, v: complex, dv: complex) -> float:
         """Fold the step to v = f_n(at), with dv = f_n'(at); returns its term 1 - f_n#(at)."""
-        d = holomap._distortion_from_jet(self.at, v, dv)
+        gap = 1.0 - abs(v) ** 2  # the next step's 1 - |at|^2
+        d = holomap._distortion_from_gaps(self.at, self._gap, gap, dv)
         term = 1.0 - d
+        product = self.product * d
+        deriv = dv if self.deriv is None else self.deriv * dv
+        residual = abs(abs(deriv) * self._base_gap / gap - product)  # v lies off the band
+        if residual > self.residual_max:
+            self.residual_max = residual
         self.n += 1
         self.partial_sum += term
-        self.product *= d
-        self.deriv = dv if self.deriv is None else self.deriv * dv
-        direct = abs(self.deriv) * self._base_gap / (1.0 - abs(v) ** 2)  # v lies off the band
-        self.residual_max = max(self.residual_max, abs(direct - self.product))
+        self.product = product
+        self.deriv = deriv
         self.terms.append(term)
-        self.products.append(self.product)
+        self.products.append(product)
         self.at = v
+        self._gap = gap
         return term
 
     def report(self, terms=(), partial_sums=(), products=(), orbit=()) -> SeriesReport:

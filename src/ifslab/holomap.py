@@ -308,29 +308,41 @@ def distortion(f: MapExpr, z) -> float:
     z is validated as an interior disc point (DomainError otherwise) and
     f is walked once, by one jet at z.  Callers that need f(z) or f'(z)
     as well take that jet themselves, validate z the same way, and pass
-    it to _distortion_from_jet.
+    it to _distortion_from_jet; callers that already hold 1 - |z|^2 and
+    1 - |f(z)|^2 pass those gaps to _distortion_from_gaps.
     """
     zv = disc_point(z)
     return _distortion_from_jet(zv, *f.jet(zv))
 
 
 def _distortion_from_jet(z: complex, w: complex, d: complex) -> float:
-    """f#(z) from the jet (w, d) = (f(z), f'(z)) at an interior point z.
+    """f#(z) from the jet (w, d) = (f(z), f'(z)) at an interior point z,
+    by _distortion_from_gaps on the gaps 1 - |z|^2 and 1 - |w|^2."""
+    return _distortion_from_gaps(z, 1.0 - abs(z) ** 2, 1.0 - abs(w) ** 2, d)
 
-    Clamped to [0, 1]; raises ConsistencyError when w is not inside the
-    disc or the value exceeds 1 by more than rounding can explain.
+
+def _distortion_from_gaps(z: complex, gz: float, gw: float, d: complex) -> float:
+    """f#(z) = |d| gz / gw at an interior point z, from the caller's gaps
+    gz = 1 - |z|^2 and gw = 1 - |f(z)|^2, each computed as that
+    expression is written, and d = f'(z).
+
+    Clamped to [0, 1]; raises ConsistencyError when f(z) is not inside
+    the disc (gw <= 0) or the value exceeds 1 by more than rounding can
+    explain.  The comparisons return what min and max would, NaN and
+    -0.0 included.
     """
-    den = 1.0 - abs(w) ** 2
-    if den <= 0.0:
+    if gw <= 0.0:
         raise ConsistencyError(f"self-map evaluation left the disc at {z!r}")
-    val = abs(d) * (1.0 - abs(z) ** 2) / den
+    val = abs(d) * gz / gw
     # 1 - |z|^2 loses relative accuracy like eps/(1 - |z|) near the unit
     # circle, so the over-unity tolerance has to widen with it; a genuine
     # violation overshoots by orders of magnitude more
-    tol = 1e-9 + 64.0 * _EPS / min(den, 1.0 - abs(z) ** 2)
-    if val > 1.0 + tol:
+    m = gz if gz < gw else gw
+    if val > 1.0 + (1e-9 + 64.0 * _EPS / m):
         raise ConsistencyError(f"distortion {val!r} above 1 at {z!r}")
-    return min(max(val, 0.0), 1.0)
+    if val < 0.0:
+        return 0.0
+    return 1.0 if val > 1.0 else val
 
 
 def as_automorphism(f: MapExpr):

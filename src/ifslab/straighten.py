@@ -167,6 +167,7 @@ def left_straighten(
     h_extra = cursor.seeds[k + 1 :]
     trail = _Trail(tol, grid, probe)
     dist0 = 1.0
+    gap = 1.0 - abs(cursor.computed[0]) ** 2  # 1 - |L_{n-1}(0)|^2, carried from step to step
     theta = 0.0
     boundary_stop = False
 
@@ -174,7 +175,9 @@ def left_straighten(
         at = cursor.computed[0]  # L_{n-1}(0), kept off the circle by the BOUNDARY_GUARD stop
         vals = cursor.advance().computed
         a = vals[0]  # L_n(0)
-        dist0 *= holomap._distortion_from_jet(at, a, cursor.derivs[0])
+        gap_a = 1.0 - abs(a) ** 2
+        dist0 *= holomap._distortion_from_gaps(at, gap, gap_a, cursor.derivs[0])
+        gap = gap_a
 
         ca = a.conjugate()
         unrotated = [(v - a) / (1.0 - ca * v) for v in vals]  # gamma_n^{-1} up to the rotation
@@ -245,6 +248,7 @@ def right_straighten(
     theta = 0.0
     gn_derivs = []
     dist0 = 1.0
+    gap = 1.0  # 1 - |w_{n-1}|^2, carried from step to step; w_0 is moved to 0
     amp = 1.0  # rounding amplification of one full-chain rebuild
 
     for n in range(1, N + 1):
@@ -255,7 +259,8 @@ def right_straighten(
         prev_theta = theta
         if d != 0:
             theta += math.atan2(d.imag, d.real)
-        dist0 *= holomap._distortion_from_jet(wn, fw, d)
+        gap_prev, gap = gap, 1.0 - abs(wn) ** 2
+        dist0 *= holomap._distortion_from_gaps(wn, gap, 1.0 - abs(fw) ** 2, d)
 
         eith = cmath.exp(1j * theta)
         gamma = moebius._trusted(eith, -eith * wn, -wn.conjugate(), 1.0 + 0j, moebius.DISC)
@@ -265,9 +270,9 @@ def right_straighten(
 
         gn_derivs.append(
             cmath.exp(1j * prev_theta)
-            / (1.0 - abs(wpts[n - 1]) ** 2)
+            / gap_prev
             * d
-            * (1.0 - abs(wn) ** 2)
+            * gap
             / eith
         )
 

@@ -363,3 +363,70 @@ def test_axis_translations_escape_at_the_predicted_step(t, step):
     assert classify_left_limits(stream, first_n - 1).kind == "inconclusive"
     for n in (first_n, first_n + 1, first_n + 5):
         assert classify_left_limits(stream, n).kind == "not_relatively_compact"
+
+
+class _ReferenceSeries(criteria._Series):
+    """The fold with 1 - |L_n(z)|^2 formed afresh wherever it is read, and
+    max for residual_max: the reference _Series.add must reproduce bit for
+    bit."""
+
+    def add(self, v, dv):
+        d = holomap._distortion_from_jet(self.at, v, dv)
+        term = 1.0 - d
+        self.n += 1
+        self.partial_sum += term
+        self.product *= d
+        self.deriv = dv if self.deriv is None else self.deriv * dv
+        direct = abs(self.deriv) * self._base_gap / (1.0 - abs(v) ** 2)
+        self.residual_max = max(self.residual_max, abs(direct - self.product))
+        self.terms.append(term)
+        self.products.append(self.product)
+        self.at = v
+        return term
+
+
+def _recorded_classify(monkeypatch, fold, stream, N, pts):
+    """classify_left_limits with fold as the series class; returns the
+    report's repr and, per base point, the repr of every step's term,
+    partial sum, product, derivative, residual_max and L_n(z), and of the
+    final window deques."""
+    series = []
+
+    class Recording(fold):
+        def __init__(self, z):
+            super().__init__(z)
+            self.steps = []
+            series.append(self)
+
+        def add(self, v, dv):
+            term = super().add(v, dv)
+            self.steps.append((term, self.partial_sum, self.product, self.deriv, self.residual_max, self.at))
+            return term
+
+    monkeypatch.setattr(criteria, "_Series", Recording)
+    report = classify_left_limits(stream, N, pts)
+    return repr(report), [(s.n, repr(s.steps), repr(s.terms), repr(s.products)) for s in series]
+
+
+_FOLD_STREAMS = {
+    "basel": lambda: scale_product_stream(2),
+    "left_orbit_cycle": lambda: GeneratorStream.from_cycle([
+        Scale(0.95 * cmath.exp(2.2j)),
+        Compose((Scale(0.75), Blaschke((0.2 + 0.3j, -0.4j), 1.3))),
+        HalfPlaneAffine(0.3 + 0.2j),
+    ]),
+    "contracting_pair": lambda: GeneratorStream.from_cycle([
+        Compose((Scale(0.7), Blaschke((0.1j,), 0.5))),
+        Compose((Scale(0.85), Blaschke((0.3, -0.2 + 0.1j), 2.0))),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_STREAMS))
+def test_the_fold_on_carried_gaps_equals_the_reference_fold(monkeypatch, name):
+    # every partial sum, product, residual_max and window deque, bit for bit
+    N, pts = 3000, (0j, 0.3 + 0.2j, -0.5 + 0.4j)
+    got = _recorded_classify(monkeypatch, criteria._Series, _FOLD_STREAMS[name](), N, pts)
+    want = _recorded_classify(monkeypatch, _ReferenceSeries, _FOLD_STREAMS[name](), N, pts)
+    assert [n for n, *_ in got[1]] == [N] * len(pts)
+    assert got == want

@@ -442,3 +442,118 @@ def test_distortion_of_compose_walks_the_tree_once(monkeypatch):
     distortion(f, 0.25 - 0.1j)
     assert jets == Counter({cls.__name__: 1 for cls in kinds})
     assert not evals
+
+
+def _reference_distortion_from_jet(z, w, d):
+    """The distortion rule written as one function of the jet, with min and
+    max: the frozen reference that _distortion_from_jet must reproduce."""
+    den = 1.0 - abs(w) ** 2
+    if den <= 0.0:
+        raise ConsistencyError(f"self-map evaluation left the disc at {z!r}")
+    val = abs(d) * (1.0 - abs(z) ** 2) / den
+    tol = 1e-9 + 64.0 * sys.float_info.epsilon / min(den, 1.0 - abs(z) ** 2)
+    if val > 1.0 + tol:
+        raise ConsistencyError(f"distortion {val!r} above 1 at {z!r}")
+    return min(max(val, 0.0), 1.0)
+
+
+def _outcome(fn, *args):
+    """fn's float result, or its exception's class and message."""
+    try:
+        return fn(*args)
+    except Exception as e:  # the class and message are the outcome
+        return type(e), str(e)
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+_SIGNED_ZEROS = st.sampled_from([complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)])
+_ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e154, 1e155, 1e300, -0.0, 0.0])
+
+
+def _kernel_points():
+    """z from 0 to within 1e-13 of the circle, signed zeros included."""
+    return st.one_of(
+        _SIGNED_ZEROS,
+        st.builds(cmath.rect, st.floats(0.0, 1.0 - 1e-13), st.floats(-math.pi, math.pi)),
+        st.builds(
+            lambda k, t: cmath.rect(1.0 - k * 1e-13, t),
+            st.integers(1, 1000),
+            st.floats(-math.pi, math.pi),
+        ),
+    )
+
+
+def _kernel_values():
+    """w inside, on and outside the circle, NaN, infinite and huge."""
+    near = st.builds(
+        lambda k, t: cmath.rect(1.0 + k * sys.float_info.epsilon, t),
+        st.integers(-64, 64),
+        st.floats(-math.pi, math.pi),
+    )
+    return st.one_of(
+        _SIGNED_ZEROS,
+        st.builds(cmath.rect, st.floats(0.0, 2.0), st.floats(-math.pi, math.pi)),
+        near,
+        st.sampled_from([1.0 + 0j, -1j, complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.inf, 0.0)]),
+        st.builds(complex, _ODD_FLOATS, _ODD_FLOATS),
+        st.complex_numbers(allow_nan=True, allow_infinity=True),
+    )
+
+
+def _kernel_derivatives():
+    """d: zero of either sign, NaN, huge, and anything else."""
+    return st.one_of(
+        _SIGNED_ZEROS,
+        st.builds(complex, _ODD_FLOATS, _ODD_FLOATS),
+        st.complex_numbers(allow_nan=True, allow_infinity=True),
+        st.complex_numbers(max_magnitude=4.0),
+    )
+
+
+@given(_kernel_points(), _kernel_values(), _kernel_derivatives())
+@settings(max_examples=2000, deadline=None)
+def test_distortion_kernel_reproduces_the_frozen_rule(z, w, d):
+    # the same float with the same sign of zero (NaN for NaN), or the
+    # same exception class and message, OverflowError of |w|^2 included
+    got = _outcome(holomap._distortion_from_jet, z, w, d)
+    want = _outcome(_reference_distortion_from_jet, z, w, d)
+    assert _same_outcome(got, want), (z, w, d, got, want)
+
+
+def test_distortion_tolerance_keeps_its_grouping():
+    # at z = 0 and 1 - |w|^2 = 0.9921875 the bound 1 + (1e-9 + 64 eps/m)
+    # is one float below (1 + 1e-9) + 64 eps/m: a value on the bound
+    # clamps to 1, and the next float up raises, which it would not under
+    # the second grouping
+    w = 0.08838834764831845 + 0j
+    gap = 1.0 - abs(w) ** 2
+    assert gap == 0.9921875
+    x = 64.0 * sys.float_info.epsilon / gap
+    bound = 1.0 + (1e-9 + x)
+    above = math.nextafter(bound, 2.0)
+    assert above == (1.0 + 1e-9) + x
+    on_bound, past_bound = 0.9921875009922017 + 0j, 0.9921875009922019 + 0j
+    assert abs(on_bound) / gap == bound and abs(past_bound) / gap == above
+    for f in (holomap._distortion_from_jet, _reference_distortion_from_jet):
+        assert f(0j, w, on_bound) == 1.0
+        with pytest.raises(ConsistencyError, match=r"^distortion 1\.0000000010000145 above 1 at 0j$"):
+            f(0j, w, past_bound)
+
+
+def test_distortion_tolerance_widens_with_the_smaller_gap():
+    # near the circle 1 - |z|^2 is the smaller gap and sets the tolerance
+    # (64 eps / 2e-10, about 7e-5): an overshoot of 1e-6 there is rounding,
+    # the same overshoot away from the circle is a violation
+    z = 1.0 - 1e-10 + 0j
+    d = (1.0 + 1e-6) / (1.0 - abs(z) ** 2)
+    for f in (holomap._distortion_from_jet, _reference_distortion_from_jet):
+        assert f(z, 0j, d) == 1.0
+        with pytest.raises(ConsistencyError, match=r"^distortion 1\.000001\d* above 1 at 0\.5$"):
+            f(0.5, 0.5, 1.0 + 1e-6)
