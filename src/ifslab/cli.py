@@ -288,10 +288,9 @@ def _orbit_block(n: int, seed_cols: list, old: list, new: list, template: str, o
         args[4::6] = map(atanh, map(abs, new))
     except ValueError:  # |v| >= 1: an infinite value
         args[4::6] = map(_omega_raw, itertools.repeat(0j), new)
-    # the engine's, if it kept a step omega for every value; else from each
-    # value's previous one, which chain(old, new) runs one step behind new
-    kept = len(omegas) == len(new) and None not in omegas
-    args[5::6] = omegas if kept else map(_omega_raw, itertools.chain(old, new), new)
+    # the engine's, if it gave them; else from each value's previous one,
+    # which chain(old, new) runs one step behind new
+    args[5::6] = omegas or map(_omega_raw, itertools.chain(old, new), new)
     args = tuple(args)  # the list goes before the text is made
     return template % args
 
@@ -322,10 +321,11 @@ def _orbit_rows(cur, steps: int, trail: list | None = None):
     with the seed count, and goes out through _orbit_block, or through
     _held_block when a held seed's value carries over as the same object
     (the engine keeps a held seed's value in a new values list).  Its
-    step_omega column is the engine's step_omega (the right matrix step's
-    ledger omegas) if it kept one for every row, else omega of the
-    reported values.  An advance's numerical abort follows the rows of the
-    steps before it.  trail, if given, collects every step's first value.
+    step_omega column is omega between a seed's consecutive reported
+    values: the right engine's step_omega, which its step rule makes on
+    both paths, and on the left made here.  An advance's numerical abort
+    follows the rows of the steps before it.  trail, if given, collects
+    every step's first value.
     """
     ledger = hasattr(cur, "step_omega")  # the right engine's
     seeds = len(cur.seeds)
@@ -345,7 +345,7 @@ def _orbit_rows(cur, steps: int, trail: list | None = None):
             for _ in range(min(per_block, steps - n)):
                 new += cur.advance().values
                 if ledger:
-                    omegas += cur.step_omega or ()
+                    omegas += cur.step_omega
         except _NUMERIC_ABORTS as e:  # the rows so far go out first, kept as partial
             error = e
         count = len(new) // seeds
@@ -441,7 +441,10 @@ def _cmd_classify(args, out: pathlib.Path) -> int:
                 raise _Drop
         extra.update(series_verdicts=[s.verdict for s in rep.series], base_points=base)
     else:
-        z0 = _parse_complex((args.base_point or ["0.5"])[0])
+        points = args.base_point or ["0.5"]
+        if len(points) > 1:  # the right tail follows one point
+            raise CLIError(f"classify --side right takes one --base-point, got {len(points)}")
+        z0 = _parse_complex(points[0])
         rep = criteria.classify_right_limits(stream, args.horizon, z0=z0)
     # a left report's series go out as their verdicts (and series.csv)
     doc = _report(
@@ -633,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", required=True)
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.add_argument("-N", "--horizon", type=_count, default=1000)
-    p.add_argument("--base-point", action="append", help="evaluation point, repeatable")
+    p.add_argument("--base-point", action="append", help="evaluation point, repeatable on the left side")
 
     p = sub.add_parser("verify", help="fuzz one inequality, emit margins.csv")
     p.add_argument("--kind", required=True, choices=bounds.MARGIN_KINDS)

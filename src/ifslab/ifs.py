@@ -10,9 +10,11 @@ gives nested images and the step bound
     omega(R_{n-1} z, R_n z) <= omega(z, f_n z).
 
 Right cost model (RightOrbitState): O(1) per step while every generator
-is fractional-linear, as one running matrix product, whose step ledger's
-omegas orbit.csv takes as its step_omega column; otherwise a replay, in
-O(p) per step on a cycle of period p and O(n) on list and rule streams.
+is fractional-linear, as one running matrix product; otherwise a replay,
+in O(p) per step on a cycle of period p and O(n) on list and rule
+streams.  Either path only computes the step's values, and one step rule
+then checks and holds them and gives the omegas orbit.csv takes as its
+step_omega column.
 Both engines stop checking what double precision can no longer resolve:
 the left cursor freezes a pair's distance ledger, the right one skips a
 step's ledger, and both hold a seed's reported value under one rule
@@ -250,14 +252,17 @@ class RightOrbitState(_Engine):
     C = f_1 o ... o f_p gives R_n(s) bit for bit from the stored R_{n-p}(s);
     a position whose steps ran on the matrix replays in full once.
 
-    Seeds follow _Engine's hold rule, and derivs with them.  The step
-    ledger omega(R_{n-1}(s), R_n(s)) <= omega(s, f_n(s)) reads computed
-    values and skips a step with either end in the band, so the step
-    that releases a seed goes unchecked.  The matrix step keeps the
-    ledger's omegas in step_omega (None for a skipped seed; the list is
-    None off the matrix path); read at unheld ends, each is the reported
-    values' omega, and orbit.csv takes it as its step_omega.  A value,
-    derivative or matrix entry that is not finite raises NonFiniteError.
+    Either path only computes R_n(s), and one step rule in advance takes
+    every seed from there: a value or derivative that is not finite
+    raises NonFiniteError (as a matrix entry does), the seed follows
+    _Engine's hold rule, and derivs with it, and the step ledger
+    omega(R_{n-1}(s), R_n(s)) <= omega(s, f_n(s)) reads computed values
+    and skips a step with either end in the band, so the step that
+    releases a seed goes unchecked.  step_omega is, on both paths and
+    after every step, the omega between each seed's previous and new
+    reported values: the ledger's where it ran, 0.0 for a held seed, and
+    from the previous reported value where the ledger skipped.  orbit.csv
+    takes it as its step_omega column.
 
     With jets on, derivs carries R_n'(s): det/(cs + d)^2 on the matrix
     path (det: the generators' dets times the squared rescale factors),
@@ -284,61 +289,67 @@ class RightOrbitState(_Engine):
         record = record or self._position(n, f)  # stream.position(n) in line; made once per position
         if self.matrix is None or record[0] is None:
             if self.matrix is not None:  # R_n leaves the matrix path for good
-                self.matrix = self.step_omega = None
+                self.matrix = None
                 if stream.kind == "rule":  # a pure rule gives f_1 ... f_{n-1} again
                     self.parts = [stream.generator_at(j) for j in range(1, n)]
             if self.parts is not None:
                 self.parts.append(f)
-            self._step(n, record)
-            self.n = n
-            return self
-        # the matrix step: R_n = R_{n-1} f_n, at every seed under the hold rule and the ledger
-        a, b, c, d = self.matrix
-        ga, gb, gc, gd = record[0]
-        a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
-        det = None if record[1] is None else self._det * record[1]
-        size = abs(a) + abs(b) + abs(c) + abs(d)  # NaN and inf propagate
-        if not 0.25 <= size <= 4.0:
-            if not 0.0 < size < math.inf:
-                raise NonFiniteError(f"right matrix product has entry sum {size!r} at n = {n}", partial={"n": n})
-            # a power of two scales every entry exactly; 2.0 ** 1024 overflows
-            scale = 2.0 ** min(-math.frexp(size)[1], 1023)
-            a, b, c, d = a * scale, b * scale, c * scale, d * scale
-            if det is not None:
-                det = det * scale * scale
-        self.matrix, self._det = (a, b, c, d), det
-        fresh, derivs, omegas, held = [], [], [], ()
-        computed, bounds = self.computed, record[2]
-        for i, s in enumerate(self.seeds):
-            den = c * s + d
-            val = (a * s + b) / den
-            dv = None if det is None else det / (den * den)
-            if not (cmath.isfinite(val) and (dv is None or cmath.isfinite(dv))):
+            fresh, derivs = self._step(n, record)
+        else:  # the matrix step: R_n = R_{n-1} f_n
+            a, b, c, d = self.matrix
+            ga, gb, gc, gd = record[0]
+            a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+            det = None if record[1] is None else self._det * record[1]
+            size = abs(a) + abs(b) + abs(c) + abs(d)  # NaN and inf propagate
+            if not 0.25 <= size <= 4.0:
+                if not 0.0 < size < math.inf:
+                    raise NonFiniteError(f"right matrix product has entry sum {size!r} at n = {n}", partial={"n": n})
+                # a power of two scales every entry exactly; 2.0 ** 1024 overflows
+                scale = 2.0 ** min(-math.frexp(size)[1], 1023)
+                a, b, c, d = a * scale, b * scale, c * scale, d * scale
+                if det is not None:
+                    det = det * scale * scale
+            self.matrix, self._det = (a, b, c, d), det
+            # loops, not comprehensions: a closure over a, b, c, d would
+            # make them cells for the whole of advance
+            fresh, derivs = [], None if det is None else []
+            if derivs is None:
+                for s in self.seeds:
+                    fresh.append((a * s + b) / (c * s + d))
+            else:
+                for s in self.seeds:
+                    den = c * s + d
+                    fresh.append((a * s + b) / den)
+                    derivs.append(det / (den * den))
+        # the step rule, one for both paths: the finite check, the hold
+        # rule, the step ledger and step_omega at every seed
+        computed, reported, bounds = self.computed, self.values, record[2]
+        omegas, held = [0.0] * len(fresh), ()  # a held seed's omega(v, v) is exactly 0.0
+        for i, val in enumerate(fresh):
+            if not (cmath.isfinite(val) and (derivs is None or cmath.isfinite(derivs[i]))):
                 msg = f"right orbit of seed {i} is not finite at n = {n}: {val!r}"
                 raise NonFiniteError(msg, partial={"n": n, "seed": i})
-            fresh.append(val)
-            derivs.append(dv)
-            omegas.append(None)  # where the ledger skips the seed
             gap = 1.0 - abs(val)
             if gap < _SATURATED_GAP:  # abs(val) > _HELD_RADIUS: held
                 self.saturated_seeds.add(i)
                 held += (i,)
                 continue
-            prev = computed[i]
-            prev_gap = 1.0 - abs(prev)  # the step side degrades near the boundary, the bound side not
+            prev_gap = 1.0 - abs(computed[i])  # the step side degrades near the boundary, the bound side not
             if prev_gap < gap:  # gap = min(gap, prev_gap), without the call
                 gap = prev_gap
-            if gap >= _SATURATED_GAP:
-                step = omegas[i] = _omega_raw(prev, val)
-                if step > bounds[i] + LEDGER_SLACK + 16.0 * _EPS / gap:
-                    raise ConsistencyError(f"right step {step!r} exceeded its bound {bounds[i]!r} at n = {n}")
+            # where the ledger runs, the previous computed value is the reported one
+            step = omegas[i] = _omega_raw(reported[i], val)
+            if gap >= _SATURATED_GAP and step > bounds[i] + LEDGER_SLACK + 16.0 * _EPS / gap:
+                raise ConsistencyError(f"right step {step!r} exceeded its bound {bounds[i]!r} at n = {n}")
         values = fresh
         if held:  # a held seed keeps its reported value and derivative
             values = list(fresh)
+            derivs = None if derivs is None else list(derivs)
             for i in held:
-                values[i], derivs[i] = self.values[i], None if det is None else self.derivs[i]
-        self.computed, self.values, self.step_omega, self.n = fresh, values, omegas, n
-        self.derivs = None if det is None else derivs
+                values[i] = reported[i]
+                if derivs is not None:
+                    derivs[i] = self.derivs[i]
+        self.computed, self.values, self.derivs, self.step_omega, self.n = fresh, values, derivs, omegas, n
         return self
 
     def _position(self, n: int, f: MapExpr) -> list:
@@ -356,9 +367,9 @@ class RightOrbitState(_Engine):
             self._by_position[pos] = record
         return record
 
-    def _step(self, n: int, record: list) -> None:
-        """Replay every seed from R_{n-1}(s) to R_n(s) under the step ledger."""
-        jets = self.derivs is not None
+    def _step(self, n: int, record: list) -> tuple:
+        """Replay every seed from R_{n-1}(s) to R_n(s): the computed values
+        and, with jets on, derivatives (else None) of step n."""
         earlier = record[3]  # R_{n-p} at the seeds
         maps = self.stream.maps if self.parts is None else self.parts
         if earlier is not None:
@@ -366,36 +377,10 @@ class RightOrbitState(_Engine):
         else:
             if n > len(maps):  # a cycle: its maps repeated past f_n
                 maps = maps * -(-n // len(maps))
-            pairs = [_replay(maps, n, s, 1.0 + 0.0j if jets else None) for s in self.seeds]
-        fresh, fresh_derivs = (list(t) for t in zip(*pairs))
-        record[3] = (fresh, fresh_derivs)
-        values = list(self.values)
-        derivs = list(self.derivs) if jets else None
-        for i, (prev, val, dv, bound) in enumerate(zip(self.computed, fresh, fresh_derivs, record[2])):
-            if not (cmath.isfinite(val) and (dv is None or cmath.isfinite(dv))):
-                raise NonFiniteError(
-                    f"right orbit of seed {i} is not finite at n = {n}: {val!r}",
-                    partial={"n": n, "seed": i},
-                )
-            gap = 1.0 - abs(val)
-            if gap < _SATURATED_GAP:  # abs(val) > _HELD_RADIUS: held
-                self.saturated_seeds.add(i)
-                continue
-            # the bound side is seed-anchored and accurate; the step side
-            # degrades near the boundary like the left ledger does
-            gap = min(gap, 1.0 - abs(prev))
-            if gap >= _SATURATED_GAP:
-                step = _omega_raw(prev, val)
-                if step > bound + LEDGER_SLACK + 16.0 * _EPS / gap:
-                    raise ConsistencyError(
-                        f"right step {step!r} exceeded its bound {bound!r} at n = {n}"
-                    )
-            values[i] = val
-            if jets:
-                derivs[i] = dv
-        self.computed = fresh
-        self.values = values
-        self.derivs = derivs
+            dz = None if self.derivs is None else 1.0 + 0.0j
+            pairs = [_replay(maps, n, s, dz) for s in self.seeds]
+        fresh, derivs = record[3] = tuple(list(t) for t in zip(*pairs))
+        return fresh, None if self.derivs is None else derivs
 
 
 def _replay(maps, k: int, z: complex, dz: complex | None = None) -> tuple:
@@ -479,17 +464,16 @@ class _Escape:
 
     def __init__(self, engine, radius: float):
         self.engine, self.radius = engine, radius
-        self.max_omega = _omega_raw(0j, engine.values[0])
         self.run = 0
         self.first = None
 
-    def advance(self) -> None:
-        """Step the engine and read its first seed."""
+    def advance(self) -> float:
+        """Step the engine and read its first seed; returns its omega from 0."""
         om = _omega_raw(0j, self.engine.advance().values[0])
-        self.max_omega = max(self.max_omega, om)
         self.run = self.run + 1 if om > self.radius else 0
         if self.run == _ESCAPE_RUN and self.first is None:
             self.first = self.engine.n - _ESCAPE_RUN + 1
+        return om
 
 
 def orbit_bounded(
@@ -501,14 +485,15 @@ def orbit_bounded(
 ) -> OrbitBoundReport:
     """Finite-horizon boundedness heuristic for one orbit, by _Escape's rule;
     the verdict is explicitly a statement about the first N steps only."""
-    watch = _Escape(_engine(stream, (z,), side), radius)
+    engine = _engine(stream, (z,), side)
+    watch, top = _Escape(engine, radius), _omega_raw(0j, engine.values[0])
     for _ in range(N):
-        watch.advance()
+        top = max(top, watch.advance())
     return OrbitBoundReport(
         side=side,
         radius=radius,
         horizon=N,
-        max_omega=watch.max_omega,
+        max_omega=top,
         escaped=watch.first is not None,
         first_escape=watch.first,
     )

@@ -428,6 +428,15 @@ def test_non_finite_point_flags_exit_2_before_any_artifact(tmp_path, capsys, arg
     assert not any(tmp_path.iterdir())
 
 
+def test_classify_right_takes_one_base_point(tmp_path, capsys):
+    # the right tail follows one point: a second one is refused, not ignored
+    argv = ["--out", str(tmp_path), "classify", "--stream", BASEL, "--side", "right", "-N", "5",
+            "--base-point", "0.1", "--base-point", "7"]
+    assert cli.main(argv) == 2
+    assert "takes one --base-point, got 2" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_right_probe_at_0_runs(tmp_path):
     # the right collapse test reads the grid, so the probe 0 is a probe like any other
     orbit = tmp_path / "orbit.json"
@@ -1001,9 +1010,11 @@ def test_orbit_rows_take_the_right_matrix_steps_omega_where_it_is_the_reported_o
     held, released = steps[block - 1], steps[block]
     assert all(v is w for v, w in zip(held, steps[block - 2]))
     assert not any(v is w for v, w in zip(released, held))
-    assert omegas[block] == [None, None]
-    # the third block takes every step_omega from the engine
-    assert all(None not in om for om in omegas[2 * block : 3 * block])
+    # the ledger skips the release, and step_omega is still the reported
+    # values' omega, bit for bit
+    assert [om.hex() for om in omegas[block]] == [_omega_raw(v, w).hex() for v, w in zip(held, released)]
+    # every block takes every step_omega from the engine
+    assert all(None not in om for om in omegas)
     rows, expected = _orbit_lines(ifs.RightOrbitState(stream, seeds), steps)
     assert len(rows) == 2 * len(steps) + 2
     assert rows == expected
