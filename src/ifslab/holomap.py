@@ -6,9 +6,11 @@ needed: points are plain complex numbers, checked where they enter.
 
 Each node class answers for itself: eval(z); jet(z), the pair (f(z),
 f'(z)) chained through compositions in forward mode, with jet(z)[0] equal
-to eval(z) bit for bit; and matrix(), the MoebiusMap of a fractional-linear
-node, else None.  A node is a disc automorphism exactly when its matrix
-carries the DISC domain tag.
+to eval(z) bit for bit; matrix(), the MoebiusMap of a fractional-linear
+node, else None; and entries(), that matrix's raw 4-tuple (a, b, c, d)
+with the bits of matrix().entries(), else None, which the right orbit
+engine reads at every matrix step without building a map.  A node is a
+disc automorphism exactly when its matrix carries the DISC domain tag.
 
 The hyperbolic distortion
 
@@ -32,6 +34,7 @@ from .moebius import MoebiusMap
 # |a| within this of 1 makes Scale(a) a rotation, and Im t within it of 0
 # makes HalfPlaneAffine(t) a real translation: both are automorphisms
 _AUTO_EPS = 1e-15
+_IDENTITY_ENTRIES = moebius.identity().entries()
 
 
 class ConsistencyError(RuntimeError):
@@ -84,6 +87,9 @@ class Monomial:
     def matrix(self) -> MoebiusMap | None:
         return moebius.identity() if self.power == 1 else None
 
+    def entries(self) -> tuple | None:
+        return _IDENTITY_ENTRIES if self.power == 1 else None
+
 
 @dataclass(frozen=True)
 class Scale:
@@ -104,10 +110,14 @@ class Scale:
         return self.factor * z, self.factor
 
     def matrix(self) -> MoebiusMap | None:
+        e = self.entries()
+        domain = moebius.DISC if abs(abs(self.factor) - 1.0) <= _AUTO_EPS else moebius.GENERIC
+        return None if e is None else moebius._trusted(*e, domain)
+
+    def entries(self) -> tuple | None:
         if self.factor == 0:
             return None  # constant map, matrix would be singular
-        domain = moebius.DISC if abs(abs(self.factor) - 1.0) <= _AUTO_EPS else moebius.GENERIC
-        return moebius._trusted(self.factor, 0j, 0j, 1.0 + 0j, domain)
+        return self.factor, 0j, 0j, 1.0 + 0j
 
 
 @dataclass(frozen=True)
@@ -154,11 +164,15 @@ class Blaschke:
         return out, d
 
     def matrix(self) -> MoebiusMap | None:
+        e = self.entries()
+        return None if e is None else moebius._trusted(*e, moebius.DISC)
+
+    def entries(self) -> tuple | None:
         if len(self.zeros) != 1:
             return None
         ph = cmath.exp(1j * self.phase)
         z0 = self.zeros[0]
-        return moebius._trusted(ph, -ph * z0, -z0.conjugate(), 1.0 + 0j, moebius.DISC)
+        return ph, -ph * z0, -z0.conjugate(), 1.0 + 0j
 
 
 @dataclass(frozen=True)
@@ -177,6 +191,9 @@ class Constant:
         return self.value, 0.0 + 0.0j
 
     def matrix(self) -> MoebiusMap | None:
+        return None
+
+    def entries(self) -> tuple | None:
         return None
 
 
@@ -202,6 +219,9 @@ class Mobius:
 
     def matrix(self) -> MoebiusMap | None:
         return self.map
+
+    def entries(self) -> tuple | None:
+        return self.map.entries()
 
 
 @dataclass(frozen=True)
@@ -240,6 +260,11 @@ class Compose:
             acc = moebius.compose(acc, m)
         return acc
 
+    def entries(self) -> tuple | None:
+        # the product of matrix(), with its bits and its moebius.compose calls
+        m = self.matrix()
+        return None if m is None else m.entries()
+
 
 @dataclass(frozen=True)
 class HalfPlaneAffine:
@@ -271,7 +296,7 @@ class HalfPlaneAffine:
         domain = moebius.DISC if t.imag <= _AUTO_EPS else moebius.GENERIC
         object.__setattr__(self, "map", MoebiusMap(*moebius._det1(*m), domain=domain))
 
-    eval, jet, matrix = Mobius.eval, Mobius.jet, Mobius.matrix
+    eval, jet, matrix, entries = Mobius.eval, Mobius.jet, Mobius.matrix, Mobius.entries
 
 
 MapExpr = Union[Monomial, Scale, Blaschke, Constant, Mobius, Compose, HalfPlaneAffine]

@@ -10,11 +10,12 @@ gives nested images and the step bound
     omega(R_{n-1} z, R_n z) <= omega(z, f_n z).
 
 Right cost model (RightOrbitState): O(1) per step while every generator
-is fractional-linear, as one running matrix product; otherwise a replay,
-in O(p) per step on a cycle of period p and O(n) on list and rule
-streams.  Either path only computes the step's values, and one step rule
-then checks and holds them and gives the omegas orbit.csv takes as its
-step_omega column.
+is fractional-linear, rule streams included, as one running product of
+the generators' raw matrix entries (each node's entries(), so no step
+builds a MoebiusMap); otherwise a replay, in O(p) per step on a cycle of
+period p and O(n) on list and rule streams.  Either path only computes
+the step's values, and one step rule then checks and holds them and
+gives the omegas orbit.csv takes as its step_omega column.
 Both engines stop checking what double precision can no longer resolve:
 the left cursor freezes a pair's distance ledger, the right one skips a
 step's ledger, and both hold a seed's reported value under one rule
@@ -241,16 +242,18 @@ class LeftOrbitCursor(_Engine):
 class RightOrbitState(_Engine):
     """Tracks R_n at fixed seeds.
 
-    While every generator so far is fractional-linear (f.matrix() is not
+    While every generator so far is fractional-linear (f.entries() is not
     None), advance takes the matrix step in line: R_n is a running product
-    of raw matrix entries, a 4-tuple right-multiplied by f_n's in O(1) and
-    rescaled by an exact power of two when their absolute sum leaves
-    [1/4, 4], and no generator is kept.  Otherwise _step replays R_n(s)
-    through f_n, ..., f_1, O(n) per step on list and rule streams (a rule
-    stream fetches f_1, ..., f_n into parts when it leaves the matrix
-    path) and O(p) on a cycle of period p, since R_n = C o R_{n-p} with
-    C = f_1 o ... o f_p gives R_n(s) bit for bit from the stored R_{n-p}(s);
-    a position whose steps ran on the matrix replays in full once.
+    of raw matrix entries, a 4-tuple right-multiplied by f_n.entries() in
+    O(1) and rescaled by an exact power of two when their absolute sum
+    leaves [1/4, 4]; no generator is kept and no MoebiusMap is built, so
+    a rule stream's step costs what a cycle's does.  Otherwise _step
+    replays R_n(s) through f_n, ..., f_1, O(n) per step on list and rule
+    streams (a rule stream fetches f_1, ..., f_n into parts when it leaves
+    the matrix path) and O(p) on a cycle of period p, since R_n = C o
+    R_{n-p} with C = f_1 o ... o f_p gives R_n(s) bit for bit from the
+    stored R_{n-p}(s); a position whose steps ran on the matrix replays in
+    full once.
 
     Either path only computes R_n(s), and one step rule in advance takes
     every seed from there: a value or derivative that is not finite
@@ -285,8 +288,8 @@ class RightOrbitState(_Engine):
         n = self.n + 1
         stream = self.stream
         f = self.generator = stream.generator_at(n)
-        record = self._by_position.get((n - 1) % len(stream.maps)) if stream.kind == "cycle" else None
-        record = record or self._position(n, f)  # stream.position(n) in line; made once per position
+        pos = (n - 1) % len(stream.maps) if stream.kind == "cycle" else None  # stream.position(n) in line
+        record = self._by_position.get(pos) or self._position(f, pos)  # made once per cycle position
         if self.matrix is None or record[0] is None:
             if self.matrix is not None:  # R_n leaves the matrix path for good
                 self.matrix = None
@@ -352,17 +355,17 @@ class RightOrbitState(_Engine):
         self.computed, self.values, self.derivs, self.step_omega, self.n = fresh, values, derivs, omegas, n
         return self
 
-    def _position(self, n: int, f: MapExpr) -> list:
-        """The record [entries, det, bounds, replayed] of step n: f's matrix
-        entries while R_n is on the matrix path (else None), their det with
-        jets on, the ledger bounds omega(s, f(s)), and on a cycle the
-        (values, derivs) of _step's last replay at the position (n - 1) mod
-        p, under which _by_position keeps the record for advance to find."""
-        fm = f.matrix() if self.matrix is not None else None
-        entries = None if fm is None else fm.entries()
-        det = None if fm is None or self._det is None else moebius._det(*entries)
+    def _position(self, f: MapExpr, pos: int | None) -> list:
+        """The record [entries, det, bounds, replayed] of a step by f: f's
+        raw matrix entries (f.entries(), no MoebiusMap built) while R_n is
+        on the matrix path, else None; their det with jets on; the ledger
+        bounds omega(s, f(s)); and on a cycle the (values, derivs) of
+        _step's last replay at the position pos = (n - 1) mod p, under which
+        _by_position keeps the record for advance to find (pos is None off
+        a cycle)."""
+        entries = f.entries() if self.matrix is not None else None
+        det = None if entries is None or self._det is None else moebius._det(*entries)
         record = [entries, det, [_omega_raw(s, holomap.eval_raw(f, s)) for s in self.seeds], None]
-        pos = self.stream.position(n)
         if pos is not None:
             self._by_position[pos] = record
         return record

@@ -256,7 +256,7 @@ class _NaNScale(holomap.Scale):
     def eval(self, z):
         return complex("nan")
 
-    def matrix(self):
+    def entries(self):
         return None
 
 

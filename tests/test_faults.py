@@ -33,7 +33,7 @@ class _Planted(Scale):
         a = self.expansion * self.factor
         return a * z, a
 
-    def matrix(self):
+    def entries(self):
         return None
 
 
@@ -91,14 +91,14 @@ def test_the_planted_node_without_its_expansion_passes():
 
 
 class _MatrixPlanted(Scale):
-    """z |-> factor * z, a rotation, whose matrix() is expansion times
-    that: the right engine's matrix step reads the matrix, while the step
-    bound omega(s, f(s)) reads eval."""
+    """z |-> factor * z, a rotation, whose matrix entries are expansion
+    times that: the right engine's matrix step reads the entries, while
+    the step bound omega(s, f(s)) reads eval."""
 
     expansion = 1.0
 
-    def matrix(self):
-        return moebius.MoebiusMap(self.expansion * self.factor, 0j, 0j, 1.0 + 0j)
+    def entries(self):
+        return self.expansion * self.factor, 0j, 0j, 1.0 + 0j
 
 
 class _MatrixExpanding(_MatrixPlanted):

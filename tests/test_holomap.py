@@ -419,6 +419,31 @@ def test_automorphism_is_a_disc_matrix(f, z):
         assert moebius.apply(m, z) == pytest.approx(f.eval(z), abs=1e-12)
 
 
+def _bits(entries):
+    return None if entries is None else [(e.real.hex(), e.imag.hex()) for e in entries]
+
+
+@pytest.mark.parametrize("f", [
+    Scale(0), Scale(0.7), Scale(0.5j), Scale(cmath.exp(0.3j)),
+    Monomial(1), Monomial(2),
+    Blaschke((0.3 + 0.1j,), 0.4), Blaschke((0.3 + 0.1j, -0.2j), 0.4),
+    Constant(0.2 + 0.1j),
+    Mobius(moebius.make_disc_auto(0.2 - 0.3j, 0.5)),
+    Compose((Scale(0.8j), Mobius(moebius.make_disc_auto(0.3, 0.2)), Blaschke((-0.4j,), 1.0))),
+    Compose((Scale(0.8), Monomial(2))),
+    HalfPlaneAffine(1.0, 2.0), HalfPlaneAffine(1.0 + 0.5j, 0.5),
+], ids=["scale-0", "scale", "scale-imag", "rotation", "monomial-1", "monomial-2", "blaschke-1", "blaschke-2",
+        "constant", "mobius", "compose-matrix", "compose-no-matrix", "hp_affine-disc", "hp_affine-generic"])
+def test_entries_are_the_matrix_entries(f):
+    # the right engine reads entries() where other callers read matrix():
+    # None together, else the same bits
+    m, e = f.matrix(), f.entries()
+    assert (e is None) == (m is None)
+    assert _bits(e) == (None if m is None else _bits(m.entries()))
+    if isinstance(f, HalfPlaneAffine):  # both domain tags are covered
+        assert m.domain == (moebius.DISC if f.translation.imag == 0 else moebius.GENERIC)
+
+
 def _counting(calls, name, method):
     def counted(self, z):
         calls[name] += 1
