@@ -7,6 +7,8 @@ so the same configuration and seed produce byte-identical files.  The
 rows of orbit.csv and series.csv are formatted a block at a time, one
 ``%`` of the row layout repeated over about CSV_CHUNK rows, and every
 other CSV row is one ``%`` of its layout; both give the same bytes.
+gallery.svg's polyline is formatted SVG_CHUNK points to one ``%`` of
+``"%.2f,%.2f"`` repeated, with the same bytes as point by point.
 
 Every JSON artifact is a report dataclass's fields as they are
 (``_report``), converted by the writer's hook as it reaches them
@@ -273,10 +275,10 @@ def _load_stream(spec: str) -> ifs.GeneratorStream:
         raise CLIError(f"bad stream spec: {e}")
 
 
-def _orbit_block(n: int, seed_cols: list, old: list, new: list, template: str, omegas=()) -> str:
-    """The orbit.csv lines of steps n + 1, n + 2, ..., whose values new
-    holds seed by seed, after the step whose values old holds: one % of
-    template, _ORBIT_ROW once a line, over columns made by map."""
+def _orbit_block(n: int, seed_cols: list, new: list, omegas: list, template: str) -> str:
+    """The orbit.csv lines of steps n + 1, n + 2, ..., from their values
+    new and step omegas omegas, seed by seed: one % of template,
+    _ORBIT_ROW once a line, over columns made by map."""
     seeds = len(seed_cols)
     args = [None] * (6 * len(new))
     for i, cols in enumerate(seed_cols):
@@ -288,27 +290,26 @@ def _orbit_block(n: int, seed_cols: list, old: list, new: list, template: str, o
         args[4::6] = map(atanh, map(abs, new))
     except ValueError:  # |v| >= 1: an infinite value
         args[4::6] = map(_omega_raw, itertools.repeat(0j), new)
-    # the engine's, if it gave them; else from each value's previous one,
-    # which chain(old, new) runs one step behind new
-    args[5::6] = omegas or map(_omega_raw, itertools.chain(old, new), new)
+    args[5::6] = omegas
     args = tuple(args)  # the list goes before the text is made
     return template % args
 
 
-def _held_block(n: int, seed_cols: list, old: list, new: list, repeats: list) -> str:
+def _held_block(n: int, seed_cols: list, old: list, new: list, omegas: list, repeats: list) -> str:
     """The lines _orbit_block gives, made row by row for a block in which
     a held seed's value carries over as the same object: its row is the
-    row of its first repeat again, with step_omega 0, under the new n,
-    from the text kept in repeats (per seed: [value, its row after "n,"])."""
+    row of its first repeat again (whose step omega is 0.0 as well) under
+    the new n, from the text kept in repeats (per seed: [value, its row
+    after "n,"])."""
     seeds = len(seed_cols)
     lines = []
-    for j, (ov, nv) in enumerate(zip(itertools.chain(old, new), new)):
+    for j, (ov, nv, om) in enumerate(zip(itertools.chain(old, new), new, omegas)):
         k, cols, rep = n + 1 + j // seeds, seed_cols[j % seeds], repeats[j % seeds]
         if nv is not ov:
-            lines.append(_ORBIT_ROW % (k, cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(ov, nv)))
+            lines.append(_ORBIT_ROW % (k, cols, nv.real, nv.imag, _omega_raw(0j, nv), om))
             continue
         if rep[0] is not nv:
-            rep[:] = nv, _ORBIT_ROW[3:] % (cols, nv.real, nv.imag, _omega_raw(0j, nv), _omega_raw(nv, nv))
+            rep[:] = nv, _ORBIT_ROW[3:] % (cols, nv.real, nv.imag, _omega_raw(0j, nv), om)
         lines.append("%d,%s" % (k, rep[1]))
     return "\n".join(lines)
 
@@ -318,21 +319,19 @@ def _orbit_rows(cur, steps: int, trail: list | None = None):
     engine cur, as texts of a block of lines each.
 
     A block is CSV_CHUNK // seeds steps, so its row count does not grow
-    with the seed count, and goes out through _orbit_block, or through
-    _held_block when a held seed's value carries over as the same object
-    (the engine keeps a held seed's value in a new values list).  Its
-    step_omega column is omega between a seed's consecutive reported
-    values: the right engine's step_omega, which its step rule makes on
-    both paths, and on the left made here.  An advance's numerical abort
-    follows the rows of the steps before it.  trail, if given, collects
-    every step's first value.
+    with the seed count.  One cur.run call takes it, and it goes out
+    through _orbit_block, or through _held_block when a held seed's value
+    carries over as the same object (the engine keeps a held seed's value
+    in a new values list).  Its step_omega column is the omegas run gives
+    on either side: omega between a seed's consecutive reported values.
+    A step's numerical abort follows the rows of the steps before it.
+    trail, if given, collects every step's first value.
     """
-    ledger = hasattr(cur, "step_omega")  # the right engine's
     seeds = len(cur.seeds)
     seed_cols = ["%.17g,%.17g" % (s.real, s.imag) for s in cur.seeds]
     old = cur.values
-    # row 0 as a block whose values are their own previous ones: step_omega 0.0
-    yield _orbit_block(-1, seed_cols, old, old, "\n".join([_ORBIT_ROW] * seeds))
+    # row 0, whose step omega is 0.0
+    yield _orbit_block(-1, seed_cols, old, [0.0] * seeds, "\n".join([_ORBIT_ROW] * seeds))
     if trail is not None:
         trail.append(old[0])
     per_block = max(1, CSV_CHUNK // seeds)
@@ -342,19 +341,16 @@ def _orbit_rows(cur, steps: int, trail: list | None = None):
     while n < steps:
         new, omegas, error = [], [], None  # the block's values and step omegas, step by step
         try:
-            for _ in range(min(per_block, steps - n)):
-                new += cur.advance().values
-                if ledger:
-                    omegas += cur.step_omega
+            cur.run(min(per_block, steps - n), new, omegas)
         except _NUMERIC_ABORTS as e:  # the rows so far go out first, kept as partial
             error = e
         count = len(new) // seeds
         # chain(old, new) runs one step behind new: each value's previous one
         if any(map(operator.is_, itertools.chain(old, new), new)):
-            yield _held_block(n, seed_cols, old, new, repeats)
+            yield _held_block(n, seed_cols, old, new, omegas, repeats)
         elif new:
             template = full if count == per_block else "\n".join([_ORBIT_ROW] * len(new))
-            yield _orbit_block(n, seed_cols, old, new, template, omegas)
+            yield _orbit_block(n, seed_cols, new, omegas, template)
         if new:
             old = new[-seeds:]
         if trail is not None:
@@ -486,10 +482,11 @@ def _cmd_verify(args, out: pathlib.Path) -> int:
 
 def _svg_halfplane(points, marks):
     """Yields the text of a polyline through ℍ⁺ orbit points, SVG_CHUNK
-    points a piece, with circles at the marks."""
+    points a piece, each piece one % of "%.2f,%.2f" repeated, with
+    circles at the marks."""
     both = functools.partial(itertools.chain, points, marks)  # one sequence for min and max
-    xmin, xmax = min(p.real for p in both()), max(p.real for p in both())
-    ymin, ymax = min(0.0, min(p.imag for p in both())), max(p.imag for p in both())
+    xmin, xmax = min(map(_real, both())), max(map(_real, both()))
+    ymin, ymax = min(0.0, min(map(_imag, both()))), max(map(_imag, both()))
     pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-6)
     xmin, xmax, ymin, ymax = xmin - pad, xmax + pad, ymin - pad, ymax + pad
     width = 800.0
@@ -501,11 +498,15 @@ def _svg_halfplane(points, marks):
         + '<line x1="0" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#999" stroke-width="1"/>\n' % (axis, width, axis)
         + '<polyline fill="none" stroke="#246" stroke-width="1" points="'
     )
+    full = " ".join(["%.2f,%.2f"] * SVG_CHUNK)
     for i in range(0, len(points), SVG_CHUNK):
-        yield (" " if i else "") + " ".join(
-            "%.2f,%.2f" % ((p.real - xmin) * scale, height - (p.imag - ymin) * scale)
-            for p in points[i : i + SVG_CHUNK]
-        )
+        chunk = points[i : i + SVG_CHUNK]
+        args = [None] * (2 * len(chunk))
+        args[0::2] = [(x - xmin) * scale for x in map(_real, chunk)]
+        args[1::2] = [height - (y - ymin) * scale for y in map(_imag, chunk)]
+        template = full if len(chunk) == SVG_CHUNK else " ".join(["%.2f,%.2f"] * len(chunk))
+        # a space between pieces, none before the first point
+        yield (" " + template if i else template) % tuple(args)
     yield '"/>\n' + "".join(
         '<circle cx="%.2f" cy="%.2f" r="3" fill="#c33"/>\n'
         % ((m.real - xmin) * scale, height - (m.imag - ymin) * scale)

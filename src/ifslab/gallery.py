@@ -115,8 +115,13 @@ def build_escape_return(n_max: int) -> EscapeReturnBuild:
         budget = 2.0**-n
         v = u
         k = 0
+        a, b, c, d = g.entries()
         while abs(v - target) >= budget:
-            nxt = moebius.apply(g, v)
+            # moebius.apply(g, v) in line: its float operations and pole check
+            den = c * v + d
+            if den == 0:
+                raise moebius.SingularityError(f"pole of Moebius map at z = {v!r}")
+            nxt = (a * v + b) / den
             k += 1
             if k > _ESCAPE_K_CAP:
                 exhausted = True

@@ -22,14 +22,23 @@ step's ledger, and both hold a seed's reported value under one rule
 (_Engine) while its computed value lies within ~1600 ulps of the
 boundary; computed keeps the unheld values.  Both keep the generator f_n
 of the last step; with jets on, the left cursor also keeps the step
-derivatives f_n'(L_{n-1}(s)), which every left orbit in criteria and
-straighten reads.  A right value that is not finite is a named abort
-(NonFiniteError), never a silent NaN.
+derivatives f_n'(L_{n-1}(s)), which criteria's series read.  A right
+value that is not finite is a named abort (NonFiniteError), never a
+silent NaN.
+
+Both engines take k steps by run(k, values, omegas), which extends
+values by each step's reported values and omegas by the omegas between
+each seed's consecutive reported values (orbit.csv's step_omega column,
+0.0 for a held seed), so orbit.csv makes one call per block of rows.
+The left cursor takes them in one loop, and its advance() is run(1);
+the right engine repeats advance().  A step that raises leaves both
+lists, and the left cursor, at the step before it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -186,6 +195,13 @@ class LeftOrbitCursor(_Engine):
     two digits) is frozen at its last accurate value and listed in
     saturated_pairs; monitoring it further would only ledger rounding
     noise.  Seeds follow _Engine's hold rule.
+
+    run(k) takes k steps in one loop and advance() is run(1).  A step
+    changes the cursor only once it is complete, so a step that raises
+    (a generator past the end of a list stream, an evaluation's error, a
+    pair ledger's ConsistencyError) leaves the cursor at the step before
+    it: n, generator, computed, values, derivs, the pair ledger and the
+    saturated sets as that step left them.
     """
 
     def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True, jets: bool = False):
@@ -198,45 +214,92 @@ class LeftOrbitCursor(_Engine):
                 for j in range(i + 1, len(self.seeds)):
                     self.pair_distances[(i, j)] = _omega_raw(self.seeds[i], self.seeds[j])
 
-    def advance(self) -> "LeftOrbitCursor":
-        f = self.generator = self.stream.generator_at(self.n + 1)
+    def run(self, k: int = 1, values: list | None = None, omegas: list | None = None) -> "LeftOrbitCursor":
+        """Take k steps in one loop; advance() is run(1).
+
+        values, if given, is extended by each step's reported values,
+        seed by seed, and omegas, if given, by each seed's omega from its
+        previous reported value to its new one: 0.0 for a held seed.  If
+        a step raises, values and omegas hold exactly the steps before
+        it, and the cursor is left at the last of them.
+        """
+        if omegas is not None:
+            # one map over the block, each value after its previous one; a
+            # held seed repeats its reported value v, and omega(v, v) is
+            # exactly 0.0 for any v a cursor reports (a seed, which passed
+            # disc_point, or a value inside the hold radius)
+            before, block = self.values, []
+            try:
+                self.run(k, block)
+            finally:
+                omegas += map(_omega_raw, itertools.chain(before, block), block)
+                if values is not None:
+                    values += block
+            return self
+        stream = self.stream
+        n = self.n
+        f = self.generator
         old = self.computed
-        if self.derivs is None:
-            new = [holomap.eval_raw(f, v) for v in old]
-        else:
-            new, derivs = [], []
-            for v in old:
-                w, d = f.jet(v)
-                new.append(w)
-                derivs.append(d)
+        reported = self.values
+        derivs = self.derivs
+        stop = n + k
+        try:
+            while n < stop:  # a while loop: a range costs more than a one-step run
+                g = stream.generator_at(n + 1)
+                if derivs is None:
+                    new = [holomap.eval_raw(g, v) for v in old]
+                else:
+                    new, step_derivs = [], []
+                    for v in old:
+                        w, d = g.jet(v)
+                        new.append(w)
+                        step_derivs.append(d)
+                if self.pair_distances:
+                    self._ledger(n + 1, old, new)
+                # the step is complete: nothing below raises
+                now = new
+                if max(map(abs, new)) > _HELD_RADIUS:
+                    now = list(new)
+                    for i, v in enumerate(new):
+                        if abs(v) > _HELD_RADIUS:
+                            now[i] = reported[i]
+                            self.saturated_seeds.add(i)
+                if values is not None:
+                    values += now
+                n += 1
+                f = g
+                old = new
+                reported = now
+                if derivs is not None:
+                    derivs = step_derivs
+        finally:  # the last complete step's state
+            self.n = n
+            self.generator = f
+            self.computed = old
+            self.values = reported
             self.derivs = derivs
-        if self.pair_distances:
-            for (i, j), prev in self.pair_distances.items():
-                if (i, j) in self.saturated_pairs:
-                    continue
-                # omega loses digits like eps/(1 - |z|) near the boundary;
-                # genuine expansion is O(1) relative to the distance scale
-                gap = min(1.0 - abs(new[i]), 1.0 - abs(new[j]), 1.0 - abs(old[i]), 1.0 - abs(old[j]))
-                if gap < _SATURATED_GAP:
-                    self.saturated_pairs.add((i, j))
-                    continue
-                d = _omega_raw(new[i], new[j])
-                if d > prev + LEDGER_SLACK + 16.0 * _EPS / gap:
-                    raise ConsistencyError(
-                        f"left pair distance grew at step {self.n + 1}: {prev!r} -> {d!r}"
-                    )
-                self.pair_distances[(i, j)] = d
-        values = new
-        if max(map(abs, new)) > _HELD_RADIUS:
-            values = list(new)
-            for i, v in enumerate(new):
-                if abs(v) > _HELD_RADIUS:
-                    values[i] = self.values[i]
-                    self.saturated_seeds.add(i)
-        self.n += 1
-        self.computed = new
-        self.values = values
         return self
+
+    advance = run  # one step
+
+    def _ledger(self, n: int, old: list, new: list) -> None:
+        """Step n of the pair ledger, stored only once every pair passed."""
+        frozen, ledger, freeze = self.saturated_pairs, {}, []
+        for (i, j), prev in self.pair_distances.items():
+            if (i, j) in frozen:
+                continue
+            # omega loses digits like eps/(1 - |z|) near the boundary;
+            # genuine expansion is O(1) relative to the distance scale
+            gap = min(1.0 - abs(new[i]), 1.0 - abs(new[j]), 1.0 - abs(old[i]), 1.0 - abs(old[j]))
+            if gap < _SATURATED_GAP:
+                freeze.append((i, j))
+                continue
+            d = _omega_raw(new[i], new[j])
+            if d > prev + LEDGER_SLACK + 16.0 * _EPS / gap:
+                raise ConsistencyError(f"left pair distance grew at step {n}: {prev!r} -> {d!r}")
+            ledger[i, j] = d
+        self.pair_distances.update(ledger)
+        frozen.update(freeze)
 
 
 class RightOrbitState(_Engine):
@@ -353,6 +416,19 @@ class RightOrbitState(_Engine):
                 if derivs is not None:
                     derivs[i] = self.derivs[i]
         self.computed, self.values, self.derivs, self.step_omega, self.n = fresh, values, derivs, omegas, n
+        return self
+
+    def run(self, k: int, values: list | None = None, omegas: list | None = None) -> "RightOrbitState":
+        """advance() k times, as LeftOrbitCursor.run takes k steps: values,
+        if given, is extended by each step's reported values, seed by
+        seed, and omegas, if given, by its step_omega.  If a step raises,
+        values and omegas hold exactly the steps before it."""
+        for _ in range(k):
+            self.advance()
+            if values is not None:
+                values += self.values
+            if omegas is not None:
+                omegas += self.step_omega
         return self
 
     def _position(self, f: MapExpr, pos: int | None) -> list:

@@ -163,7 +163,8 @@ def left_straighten(
         raise DomainError(f"left probe within {TOL_ZERO:g} of 0 reads as a collapse at step 1: {probe!r}")
     # one left cursor: the grid (0 first, so a_n = L_n(0) leads), probe, extras
     k = len(grid)
-    cursor = LeftOrbitCursor(stream, grid + (probe,) + tuple(extra_points), track_pairs=False, jets=True)
+    # no jets: the step derivative is needed at the base point alone, one jet a step
+    cursor = LeftOrbitCursor(stream, grid + (probe,) + tuple(extra_points), track_pairs=False)
     h_extra = cursor.seeds[k + 1 :]
     trail = _Trail(tol, grid, probe)
     dist0 = 1.0
@@ -174,9 +175,9 @@ def left_straighten(
     for n in range(1, N + 1):
         at = cursor.computed[0]  # L_{n-1}(0), kept off the circle by the BOUNDARY_GUARD stop
         vals = cursor.advance().computed
-        a = vals[0]  # L_n(0)
+        a = vals[0]  # L_n(0): eval's bits, which a jet's value has too
         gap_a = 1.0 - abs(a) ** 2
-        dist0 *= holomap._distortion_from_gaps(at, gap, gap_a, cursor.derivs[0])
+        dist0 *= holomap._distortion_from_gaps(at, gap, gap_a, cursor.generator.jet(at)[1])
         gap = gap_a
 
         ca = a.conjugate()

@@ -605,6 +605,30 @@ def test_gallery_escape_return(tmp_path):
     assert polyline.count(",") == doc["map_count"] + 1
 
 
+def _escape_trail(nmax):
+    """The Cayley points of the escape_return orbit and the build's marks."""
+    build = gallery.build_escape_return(nmax)
+    cur = ifs.LeftOrbitCursor(build.stream, (0j,), track_pairs=False)
+    orbit = [cur.values[0]]
+    cur.run(len(build.maps), orbit)
+    return [1j * (1.0 + v) / (1.0 - v) for v in orbit], list(build.milestone_values)
+
+
+@pytest.mark.parametrize("trail, pieces", [
+    # 10 041 points: two whole SVG_CHUNK pieces and a short one
+    (lambda: _escape_trail(7), 3),
+    (lambda: ([0.25 + 0.5j], [1j]), 1),
+], ids=["nmax-7", "one-point"])
+def test_svg_pieces_match_the_per_point_reference(trail, pieces):
+    # each piece of the polyline is one % of "%.2f,%.2f" repeated; the
+    # drawing is the per-point reference's, byte for byte
+    points, marks = trail()
+    made = list(cli._svg_halfplane(points, marks))
+    assert len(made) == 2 + pieces
+    assert cli.SVG_CHUNK * (pieces - 1) < len(points) <= cli.SVG_CHUNK * pieces
+    assert "".join(made) == _svg_reference(points, marks)
+
+
 def test_gallery_dense(tmp_path):
     rc = cli.main(["--out", str(tmp_path), "gallery", "--example", "dense", "--count", "4"])
     assert rc == 0
@@ -916,15 +940,21 @@ def _per_field(*fields):
 
 
 class _ScriptedOrbit:
-    """Orbit engine stand-in whose advance steps through given value lists."""
+    """Orbit engine stand-in whose run steps through given value lists,
+    with each step omega from the previous reported value."""
 
     def __init__(self, seeds, steps):
         self.seeds = seeds
         self.values = list(seeds)
         self._steps = iter(steps)
 
-    def advance(self):
-        self.values = list(next(self._steps))
+    def run(self, k, values, omegas=None):
+        for _ in range(k):
+            new = list(next(self._steps))
+            values += new
+            if omegas is not None:
+                omegas += map(_omega_raw, self.values, new)
+            self.values = new
         return self
 
 

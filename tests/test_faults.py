@@ -52,6 +52,33 @@ def test_left_pair_ledger_trips_at_step_1():
     assert cur.n == 0
 
 
+def _left_state(cur):
+    return (cur.n, cur.generator, cur.computed, cur.values, cur.derivs, dict(cur.pair_distances),
+            set(cur.saturated_seeds), set(cur.saturated_pairs))
+
+
+@pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
+def test_left_pair_ledger_fault_inside_a_block_leaves_the_steps_before_it(jets):
+    # four healthy rotations, then the expanding one at step 5, in one
+    # block of 8 steps.  The seeds 1e-5 and 2e-5 lie so close that their
+    # pair grows by less than LEDGER_SLACK and passes step 5 before the
+    # pair (1e-5, 0.5) trips it; the block's lists and the cursor, its
+    # whole pair ledger included, end at step 4, as a run of 4 leaves them
+    rot = cmath.exp(0.3j)
+    stream = GeneratorStream.from_list([_Planted(rot)] * 4 + [_Expanding(rot)] + [_Planted(rot)] * 3)
+    seeds = (1e-5, 2e-5, 0.5)
+    ref, cur = LeftOrbitCursor(stream, seeds, jets=jets), LeftOrbitCursor(stream, seeds, jets=jets)
+    expected, expected_omegas = [], []
+    ref.run(4, expected, expected_omegas)
+    values, omegas = [], []
+    with pytest.raises(ConsistencyError, match="left pair distance grew at step 5:"):
+        cur.run(8, values, omegas)
+    assert len(values) == len(omegas) == 4 * len(seeds)
+    assert values == expected and omegas == expected_omegas
+    assert _left_state(cur) == _left_state(ref)
+    assert cur.n == 4 and cur.generator is stream.maps[3]
+
+
 def test_right_step_ledger_trips_at_step_2():
     # step 1 moves the seed by exactly its bound omega(s, f(s)); step 2
     # moves f(s) to f(f(s)), further than that under an expanding map

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -608,6 +609,54 @@ def test_right_rule_stream_builds_no_moebius_map(monkeypatch, jets):
     # the counters see a build: Scale.matrix() makes one trusted map
     stream.generator_at(1).matrix()
     assert builds == ["trusted"]
+
+
+def _engine_state(e):
+    """What a step sets on either engine, every float as float.hex."""
+
+    def hexed(zs):
+        return None if zs is None else [(z.real.hex(), z.imag.hex()) for z in zs]
+
+    state = [e.n, e.generator, hexed(e.values), hexed(e.computed), hexed(e.derivs), sorted(e.saturated_seeds)]
+    if isinstance(e, LeftOrbitCursor):
+        state += [{p: d.hex() for p, d in e.pair_distances.items()}, sorted(e.saturated_pairs)]
+    return state
+
+
+# OUT_AND_BACK three times over, as each kind of stream
+RUN_STREAMS = {
+    "list": lambda: GeneratorStream.from_list(OUT_AND_BACK * 3),
+    "cycle": lambda: GeneratorStream.from_cycle(OUT_AND_BACK),
+    "rule": lambda: GeneratorStream.from_rule(lambda n: OUT_AND_BACK[(n - 1) % len(OUT_AND_BACK)]),
+}
+
+
+@pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
+@pytest.mark.parametrize("kind", list(RUN_STREAMS))
+@pytest.mark.parametrize("engine", [LeftOrbitCursor, RightOrbitState], ids=["left", "right"])
+def test_run_is_advance_repeated_bit_for_bit(engine, kind, jets):
+    # blocks of 3, 1, 40, 60 and 28 steps: the seed 0j enters the hold
+    # band near n = 22 + 44 j and leaves it a step or two later, inside a
+    # block; run(k) gives every value, step omega and piece of state that
+    # k calls of advance() give, and each block's values and omegas
+    seeds = (0j, 0.5 - 0.3j, -0.9)
+    ref, cur = engine(RUN_STREAMS[kind](), seeds, jets=jets), engine(RUN_STREAMS[kind](), seeds, jets=jets)
+    held_and_released = 0
+    for k in (3, 1, 40, 60, 28):
+        values, omegas, expected, held = [], [], [], ""
+        for _ in range(k):
+            old = ref.values
+            ref.advance()
+            expected += zip(ref.values, map(geometry._omega_raw, old, ref.values))
+            held += "h" if ref.values[0] is old[0] else "."
+        assert cur.run(k, values, omegas) is cur
+        assert [(v.real.hex(), v.imag.hex(), om.hex()) for v, om in zip(values, omegas)] == [
+            (v.real.hex(), v.imag.hex(), om.hex()) for v, om in expected
+        ]
+        assert len(values) == len(omegas) == len(expected)
+        assert _engine_state(cur) == _engine_state(ref)
+        held_and_released += bool(re.search(r"\.h+\.", held))
+    assert held_and_released >= 2
 
 
 @given(

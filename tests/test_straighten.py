@@ -154,9 +154,10 @@ def test_left_takes_one_jet_per_step_on_its_base_orbit(monkeypatch):
 
         monkeypatch.setattr(Scale, name, counted)
     res = left_straighten(scale_product_stream(2), 50)
-    # one map application per seed and step: the grid, whose origin is the
-    # base orbit a_n = L_n(0), and the probe
-    assert calls["jet"] + calls["eval"] == res.steps * (len(DEFAULT_GRID) + 1)
+    # one evaluation per seed and step (the grid, whose origin is the base
+    # orbit a_n = L_n(0), and the probe) and one jet per step, at a_{n-1}
+    assert calls["eval"] == res.steps * (len(DEFAULT_GRID) + 1)
+    assert calls["jet"] == res.steps
 
 
 def test_right_squaring_straightens():
