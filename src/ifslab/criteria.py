@@ -267,22 +267,24 @@ def classify_right_limits(
     rotation's R_n(z0) circles for ever yet reads nonconstant_limit):
     tail_movement, the largest move of R_n(z0) over the last
     SERIES.summable_window steps, shows that, and no verdict reads it.
-    One right sweep carrying R_n'(z0) gives the values and checkpoints; a
-    base point that saturates before the last checkpoint reads
-    inconclusive.  Raises ValueError for a constant generator.
+    One right sweep carrying R_n'(z0) gives the values and checkpoints:
+    RightOrbitState.run takes one block of steps up to each checkpoint,
+    extending the window of the last SERIES.summable_window + 1 values,
+    so memory stays flat in N.  A base point that saturates before the
+    last checkpoint reads inconclusive.  A constant generator f_n raises
+    ValueError: the jet-carrying engine refuses it right after step n.
     """
     z = disc_point(z0)
     marks = sorted({max(1, (N * k) // _CHECKPOINTS) for k in range(1, _CHECKPOINTS + 1)})
     state = RightOrbitState(stream, (z,), jets=True)
     values = deque([z], maxlen=SERIES.summable_window + 1)
     prods = []
-    for n in range(1, N + 1):
-        state.advance()
-        if holomap._as_constant(state.generator) is not None:
-            raise ValueError(f"generator {n} is constant; the distortion product needs nonconstant maps")
-        values.append(state.values[0])
-        if n in marks and not state.saturated_seeds:
-            prods.append((n, _right_distortion_product(state)))
+    for mark in marks:
+        if mark > N:  # N < 1 takes no step
+            break
+        state.run(mark - state.n, values)  # one block up to each checkpoint
+        if not state.saturated_seeds:
+            prods.append((mark, _right_distortion_product(state)))
     w = min(SERIES.summable_window, N)
     tail = max(
         (abs(values[-1] - values[-1 - k]) for k in range(1, w + 1)),

@@ -30,9 +30,9 @@ Both engines take k steps by run(k, values, omegas), which extends
 values by each step's reported values and omegas by the omegas between
 each seed's consecutive reported values (orbit.csv's step_omega column,
 0.0 for a held seed), so orbit.csv makes one call per block of rows.
-The left cursor takes them in one loop, and its advance() is run(1);
-the right engine repeats advance().  A step that raises leaves both
-lists, and the left cursor, at the step before it.
+Each engine takes them in one loop, and its advance() is run(1).  A
+step that raises leaves both lists, and both engines, at the step
+before it.
 """
 
 from __future__ import annotations
@@ -306,34 +306,44 @@ class RightOrbitState(_Engine):
     """Tracks R_n at fixed seeds.
 
     While every generator so far is fractional-linear (f.entries() is not
-    None), advance takes the matrix step in line: R_n is a running product
-    of raw matrix entries, a 4-tuple right-multiplied by f_n.entries() in
-    O(1) and rescaled by an exact power of two when their absolute sum
-    leaves [1/4, 4]; no generator is kept and no MoebiusMap is built, so
-    a rule stream's step costs what a cycle's does.  Otherwise _step
-    replays R_n(s) through f_n, ..., f_1, O(n) per step on list and rule
-    streams (a rule stream fetches f_1, ..., f_n into parts when it leaves
-    the matrix path) and O(p) on a cycle of period p, since R_n = C o
-    R_{n-p} with C = f_1 o ... o f_p gives R_n(s) bit for bit from the
-    stored R_{n-p}(s); a position whose steps ran on the matrix replays in
-    full once.
+    None), a step is the matrix step: R_n is a running product of raw
+    matrix entries, a 4-tuple right-multiplied by f_n.entries() in O(1)
+    and rescaled by an exact power of two when their absolute sum leaves
+    [1/4, 4]; no generator is kept and no MoebiusMap is built, so a rule
+    stream's step costs what a cycle's does.  Otherwise _step replays
+    R_n(s) through f_n, ..., f_1, O(n) per step on list and rule streams
+    (a rule stream fetches f_1, ..., f_n into parts when it leaves the
+    matrix path) and O(p) on a cycle of period p, since R_n = C o R_{n-p}
+    with C = f_1 o ... o f_p gives R_n(s) bit for bit from the stored
+    R_{n-p}(s); a position whose steps ran on the matrix replays in full
+    once.
 
-    Either path only computes R_n(s), and one step rule in advance takes
-    every seed from there: a value or derivative that is not finite
-    raises NonFiniteError (as a matrix entry does), the seed follows
-    _Engine's hold rule, and derivs with it, and the step ledger
-    omega(R_{n-1}(s), R_n(s)) <= omega(s, f_n(s)) reads computed values
-    and skips a step with either end in the band, so the step that
-    releases a seed goes unchecked.  step_omega is, on both paths and
-    after every step, the omega between each seed's previous and new
-    reported values: the ledger's where it ran, 0.0 for a held seed, and
-    from the previous reported value where the ledger skipped.  orbit.csv
-    takes it as its step_omega column.
+    run(k) takes k steps in one loop and advance() is run(1).  Each step
+    takes the matrix step or _step's replay, and then one step rule takes
+    every seed, computing its matrix value R_n(s) on the way: a value or
+    derivative that is not finite raises NonFiniteError (as a matrix entry
+    does), the seed follows _Engine's hold rule, and derivs with it, and
+    the step ledger omega(R_{n-1}(s), R_n(s)) <= omega(s, f_n(s)) reads
+    computed values and skips a step with either end in the band, so the
+    step that releases a seed goes unchecked.  step_omega is, on both
+    paths and after every step, the omega between each seed's previous
+    and new reported values: the ledger's where it ran, 0.0 for a held
+    seed, and from the previous reported value where the ledger skipped.
+    orbit.csv takes it as its step_omega column.
+
+    A step changes the engine only once it is complete, so a step that
+    raises (a generator past the end of a list stream, an evaluation's
+    error, a NonFiniteError, the step ledger's ConsistencyError) leaves
+    the engine at the step before it: n, generator, matrix, computed,
+    values, derivs, step_omega, saturated_seeds, parts and the replay a
+    cycle position keeps as that step left them.
 
     With jets on, derivs carries R_n'(s): det/(cs + d)^2 on the matrix
     path (det: the generators' dets times the squared rescale factors),
     the chain rule through each f_j's jet on a replay; values keep their
-    bits.  Jets are off by default, as simulate reads only values.
+    bits.  A constant generator f_n makes R_n' vanish, so a jet-carrying
+    engine raises ValueError for it right after step n completes.  Jets
+    are off by default, as simulate reads only values.
     """
 
     def __init__(self, stream: GeneratorStream, seeds, jets: bool = False):
@@ -347,110 +357,134 @@ class RightOrbitState(_Engine):
         self._by_position: dict[int, list] = {}
         self.step_omega = None
 
-    def advance(self) -> "RightOrbitState":
-        n = self.n + 1
-        stream = self.stream
-        f = self.generator = stream.generator_at(n)
-        pos = (n - 1) % len(stream.maps) if stream.kind == "cycle" else None  # stream.position(n) in line
-        record = self._by_position.get(pos) or self._position(f, pos)  # made once per cycle position
-        if self.matrix is None or record[0] is None:
-            if self.matrix is not None:  # R_n leaves the matrix path for good
-                self.matrix = None
-                if stream.kind == "rule":  # a pure rule gives f_1 ... f_{n-1} again
-                    self.parts = [stream.generator_at(j) for j in range(1, n)]
-            if self.parts is not None:
-                self.parts.append(f)
-            fresh, derivs = self._step(n, record)
-        else:  # the matrix step: R_n = R_{n-1} f_n
-            a, b, c, d = self.matrix
-            ga, gb, gc, gd = record[0]
-            a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
-            det = None if record[1] is None else self._det * record[1]
-            size = abs(a) + abs(b) + abs(c) + abs(d)  # NaN and inf propagate
-            if not 0.25 <= size <= 4.0:
-                if not 0.0 < size < math.inf:
-                    raise NonFiniteError(f"right matrix product has entry sum {size!r} at n = {n}", partial={"n": n})
-                # a power of two scales every entry exactly; 2.0 ** 1024 overflows
-                scale = 2.0 ** min(-math.frexp(size)[1], 1023)
-                a, b, c, d = a * scale, b * scale, c * scale, d * scale
-                if det is not None:
-                    det = det * scale * scale
-            self.matrix, self._det = (a, b, c, d), det
-            # loops, not comprehensions: a closure over a, b, c, d would
-            # make them cells for the whole of advance
-            fresh, derivs = [], None if det is None else []
-            if derivs is None:
-                for s in self.seeds:
-                    fresh.append((a * s + b) / (c * s + d))
-            else:
-                for s in self.seeds:
-                    den = c * s + d
-                    fresh.append((a * s + b) / den)
-                    derivs.append(det / (den * den))
-        # the step rule, one for both paths: the finite check, the hold
-        # rule, the step ledger and step_omega at every seed
-        computed, reported, bounds = self.computed, self.values, record[2]
-        omegas, held = [0.0] * len(fresh), ()  # a held seed's omega(v, v) is exactly 0.0
-        for i, val in enumerate(fresh):
-            if not (cmath.isfinite(val) and (derivs is None or cmath.isfinite(derivs[i]))):
-                msg = f"right orbit of seed {i} is not finite at n = {n}: {val!r}"
-                raise NonFiniteError(msg, partial={"n": n, "seed": i})
-            gap = 1.0 - abs(val)
-            if gap < _SATURATED_GAP:  # abs(val) > _HELD_RADIUS: held
-                self.saturated_seeds.add(i)
-                held += (i,)
-                continue
-            prev_gap = 1.0 - abs(computed[i])  # the step side degrades near the boundary, the bound side not
-            if prev_gap < gap:  # gap = min(gap, prev_gap), without the call
-                gap = prev_gap
-            # where the ledger runs, the previous computed value is the reported one
-            step = omegas[i] = _omega_raw(reported[i], val)
-            if gap >= _SATURATED_GAP and step > bounds[i] + LEDGER_SLACK + 16.0 * _EPS / gap:
-                raise ConsistencyError(f"right step {step!r} exceeded its bound {bounds[i]!r} at n = {n}")
-        values = fresh
-        if held:  # a held seed keeps its reported value and derivative
-            values = list(fresh)
-            derivs = None if derivs is None else list(derivs)
-            for i in held:
-                values[i] = reported[i]
-                if derivs is not None:
-                    derivs[i] = self.derivs[i]
-        self.computed, self.values, self.derivs, self.step_omega, self.n = fresh, values, derivs, omegas, n
+    def run(self, k: int = 1, values: list | None = None, omegas: list | None = None) -> "RightOrbitState":
+        """Take k steps in one loop; advance() is run(1).
+
+        values, if given, is extended by each step's reported values,
+        seed by seed, and omegas, if given, by its step_omega.  If a step
+        raises, values and omegas hold exactly the steps before it, and
+        the engine is left at the last of them.
+        """
+        stream, seeds, by_position, count = self.stream, self.seeds, self._by_position, len(self.seeds)
+        period = len(stream.maps) if stream.kind == "cycle" else 0
+        generator_at, isfinite, omega, noise = stream.generator_at, cmath.isfinite, _omega_raw, 16.0 * _EPS
+        n, f, parts, matrix, det = self.n, self.generator, self.parts, self.matrix, self._det
+        computed, reported, derivs, step_omega = self.computed, self.values, self.derivs, self.step_omega
+        stop = n + k
+        try:
+            while n < stop:  # a while loop: a range costs more than a one-step run
+                m = n + 1
+                g = generator_at(m)
+                pos = n % period if period else None  # stream.position(m) in line
+                record = by_position.get(pos) or self._position(g, pos, matrix)  # made once per cycle position
+                entries = record[0]
+                if matrix is None or entries is None:  # a replay; R_n leaves the matrix path for good
+                    step_parts = parts
+                    if matrix is not None and stream.kind == "rule":  # a pure rule gives f_1 ... f_{n-1} again
+                        step_parts = list(map(generator_at, range(1, m)))
+                    if step_parts is not None:
+                        step_parts.append(g)  # taken off again below if the step raises
+                    replayed = fresh, fresh_derivs = self._step(m, record, step_parts)
+                    step_matrix = step_det = None
+                else:  # the matrix step: R_n = R_{n-1} f_n
+                    replayed = None
+                    a, b, c, d = matrix
+                    ga, gb, gc, gd = entries
+                    a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+                    step_det = None if record[1] is None else det * record[1]
+                    size = abs(a) + abs(b) + abs(c) + abs(d)  # NaN and inf propagate
+                    if not 0.25 <= size <= 4.0:
+                        if not 0.0 < size < math.inf:
+                            msg = f"right matrix product has entry sum {size!r} at n = {m}"
+                            raise NonFiniteError(msg, partial={"n": m})
+                        # a power of two scales every entry exactly; 2.0 ** 1024 overflows
+                        scale = 2.0 ** min(-math.frexp(size)[1], 1023)
+                        a, b, c, d = a * scale, b * scale, c * scale, d * scale
+                        if step_det is not None:
+                            step_det = step_det * scale * scale
+                    step_matrix = a, b, c, d
+                # the step rule, one for both paths: the finite check, the
+                # hold rule, the step ledger and step_omega at every seed
+                bounds, new, new_derivs = record[2], [], None if derivs is None else []
+                oms, held = [0.0] * count, ()  # a held seed's omega(v, v) is exactly 0.0
+                for i, s in enumerate(seeds):
+                    if replayed is None:
+                        den = c * s + d
+                        val = (a * s + b) / den
+                        dv = None if step_det is None else step_det / (den * den)
+                    else:
+                        val, dv = fresh[i], fresh_derivs[i]
+                    if not (isfinite(val) and (dv is None or isfinite(dv))):
+                        msg = f"right orbit of seed {i} is not finite at n = {m}: {val!r}"
+                        raise NonFiniteError(msg, partial={"n": m, "seed": i})
+                    new.append(val)
+                    gap = 1.0 - abs(val)
+                    if gap < _SATURATED_GAP:  # abs(val) > _HELD_RADIUS: held, with its derivative
+                        held += (i,)
+                        if new_derivs is not None:
+                            new_derivs.append(derivs[i])
+                        continue
+                    if new_derivs is not None:
+                        new_derivs.append(dv)
+                    prev_gap = 1.0 - abs(computed[i])  # the step side degrades near the boundary, the bound side not
+                    if prev_gap < gap:  # gap = min(gap, prev_gap), without the call
+                        gap = prev_gap
+                    # where the ledger runs, the previous computed value is the reported one
+                    step = oms[i] = omega(reported[i], val)
+                    if gap >= _SATURATED_GAP and step > bounds[i] + LEDGER_SLACK + noise / gap:
+                        raise ConsistencyError(f"right step {step!r} exceeded its bound {bounds[i]!r} at n = {m}")
+                # the step is complete: nothing below raises but the constant refusal
+                now = new
+                if held:  # a held seed keeps its reported value
+                    now = list(new)
+                    for i in held:
+                        now[i] = reported[i]
+                    self.saturated_seeds.update(held)
+                if replayed is not None:
+                    record[3], parts = replayed, step_parts
+                n, f = m, g
+                matrix, det = step_matrix, step_det
+                computed, reported = new, now
+                derivs, step_omega = new_derivs, oms
+                if values is not None:
+                    values += now
+                if omegas is not None:
+                    omegas += oms
+                if record[4]:
+                    raise ValueError(f"generator {n} is constant; the distortion product needs nonconstant maps")
+        finally:  # the last complete step's state
+            if parts is not None:
+                del parts[n:]  # a replay that raised appended its f_n
+            self.n, self.generator, self.parts, self.matrix, self._det = n, f, parts, matrix, det
+            self.computed, self.values, self.derivs, self.step_omega = computed, reported, derivs, step_omega
         return self
 
-    def run(self, k: int, values: list | None = None, omegas: list | None = None) -> "RightOrbitState":
-        """advance() k times, as LeftOrbitCursor.run takes k steps: values,
-        if given, is extended by each step's reported values, seed by
-        seed, and omegas, if given, by its step_omega.  If a step raises,
-        values and omegas hold exactly the steps before it."""
-        for _ in range(k):
-            self.advance()
-            if values is not None:
-                values += self.values
-            if omegas is not None:
-                omegas += self.step_omega
-        return self
+    advance = run  # one step
 
-    def _position(self, f: MapExpr, pos: int | None) -> list:
-        """The record [entries, det, bounds, replayed] of a step by f: f's
-        raw matrix entries (f.entries(), no MoebiusMap built) while R_n is
-        on the matrix path, else None; their det with jets on; the ledger
-        bounds omega(s, f(s)); and on a cycle the (values, derivs) of
-        _step's last replay at the position pos = (n - 1) mod p, under which
-        _by_position keeps the record for advance to find (pos is None off
-        a cycle)."""
-        entries = f.entries() if self.matrix is not None else None
-        det = None if entries is None or self._det is None else moebius._det(*entries)
-        record = [entries, det, [_omega_raw(s, holomap.eval_raw(f, s)) for s in self.seeds], None]
+    def _position(self, f: MapExpr, pos: int | None, matrix: tuple | None) -> list:
+        """The record [entries, det, bounds, replayed, constant] of a step
+        by f: f's raw matrix entries (f.entries(), no MoebiusMap built)
+        while R_n is on the matrix path (matrix is not None), else None;
+        their det with jets on; the ledger bounds omega(s, f(s)); on a
+        cycle the (values, derivs) of the last replay at the position
+        pos = (n - 1) mod p, under which _by_position keeps the record for
+        run to find (pos is None off a cycle); and whether a jet-carrying
+        engine refuses f as constant (a map with entries never is)."""
+        entries = f.entries() if matrix is not None else None
+        jets = self.derivs is not None
+        det = moebius._det(*entries) if jets and entries is not None else None
+        constant = jets and entries is None and holomap._as_constant(f) is not None
+        record = [entries, det, [_omega_raw(s, holomap.eval_raw(f, s)) for s in self.seeds], None, constant]
         if pos is not None:
             self._by_position[pos] = record
         return record
 
-    def _step(self, n: int, record: list) -> tuple:
-        """Replay every seed from R_{n-1}(s) to R_n(s): the computed values
-        and, with jets on, derivatives (else None) of step n."""
+    def _step(self, n: int, record: list, parts: list | None) -> tuple:
+        """Replay every seed from R_{n-1}(s) to R_n(s) through parts, or the
+        stream's maps when parts is None: the lists of step n's computed
+        values and derivatives (None each with jets off)."""
         earlier = record[3]  # R_{n-p} at the seeds
-        maps = self.stream.maps if self.parts is None else self.parts
+        maps = self.stream.maps if parts is None else parts
         if earlier is not None:
             pairs = [_replay(maps, len(maps), z, dz) for z, dz in zip(*earlier)]
         else:
@@ -458,8 +492,7 @@ class RightOrbitState(_Engine):
                 maps = maps * -(-n // len(maps))
             dz = None if self.derivs is None else 1.0 + 0.0j
             pairs = [_replay(maps, n, s, dz) for s in self.seeds]
-        fresh, derivs = record[3] = tuple(list(t) for t in zip(*pairs))
-        return fresh, None if self.derivs is None else derivs
+        return tuple(list(t) for t in zip(*pairs))
 
 
 def _replay(maps, k: int, z: complex, dz: complex | None = None) -> tuple:

@@ -197,6 +197,27 @@ def test_right_product_fetches_each_generator_once(monkeypatch):
         assert p == pytest.approx(expected[m], rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["list", "rule"])
+def test_right_classify_refuses_a_constant_generator_in_its_step(monkeypatch, kind):
+    # generator 700 is constant.  The list runs on the matrix path to step
+    # 699 and replays step 700; the rule's maps are not fractional-linear,
+    # so it replays from step 1 and fetches no generator again.  The
+    # sweep's engine refuses generator 700 right after its step, in the
+    # block from checkpoint 500 to 750, having fetched each of 1..700 once
+    constant = Constant(0.2)
+    if kind == "list":
+        pair = [Scale(0.99), Mobius(moebius.make_disc_auto(0.1j, 0.3))]
+        s = GeneratorStream.from_list(pair * 349 + [Scale(0.5), constant] + [Scale(0.5)] * 300)
+    else:
+        s = GeneratorStream.from_rule(lambda n: constant if n == 700 else Compose((Scale(0.9), Monomial(2))))
+    fetches = []
+    fetch = GeneratorStream.generator_at
+    monkeypatch.setattr(GeneratorStream, "generator_at", lambda self, j: fetches.append(j) or fetch(self, j))
+    with pytest.raises(ValueError, match="^generator 700 is constant; the distortion product needs nonconstant maps$"):
+        classify_right_limits(s, 1000, 0.4 - 0.2j)
+    assert fetches == list(range(1, 701))
+
+
 def test_right_classification_harmonic():
     rep = classify_right_limits(scale_product_stream(1), 3000, z0=0.7)
     assert rep.kind == "constant_limit"

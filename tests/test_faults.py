@@ -9,6 +9,7 @@ must name it at the first step where it can see it.
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -79,13 +80,40 @@ def test_left_pair_ledger_fault_inside_a_block_leaves_the_steps_before_it(jets):
     assert cur.n == 4 and cur.generator is stream.maps[3]
 
 
+def _right_state(e):
+    """Everything a right step sets, each list copied."""
+
+    def copied(xs):
+        return None if xs is None else list(xs)
+
+    return (e.n, e.generator, e.matrix, e._det, copied(e.computed), copied(e.values), copied(e.derivs),
+            copied(e.step_omega), set(e.saturated_seeds), copied(e.parts))
+
+
+def _trips_and_retries(state, run, expected):
+    """run() raises the ConsistencyError expected (a regex) and leaves
+    state where it found it, and so does a retry, with the same message."""
+    before = _right_state(state)
+    with pytest.raises(ConsistencyError, match=expected) as first:
+        run()
+    assert _right_state(state) == before
+    with pytest.raises(ConsistencyError) as again:
+        run()
+    assert str(again.value) == str(first.value)
+    assert _right_state(state) == before
+
+
 def test_right_step_ledger_trips_at_step_2():
     # step 1 moves the seed by exactly its bound omega(s, f(s)); step 2
-    # moves f(s) to f(f(s)), further than that under an expanding map
+    # moves f(s) to f(f(s)), further than that under an expanding map.
+    # The step leaves the engine, and the cycle position's stored replay,
+    # at step 1, so a retry replays from R_1(s) again
     state = RightOrbitState(_expanding_stream(), (0.5,))
+    ref = RightOrbitState(_expanding_stream(), (0.5,))
     state.advance()
-    with pytest.raises(ConsistencyError, match=r"right step .* exceeded its bound .* at n = 2$"):
-        state.advance()
+    ref.advance()
+    _trips_and_retries(state, state.advance, r"right step .* exceeded its bound .* at n = 2$")
+    assert _right_state(state) == _right_state(ref)
     assert state.n == 1
 
 
@@ -135,11 +163,49 @@ class _MatrixExpanding(_MatrixPlanted):
 @pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
 def test_right_matrix_step_ledger_trips_at_step_1(jets):
     # the matrix takes 0.5 to 0.5 e^{0.3i} (1 + 1e-6), further from 0.5
-    # than the bound omega(0.5, 0.5 e^{0.3i}) allows
-    state = RightOrbitState(GeneratorStream.from_cycle([_MatrixExpanding(cmath.exp(0.3j))]), (0.5,), jets=jets)
-    with pytest.raises(ConsistencyError, match=r"right step .* exceeded its bound .* at n = 1$"):
-        state.advance()
-    assert state.n == 0
+    # than the bound omega(0.5, 0.5 e^{0.3i}) allows; the engine keeps
+    # R_0, its identity matrix and no generator
+    stream = GeneratorStream.from_cycle([_MatrixExpanding(cmath.exp(0.3j))])
+    state = RightOrbitState(stream, (0.5,), jets=jets)
+    _trips_and_retries(state, state.advance, r"right step .* exceeded its bound .* at n = 1$")
+    assert _right_state(state) == _right_state(RightOrbitState(stream, (0.5,), jets=jets))
+    assert state.n == 0 and state.generator is None
+
+
+@pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
+@pytest.mark.parametrize("kind", ["list", "rule"])
+@pytest.mark.parametrize("path", ["matrix", "replay"])
+def test_right_step_ledger_fault_inside_a_block_leaves_the_steps_before_it(path, kind, jets):
+    # four healthy rotations, the expanding one at step 5, then healthy
+    # ones, in one block of 8 steps.  On the matrix path the step ledger
+    # sees the expanding matrix at its own step, 5; a replay applies
+    # f_n first, so there the ledger sees f_5 at step 6.  The expanding
+    # map takes the seed 1 - 4e-13 out of the disc, so at step 5 the hold
+    # rule takes it, on the matrix path before the seed 0.5 trips the
+    # ledger.  The block's lists and the engine, its held seeds and a
+    # replayed rule stream's parts included, end at the step before the
+    # fault, as a run to that step leaves them, and a retry of the block
+    # raises the same error
+    rot = cmath.exp(0.3j)
+    healthy, bad, trip = (_MatrixPlanted, _MatrixExpanding, 5) if path == "matrix" else (_Planted, _Expanding, 6)
+    maps = [healthy(rot)] * 4 + [bad(rot)] + [healthy(rot)] * 3
+    stream = GeneratorStream.from_list(maps) if kind == "list" else GeneratorStream.from_rule(lambda n: maps[n - 1])
+    seeds = (1 - 4e-13, 0.5)
+    ref, state = RightOrbitState(stream, seeds, jets=jets), RightOrbitState(stream, seeds, jets=jets)
+    expected, expected_omegas = [], []
+    ref.run(trip - 1, expected, expected_omegas)
+    assert ref.saturated_seeds == (set() if path == "matrix" else {0})
+    values, omegas = [], []
+    with pytest.raises(ConsistencyError, match=rf"right step .* exceeded its bound .* at n = {trip}$") as first:
+        state.run(8, values, omegas)
+    assert values == expected and omegas == expected_omegas
+    assert len(values) == (trip - 1) * len(seeds)
+    assert _right_state(state) == _right_state(ref)
+    assert state.n == trip - 1 and state.generator is maps[trip - 2]
+    assert (state.matrix is None) == (path == "replay")
+    assert (state.parts is None) == (path == "matrix" or kind == "list")
+    _trips_and_retries(state, lambda: state.run(8, values, omegas), re.escape(str(first.value)) + "$")
+    assert len(values) == (trip - 1) * len(seeds)
 
 
 @pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])

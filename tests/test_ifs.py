@@ -659,6 +659,51 @@ def test_run_is_advance_repeated_bit_for_bit(engine, kind, jets):
     assert held_and_released >= 2
 
 
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
+def test_right_run_leaves_the_matrix_path_inside_a_block(jets):
+    # 300 rotations by i, which the matrix step and a replay both take
+    # exactly, a two-zero Blaschke factor at step 301 and the out-and-back
+    # maps, in blocks of 200 and 133 steps: the engine leaves the matrix
+    # path inside the second block, and from step 301 on each step is a
+    # replay of the list, so every reported value that is not held is
+    # _replay's of its step bit for bit.  0j is held at n = 323 and
+    # released at 324, 0.5 - 0.3j and 0.3 + 0.6j are held from 322 to 324.
+    # The run stops at 333: the replay of the out-and-back maps falsely
+    # aborts at n = 334 (ROADMAP item 12, as OUT_AND_BACK's own at n = 36)
+    maps = [Scale(1j)] * 300 + [Blaschke((0.3 + 0.1j, -0.2j), 0.4)] + OUT_AND_BACK
+    seeds = (0j, 0.5 - 0.3j, -0.9, 0.3 + 0.6j)
+    state = RightOrbitState(GeneratorStream.from_list(maps), seeds, jets=jets)
+    values, omegas = [], []
+    state.run(200, values, omegas)
+    assert state.matrix is not None and state.n == 200
+    state.run(133, values, omegas)
+    assert state.matrix is None and state.n == 333 and state.parts is None
+    assert (state.derivs is None) == (not jets)
+    assert len(values) == len(omegas) == 333 * len(seeds)
+    rows = [list(seeds)] + [values[k : k + len(seeds)] for k in range(0, len(values), len(seeds))]
+    dz = 1.0 + 0.0j if jets else None
+    held = {i: "" for i in range(len(seeds))}
+    for n in range(301, 334):
+        for i, s in enumerate(seeds):
+            v, d = ifs._replay(maps, n, s, dz)
+            if rows[n][i] is rows[n - 1][i]:  # held: the computed value lies in the band
+                assert abs(v) > ifs._HELD_RADIUS
+                held[i] += "h"
+            else:
+                assert _bits(rows[n][i]) == _bits(v), (n, i)
+                held[i] += "."
+            if n == 333:
+                assert _bits(state.computed[i]) == _bits(v)
+                if jets:
+                    assert _bits(state.derivs[i]) == _bits(d)
+    assert [bool(re.search(r"\.h+\.", h)) for h in held.values()] == [True, True, False, True]
+    assert state.saturated_seeds == {0, 1, 3}
+
+
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=5, max_value=60),

@@ -1,6 +1,6 @@
 """Alternating pairs of benchmark runs in two checkouts, and the gain rule.
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload left_orbit --seconds 20 --pairs 10 --seed 1
+    python3 tools/ab_pairs.py PARENT CHANGE --workload left_orbit --seconds 20 --pairs 10 --seed 1 [--json PATH]
 
 PARENT and CHANGE are the roots of two checkouts; standard library only,
 run by hand and not in CI.  Each pair runs
@@ -21,13 +21,22 @@ holds: the change wins at least nine tenths of the pairs and the medians
 differ by more than the parent's interquartile range.  Which way is
 better comes from the change's BENCHMARK.json.  A run that is not
 correct or has failed tasks is named under the table.
+
+--json PATH also writes that table as a JSON object, the file a perf
+change checks in as BENCH_<n>.json: for every metric its direction,
+each side's median and quartiles, the relative change of the medians,
+the wins, the pair count and the gain rule's verdict; with the
+workload, seed, seconds, pair count, Python version, the usable CPU
+count (nproc) and each checkout's git rev-parse HEAD (null outside git).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 import statistics
 import subprocess
 import sys
@@ -57,30 +66,59 @@ def directions(root: pathlib.Path) -> dict:
     return {m["name"]: m["better"] for m in doc["end_to_end"]}
 
 
-def report(results: dict, better: dict) -> None:
+def summarize(results: dict, better: dict) -> dict:
+    """{metric: its medians, quartiles, wins and gain rule verdict} of the pairs in results."""
     parent, change = results["parent"], results["change"]
     n = len(parent)
-    print(f"\n{'metric':14s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} {'rel':>8s}"
-          f" {'wins':>6s}  gain rule")
+    summary = {}
     for name in parent[0]["metrics"]:
         a = [r["metrics"][name]["value"] for r in parent]
         b = [r["metrics"][name]["value"] for r in change]
         (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(a), quartiles(b)
-        rel = f"{(cm - pm) / pm * 100:+.1f}%" if pm else "-"
-        way = better.get(name)
-        if way is None:
+        way, wins, holds = better.get(name), None, None
+        if way is not None:
+            sign = 1 if way == "higher" else -1
+            wins = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
+            holds = wins >= 0.9 * n and sign * (cm - pm) > pq3 - pq1
+        summary[name] = {
+            "better": way,
+            "parent": {"median": pm, "q1": pq1, "q3": pq3},
+            "change": {"median": cm, "q1": cq1, "q3": cq3},
+            "rel": (cm - pm) / pm if pm else None,
+            "wins": wins,
+            "pairs": n,
+            "gain_rule": holds,
+        }
+    return summary
+
+
+def report(results: dict, summary: dict) -> None:
+    print(f"\n{'metric':14s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} {'rel':>8s}"
+          f" {'wins':>6s}  gain rule")
+    for name, m in summary.items():
+        p, c = m["parent"], m["change"]
+        rel = "-" if m["rel"] is None else f"{m['rel'] * 100:+.1f}%"
+        if m["better"] is None:
             wins, rule = "-", "? (no direction)"
         else:
-            sign = 1 if way == "higher" else -1
-            won = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
-            holds = won >= 0.9 * n and sign * (cm - pm) > pq3 - pq1
-            wins, rule = f"{won}/{n}", ("holds" if holds else "does not hold") + f" (parent IQR {pq3 - pq1:.4g})"
-        print(f"{name:14s} {f'{pm:.4g} [{pq1:.4g}, {pq3:.4g}]':>32s} {f'{cm:.4g} [{cq1:.4g}, {cq3:.4g}]':>32s}"
-              f" {rel:>8s} {wins:>6s}  {rule}")
+            wins = f"{m['wins']}/{m['pairs']}"
+            rule = ("holds" if m["gain_rule"] else "does not hold") + f" (parent IQR {p['q3'] - p['q1']:.4g})"
+        parent_cell = f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
+        change_cell = f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
+        print(f"{name:14s} {parent_cell:>32s} {change_cell:>32s} {rel:>8s} {wins:>6s}  {rule}")
     for side, runs in results.items():
         for i, r in enumerate(runs, 1):
             if r["correct"] is not True or r["failed"]:
                 print(f"{side} run of pair {i}: correct {r['correct']}, failed {r['failed']}")
+
+
+def revision(root: pathlib.Path) -> str | None:
+    """git rev-parse HEAD in root; None where root is no git checkout."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main(argv=None) -> None:
@@ -91,6 +129,7 @@ def main(argv=None) -> None:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--json", type=pathlib.Path, metavar="PATH", help="also write the summary to PATH as JSON")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results = {"parent": [], "change": []}
@@ -103,7 +142,20 @@ def main(argv=None) -> None:
             for side in order
         )
         print(f"pair {i}/{args.pairs} ({order[0]} first): task_p50_ms {line}", flush=True)
-    report(results, directions(roots["change"]))
+    summary = summarize(results, directions(roots["change"]))
+    report(results, summary)
+    if args.json is not None:
+        doc = {
+            "workload": args.workload,
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "pairs": args.pairs,
+            "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            "revisions": {side: revision(root) for side, root in roots.items()},
+            "metrics": summary,
+        }
+        args.json.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
