@@ -14,17 +14,16 @@ is fractional-linear, rule streams included, as one running product of
 the generators' raw matrix entries (each node's entries(), so no step
 builds a MoebiusMap); otherwise a replay, in O(p) per step on a cycle of
 period p and O(n) on list and rule streams.  Either path only computes
-the step's values, and one step rule then checks and holds them and
-gives the omegas orbit.csv takes as its step_omega column.
+the step's values, which one pass then checks with the step ledger.
 Both engines stop checking what double precision can no longer resolve:
 the left cursor freezes a pair's distance ledger, the right one skips a
-step's ledger, and both hold a seed's reported value under one rule
-(_Engine) while its computed value lies within ~1600 ulps of the
-boundary; computed keeps the unheld values.  Both keep the generator f_n
+step's ledger, and both hold a seed's reported value under one step
+rule (_Engine._settle) while its computed value lies within ~1600 ulps
+of the boundary; computed keeps the unheld values.  That rule first
+makes a computed value that is not finite, on either engine, a named
+abort (NonFiniteError), never a silent NaN.  Both keep the generator f_n
 of the last step; with jets on, the left cursor also keeps the step
-derivatives f_n'(L_{n-1}(s)), which criteria's series read.  A right
-value that is not finite is a named abort (NonFiniteError), never a
-silent NaN.
+derivatives f_n'(L_{n-1}(s)), which criteria's series read.
 
 Both engines take k steps by run(k, values, omegas), which extends
 values by each step's reported values and omegas by the omegas between
@@ -156,21 +155,25 @@ def stream_from_json(obj: dict) -> GeneratorStream:
 
 
 class _Engine:
-    """Seeds, values and the hold rule shared by both orbit engines.
+    """Seeds, values and the step rule shared by both orbit engines.
 
     Each step computes the new value at every seed from the computed
-    previous one (computed).  A seed is held exactly while its newly
-    computed value lies in the band abs(v) > _HELD_RADIUS, within ~1600
-    ulps of the boundary, where omega keeps less than two digits and the
-    value may round onto the circle: values then keeps the seed's last
-    reported value (the same object) and the seed is listed in
-    saturated_seeds for good.  Once the computed value leaves the band,
-    values follows it again.  A seed that itself lies in the band is
-    reported at step 0 but never held for that: only computed values
-    count.  generator is the f_n of the last step (None at n = 0).
+    previous one (computed), and _settle is the step rule for them all.
+    First the finite check: a computed value that is not finite raises
+    NonFiniteError with partial {"n": step, "seed": its index}, the
+    first such seed's.  Then the hold rule: a seed is held exactly while
+    its newly computed value lies in the band abs(v) > _HELD_RADIUS,
+    within ~1600 ulps of the boundary, where omega keeps less than two
+    digits and the value may round onto the circle: values then keeps
+    the seed's last reported value (the same object) and the seed is
+    listed in saturated_seeds for good.  Once the computed value leaves
+    the band, values follows it again.  A seed that itself lies in the
+    band is reported at step 0 but never held for that: only computed
+    values count.  generator is the f_n of the last step (None at n = 0),
+    and derivs, with jets on, holds one derivative per seed (1 at n = 0).
     """
 
-    def __init__(self, stream: GeneratorStream, seeds):
+    def __init__(self, stream: GeneratorStream, seeds, jets: bool):
         self.stream = stream
         self.seeds = tuple(disc_point(z) for z in seeds)
         if not self.seeds:
@@ -179,7 +182,22 @@ class _Engine:
         self.generator = None
         self.values = list(self.seeds)
         self.computed = self.values  # the engine's values at the seeds, held or not
+        self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
         self.saturated_seeds = set()
+
+    def _settle(self, m: int, new: list, reported: list) -> tuple:
+        """The step rule on step m's computed values new, given the
+        previous reported ones: (the reported list, the held seeds).
+        Each engine calls it only for a step with a value that is not
+        finite or lies in the band; it changes nothing on the engine."""
+        now, held = list(new), []
+        for i, v in enumerate(new):
+            if not cmath.isfinite(v):
+                raise NonFiniteError(f"orbit of seed {i} is not finite at n = {m}: {v!r}", partial={"n": m, "seed": i})
+            if abs(v) > _HELD_RADIUS:
+                now[i] = reported[i]
+                held.append(i)
+        return now, held
 
 
 class LeftOrbitCursor(_Engine):
@@ -194,19 +212,19 @@ class LeftOrbitCursor(_Engine):
     step in the band of _Engine's hold rule, where omega keeps less than
     two digits) is frozen at its last accurate value and listed in
     saturated_pairs; monitoring it further would only ledger rounding
-    noise.  Seeds follow _Engine's hold rule.
+    noise.  A step goes to _Engine's step rule before its pair ledger, so
+    no value that is not finite enters the ledger.
 
     run(k) takes k steps in one loop and advance() is run(1).  A step
     changes the cursor only once it is complete, so a step that raises
     (a generator past the end of a list stream, an evaluation's error, a
-    pair ledger's ConsistencyError) leaves the cursor at the step before
-    it: n, generator, computed, values, derivs, the pair ledger and the
-    saturated sets as that step left them.
+    NonFiniteError, a pair ledger's ConsistencyError) leaves the cursor
+    at the step before it: n, generator, computed, values, derivs, the
+    pair ledger and the saturated sets as that step left them.
     """
 
     def __init__(self, stream: GeneratorStream, seeds, track_pairs: bool = True, jets: bool = False):
-        super().__init__(stream, seeds)
-        self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
+        super().__init__(stream, seeds, jets)
         self.pair_distances = {}  # empty with track_pairs off
         self.saturated_pairs = set()
         if track_pairs:
@@ -242,6 +260,7 @@ class LeftOrbitCursor(_Engine):
         old = self.computed
         reported = self.values
         derivs = self.derivs
+        inside = _HELD_RADIUS.__ge__  # False for NaN, so a NaN goes to _settle
         stop = n + k
         try:
             while n < stop:  # a while loop: a range costs more than a one-step run
@@ -254,16 +273,16 @@ class LeftOrbitCursor(_Engine):
                         w, d = g.jet(v)
                         new.append(w)
                         step_derivs.append(d)
-                if self.pair_distances:
-                    self._ledger(n + 1, old, new)
+                if all(map(inside, map(abs, new))):  # the common step: nothing to settle
+                    now = new
+                    if self.pair_distances:
+                        self._ledger(n + 1, old, new)
+                else:  # settled before the ledger, so no NaN enters it
+                    now, held = self._settle(n + 1, new, reported)
+                    if self.pair_distances:
+                        self._ledger(n + 1, old, new)
+                    self.saturated_seeds.update(held)
                 # the step is complete: nothing below raises
-                now = new
-                if max(map(abs, new)) > _HELD_RADIUS:
-                    now = list(new)
-                    for i, v in enumerate(new):
-                        if abs(v) > _HELD_RADIUS:
-                            now[i] = reported[i]
-                            self.saturated_seeds.add(i)
                 if values is not None:
                     values += now
                 n += 1
@@ -319,24 +338,23 @@ class RightOrbitState(_Engine):
     once.
 
     run(k) takes k steps in one loop and advance() is run(1).  Each step
-    takes the matrix step or _step's replay, and then one step rule takes
-    every seed, computing its matrix value R_n(s) on the way: a value or
+    takes the matrix step or _step's replay, and then one pass takes
+    every seed, computing its matrix value R_n(s) on the way: a
     derivative that is not finite raises NonFiniteError (as a matrix entry
-    does), the seed follows _Engine's hold rule, and derivs with it, and
-    the step ledger omega(R_{n-1}(s), R_n(s)) <= omega(s, f_n(s)) reads
-    computed values and skips a step with either end in the band, so the
-    step that releases a seed goes unchecked.  step_omega is, on both
-    paths and after every step, the omega between each seed's previous
-    and new reported values: the ledger's where it ran, 0.0 for a held
-    seed, and from the previous reported value where the ledger skipped.
-    orbit.csv takes it as its step_omega column.
+    does), and the step ledger omega(R_{n-1}(s), R_n(s)) <= omega(s, f_n(s))
+    reads computed values and skips a seed with either end in the band,
+    so the step that releases a seed goes unchecked.  A step with a value
+    in the band or not finite then goes to _Engine's step rule, and a
+    held seed keeps its derivative too.  The step's omegas are the ledger's
+    where it ran, 0.0 for a held seed, and from the previous reported
+    value where the ledger skipped.
 
     A step changes the engine only once it is complete, so a step that
     raises (a generator past the end of a list stream, an evaluation's
     error, a NonFiniteError, the step ledger's ConsistencyError) leaves
     the engine at the step before it: n, generator, matrix, computed,
-    values, derivs, step_omega, saturated_seeds, parts and the replay a
-    cycle position keeps as that step left them.
+    values, derivs, saturated_seeds, parts and the replay a cycle
+    position keeps as that step left them.
 
     With jets on, derivs carries R_n'(s): det/(cs + d)^2 on the matrix
     path (det: the generators' dets times the squared rescale factors),
@@ -347,29 +365,28 @@ class RightOrbitState(_Engine):
     """
 
     def __init__(self, stream: GeneratorStream, seeds, jets: bool = False):
-        super().__init__(stream, seeds)
-        self.derivs = [1.0 + 0.0j] * len(self.seeds) if jets else None
+        super().__init__(stream, seeds, jets)
         self.parts = None  # f_1 ... f_n, kept only by a rule stream off the matrix path
         # R_n's entries (a, b, c, d) up to a power-of-two scale; their det only with jets
         self.matrix: tuple | None = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
         self._det = 1.0 + 0.0j if jets else None
         # cycle position (n - 1) mod p -> what _position returns
         self._by_position: dict[int, list] = {}
-        self.step_omega = None
 
     def run(self, k: int = 1, values: list | None = None, omegas: list | None = None) -> "RightOrbitState":
         """Take k steps in one loop; advance() is run(1).
 
         values, if given, is extended by each step's reported values,
-        seed by seed, and omegas, if given, by its step_omega.  If a step
-        raises, values and omegas hold exactly the steps before it, and
-        the engine is left at the last of them.
+        seed by seed, and omegas, if given, by each seed's omega from its
+        previous reported value to its new one.  If a step raises, values
+        and omegas hold exactly the steps before it, and the engine is
+        left at the last of them.
         """
         stream, seeds, by_position, count = self.stream, self.seeds, self._by_position, len(self.seeds)
         period = len(stream.maps) if stream.kind == "cycle" else 0
         generator_at, isfinite, omega, noise = stream.generator_at, cmath.isfinite, _omega_raw, 16.0 * _EPS
         n, f, parts, matrix, det = self.n, self.generator, self.parts, self.matrix, self._det
-        computed, reported, derivs, step_omega = self.computed, self.values, self.derivs, self.step_omega
+        computed, reported, derivs = self.computed, self.values, self.derivs
         stop = n + k
         try:
             while n < stop:  # a while loop: a range costs more than a one-step run
@@ -403,10 +420,11 @@ class RightOrbitState(_Engine):
                         if step_det is not None:
                             step_det = step_det * scale * scale
                     step_matrix = a, b, c, d
-                # the step rule, one for both paths: the finite check, the
-                # hold rule, the step ledger and step_omega at every seed
+                # one pass for both paths: the derivative check, the step
+                # ledger and the step omegas at every seed; a seed in the
+                # band or not finite leaves the step to _settle (now None)
                 bounds, new, new_derivs = record[2], [], None if derivs is None else []
-                oms, held = [0.0] * count, ()  # a held seed's omega(v, v) is exactly 0.0
+                oms, now = [0.0] * count, new  # a held seed's omega(v, v) is exactly 0.0
                 for i, s in enumerate(seeds):
                     if replayed is None:
                         den = c * s + d
@@ -414,13 +432,13 @@ class RightOrbitState(_Engine):
                         dv = None if step_det is None else step_det / (den * den)
                     else:
                         val, dv = fresh[i], fresh_derivs[i]
-                    if not (isfinite(val) and (dv is None or isfinite(dv))):
+                    if dv is not None and not isfinite(dv):
                         msg = f"right orbit of seed {i} is not finite at n = {m}: {val!r}"
                         raise NonFiniteError(msg, partial={"n": m, "seed": i})
                     new.append(val)
                     gap = 1.0 - abs(val)
-                    if gap < _SATURATED_GAP:  # abs(val) > _HELD_RADIUS: held, with its derivative
-                        held += (i,)
+                    if not gap >= _SATURATED_GAP:  # in the band (held, with its derivative) or NaN
+                        now = None
                         if new_derivs is not None:
                             new_derivs.append(derivs[i])
                         continue
@@ -433,19 +451,16 @@ class RightOrbitState(_Engine):
                     step = oms[i] = omega(reported[i], val)
                     if gap >= _SATURATED_GAP and step > bounds[i] + LEDGER_SLACK + noise / gap:
                         raise ConsistencyError(f"right step {step!r} exceeded its bound {bounds[i]!r} at n = {m}")
-                # the step is complete: nothing below raises but the constant refusal
-                now = new
-                if held:  # a held seed keeps its reported value
-                    now = list(new)
-                    for i in held:
-                        now[i] = reported[i]
+                if now is None:
+                    now, held = self._settle(m, new, reported)
                     self.saturated_seeds.update(held)
+                # the step is complete: nothing below raises but the constant refusal
                 if replayed is not None:
                     record[3], parts = replayed, step_parts
                 n, f = m, g
                 matrix, det = step_matrix, step_det
                 computed, reported = new, now
-                derivs, step_omega = new_derivs, oms
+                derivs = new_derivs
                 if values is not None:
                     values += now
                 if omegas is not None:
@@ -456,7 +471,7 @@ class RightOrbitState(_Engine):
             if parts is not None:
                 del parts[n:]  # a replay that raised appended its f_n
             self.n, self.generator, self.parts, self.matrix, self._det = n, f, parts, matrix, det
-            self.computed, self.values, self.derivs, self.step_omega = computed, reported, derivs, step_omega
+            self.computed, self.values, self.derivs = computed, reported, derivs
         return self
 
     advance = run  # one step

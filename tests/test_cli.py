@@ -260,11 +260,12 @@ class _NaNScale(holomap.Scale):
         return None
 
 
-def test_right_non_finite_value_exits_3_with_diagnostics(tmp_path, monkeypatch):
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_non_finite_value_exits_3_with_diagnostics(tmp_path, monkeypatch, side):
     stream = ifs.GeneratorStream.from_cycle([holomap.Scale(0.5), _NaNScale(0.5)])
     monkeypatch.setattr(cli.ifs, "stream_from_json", lambda obj: stream)
     rc = cli.main(["--out", str(tmp_path), "simulate", "--stream", SCALE_07,
-                   "--side", "right", "-N", "10"])
+                   "--side", side, "-N", "10"])
     assert rc == 3
     diag = _strict_json(tmp_path / "diagnostics.json")
     assert diag["error"] == "NonFiniteError"
@@ -277,7 +278,7 @@ def test_right_non_finite_value_exits_3_with_diagnostics(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.json", "orbit.partial.csv"]
     # a later complete run replaces the stale partial file
     monkeypatch.undo()
-    rc = cli.main(["--out", str(tmp_path), "simulate", "--stream", SCALE_07, "--side", "right", "-N", "10"])
+    rc = cli.main(["--out", str(tmp_path), "simulate", "--stream", SCALE_07, "--side", side, "-N", "10"])
     assert rc == 0
     assert (tmp_path / "orbit.csv").exists() and not (tmp_path / "orbit.partial.csv").exists()
 
@@ -1034,8 +1035,9 @@ def test_orbit_rows_take_the_right_matrix_steps_omega_where_it_is_the_reported_o
     seeds = (0j, -0.3j)
     twin, steps, omegas = ifs.RightOrbitState(stream, seeds), [], []
     for _ in range(3 * block + 10):
-        steps.append(twin.advance().values)
-        omegas.append(twin.step_omega)
+        step_omegas = []
+        steps.append(twin.run(1, None, step_omegas).values)
+        omegas.append(step_omegas)
     assert twin.matrix is not None and twin.saturated_seeds == {0, 1}
     held, released = steps[block - 1], steps[block]
     assert all(v is w for v, w in zip(held, steps[block - 2]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import pytest
 
 from ifslab import criteria, holomap, moebius, straighten
-from ifslab.holomap import ConsistencyError, InconclusiveError, Mobius, Monomial, Scale
+from ifslab.holomap import ConsistencyError, InconclusiveError, Mobius, Monomial, NonFiniteError, Scale
 from ifslab.ifs import BackwardOrbit, GeneratorStream, LeftOrbitCursor, RightOrbitState
 
 EXPANSION = 1.0 + 1e-6
@@ -87,7 +87,7 @@ def _right_state(e):
         return None if xs is None else list(xs)
 
     return (e.n, e.generator, e.matrix, e._det, copied(e.computed), copied(e.values), copied(e.derivs),
-            copied(e.step_omega), set(e.saturated_seeds), copied(e.parts))
+            set(e.saturated_seeds), copied(e.parts))
 
 
 def _trips_and_retries(state, run, expected):
@@ -206,6 +206,74 @@ def test_right_step_ledger_fault_inside_a_block_leaves_the_steps_before_it(path,
     assert (state.parts is None) == (path == "matrix" or kind == "list")
     _trips_and_retries(state, lambda: state.run(8, values, omegas), re.escape(str(first.value)) + "$")
     assert len(values) == (trip - 1) * len(seeds)
+
+
+class _NaNAtTenth(_Planted):
+    """NaN at 0.1 and 0.9999999999999, in the hold band, anywhere else."""
+
+    def eval(self, z: complex) -> complex:
+        return complex("nan") if z == 0.1 else 0.9999999999999 + 0j
+
+    def jet(self, z: complex):
+        return self.eval(z), 0j
+
+
+_ENGINES = {
+    "left": lambda stream, seeds, jets=False: LeftOrbitCursor(stream, seeds, track_pairs=False, jets=jets),
+    "left-pairs": lambda stream, seeds, jets=False: LeftOrbitCursor(stream, seeds, jets=jets),
+    "right": lambda stream, seeds, jets=False: RightOrbitState(stream, seeds, jets=jets),
+}
+
+
+def _state(e):
+    return _right_state(e) if isinstance(e, RightOrbitState) else _left_state(e)
+
+
+@pytest.mark.parametrize("seeds", [(0.1, 0.5), (0.5, 0.1)], ids=["nan-first", "nan-last"])
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_a_non_finite_value_is_a_named_abort_whatever_the_seed_order(engine, seeds):
+    # one step gives NaN at one seed and a value in the hold band at the
+    # other: the finite check names the NaN's seed in either order, before
+    # the hold rule or the pair ledger reads the step, and the engine
+    # stays at step 0
+    state = _ENGINES[engine](GeneratorStream.from_cycle([_NaNAtTenth(1.0)]), seeds)
+    before = _state(state)
+    with pytest.raises(NonFiniteError, match=r"is not finite at n = 1: \(?nan") as exc:
+        state.advance()
+    assert exc.value.partial == {"n": 1, "seed": seeds.index(0.1)}
+    assert _state(state) == before
+
+
+class _NaNBeyondTwoFifths(_Planted):
+    """factor * z, and NaN where abs(z) > 0.4."""
+
+    def eval(self, z: complex) -> complex:
+        return complex("nan") if abs(z) > 0.4 else self.factor * z
+
+    def jet(self, z: complex):
+        return self.eval(z), complex("nan") if abs(z) > 0.4 else self.factor
+
+
+@pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
+@pytest.mark.parametrize("engine", list(_ENGINES))
+def test_a_non_finite_value_inside_a_block_leaves_the_steps_before_it(engine, jets):
+    # four rotations, then one that gives NaN at the last seed only, at
+    # step 5 of a block of 8: the block's lists and the engine end at
+    # step 4, as a run of 4 leaves them
+    rot = cmath.exp(0.3j)
+    stream = GeneratorStream.from_list([_Planted(rot)] * 4 + [_NaNBeyondTwoFifths(rot)] + [_Planted(rot)] * 3)
+    seeds = (1e-5, 2e-5, 0.5)
+    ref, state = _ENGINES[engine](stream, seeds, jets), _ENGINES[engine](stream, seeds, jets)
+    expected, expected_omegas = [], []
+    ref.run(4, expected, expected_omegas)
+    values, omegas = [], []
+    with pytest.raises(NonFiniteError, match=r"is not finite at n = 5:") as exc:
+        state.run(8, values, omegas)
+    assert exc.value.partial == {"n": 5, "seed": 2}
+    assert len(values) == len(omegas) == 4 * len(seeds)
+    assert values == expected and omegas == expected_omegas
+    assert _state(state) == _state(ref)
+    assert state.n == 4 and state.generator is stream.maps[3]
 
 
 @pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
