@@ -38,8 +38,6 @@ from .ifs import (
     GeneratorStream,
     LeftOrbitCursor,
     RightOrbitState,
-    compact_divergence,
-    orbit_bounded,
     verify_backward_orbit,
 )
 from .moebius import MoebiusMap, classify_auto, kth_root, random_disc_auto
@@ -90,7 +88,6 @@ __all__ = [
     "classify_auto",
     "classify_left_limits",
     "classify_right_limits",
-    "compact_divergence",
     "denjoy_wolff",
     "derivative",
     "disc_distance",
@@ -104,7 +101,6 @@ __all__ = [
     "left_straighten",
     "margin",
     "mu_step",
-    "orbit_bounded",
     "random_disc_auto",
     "right_straighten",
     "semiconjugacy_probe",

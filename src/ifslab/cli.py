@@ -286,9 +286,9 @@ def _orbit_block(n: int, seed_cols: list, new: list, omegas: list, template: str
         args[6 * i + 1 :: 6 * seeds] = itertools.repeat(cols, len(new) // seeds)
     args[2::6] = map(_real, new)
     args[3::6] = map(_imag, new)
-    try:  # _omega_raw(0j, v) is exactly atanh|v| for |v| < 1, and NaN for NaN
+    try:  # _omega_raw(0j, v) is exactly atanh|v| for |v| < 1, as for every value an engine reports
         args[4::6] = map(atanh, map(abs, new))
-    except ValueError:  # |v| >= 1: an infinite value
+    except ValueError:  # |v| >= 1, which atanh refuses: no engine reports it
         args[4::6] = map(_omega_raw, itertools.repeat(0j), new)
     args[5::6] = omegas
     args = tuple(args)  # the list goes before the text is made

@@ -16,9 +16,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import holomap
-from .geometry import disc_point
+from .geometry import _omega_raw, disc_point
 from .holomap import ConsistencyError, InconclusiveError
-from .ifs import _Escape, GeneratorStream, LeftOrbitCursor, RightOrbitState
+from .ifs import GeneratorStream, LeftOrbitCursor, RightOrbitState
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,11 @@ class SeriesConfig:
 
 SERIES = SeriesConfig()
 
-# left classification: the first base point's left orbit escaping this omega
-# distance of 0 (by orbit_bounded's rule) marks the family not relatively compact
+# left classification: the first base point's reported left orbit lying
+# beyond this omega distance of 0 for _ESCAPE_RUN consecutive steps marks the
+# family not relatively compact; a shorter excursion that comes back does not
 _ESCAPE_RADIUS = 3.0
+_ESCAPE_RUN = 3
 # right classification: distortion samples at N/4, N/2, 3N/4 and N
 _CHECKPOINTS = 4
 # fixed-point tracking: the largest |f(p) - p| a Newton polish may leave
@@ -138,7 +140,9 @@ def _series_verdict(s: _Series) -> str:
 def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: float = math.inf, row=None):
     """The deficit series along the left orbits of pts, folded (_Series) as
     one jet-carrying cursor sweeps them; None if by the horizon the first
-    point's reported orbit escapes escape_radius by orbit_bounded's rule.
+    point's reported orbit has lain beyond escape_radius (omega from 0) for
+    _ESCAPE_RUN consecutive steps, a run that starts again at 0 whenever
+    the orbit comes back within it.
     row, when given, is called at each step of the first point's series
     with the tuple (n, term, partial sum, product, L_{n-1}(z)).  A series
     stops at a constant generator (ValueError), where the cursor holds its
@@ -147,13 +151,14 @@ def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: flo
     series ends the sweep where it stops, so the stream is read no further.
     """
     cursor = LeftOrbitCursor(stream, pts, track_pairs=False, jets=True)
-    watch = _Escape(cursor, escape_radius)
+    run, escaped = 0, False  # the steps in a row beyond escape_radius, and whether they reached _ESCAPE_RUN
     series = [_Series(z) for z in cursor.seeds]
     first = series[0]
     for n in range(1, N + 1):
         if len(series) == 1 and first.error is not None:
             break  # a lone series ends where it stops: the stream may end there
-        watch.advance()
+        run = run + 1 if _omega_raw(0j, cursor.advance().values[0]) > escape_radius else 0
+        escaped = escaped or run == _ESCAPE_RUN
         constant = holomap._as_constant(cursor.generator) is not None
         for i, (s, v, dv) in enumerate(zip(series, cursor.computed, cursor.derivs)):
             if s.error is not None:
@@ -172,7 +177,7 @@ def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: flo
                     continue
                 if row is not None and s is first:
                     row((n, term, s.partial_sum, s.product, at))
-    if watch.first is not None:
+    if escaped:
         return None
     for s in series:
         if s.error is not None:

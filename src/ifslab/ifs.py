@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import holomap, moebius
-from .geometry import _EPS, DomainError, HyperbolicBall, _omega_raw, disc_point, json_array, json_number
+from .geometry import _EPS, DomainError, _omega_raw, disc_point, json_array, json_number
 from .holomap import ConsistencyError, MapExpr, NonFiniteError, Scale
 
 LEDGER_SLACK = 1e-10
@@ -51,10 +51,7 @@ LEDGER_SLACK = 1e-10
 # noise term 16 eps / gap above 0.01
 _SATURATED_GAP = 1600.0 * _EPS
 _HELD_RADIUS = 1.0 - _SATURATED_GAP  # exact: |v| > this iff 1 - |v| < _SATURATED_GAP
-# consecutive steps beyond the radius that orbit_bounded reads as escape
-_ESCAPE_RUN = 3
 _VERIFY_TOL = 1e-9  # verify_backward_orbit's bound on each |f_n(w_n) - w_{n-1}|
-_BALL_RING = 8  # points that ball_samples takes on the ball's sphere
 
 _UNIT_SCALE = Scale(1.0)
 
@@ -433,7 +430,7 @@ class RightOrbitState(_Engine):
                     else:
                         val, dv = fresh[i], fresh_derivs[i]
                     if dv is not None and not isfinite(dv):
-                        msg = f"right orbit of seed {i} is not finite at n = {m}: {val!r}"
+                        msg = f"right orbit derivative of seed {i} is not finite at n = {m}: {dv!r}"
                         raise NonFiniteError(msg, partial={"n": m, "seed": i})
                     new.append(val)
                     gap = 1.0 - abs(val)
@@ -562,115 +559,4 @@ def verify_backward_orbit(stream: GeneratorStream, orbit: BackwardOrbit) -> Back
         ok=step_max <= _VERIFY_TOL,
         max_step_residual=step_max,
         composed_residual=abs(_replay(gens, len(gens), pts[-1])[0] - pts[0]),
-    )
-
-
-@dataclass(frozen=True)
-class OrbitBoundReport:
-    side: str
-    radius: float
-    horizon: int
-    max_omega: float
-    escaped: bool
-    first_escape: int | None
-
-
-def _engine(stream: GeneratorStream, seeds, side: str):
-    """The orbit engine of one side, without a pair ledger on the left."""
-    if side == "left":
-        return LeftOrbitCursor(stream, seeds, track_pairs=False)
-    if side == "right":
-        return RightOrbitState(stream, seeds)
-    raise ValueError("side must be 'left' or 'right'")
-
-
-class _Escape:
-    """orbit_bounded's escape rule on an engine's first seed: escape is the
-    first of _ESCAPE_RUN consecutive steps whose reported value lies beyond
-    the radius (omega from 0), so lone near-boundary excursions do not count."""
-
-    def __init__(self, engine, radius: float):
-        self.engine, self.radius = engine, radius
-        self.run = 0
-        self.first = None
-
-    def advance(self) -> float:
-        """Step the engine and read its first seed; returns its omega from 0."""
-        om = _omega_raw(0j, self.engine.advance().values[0])
-        self.run = self.run + 1 if om > self.radius else 0
-        if self.run == _ESCAPE_RUN and self.first is None:
-            self.first = self.engine.n - _ESCAPE_RUN + 1
-        return om
-
-
-def orbit_bounded(
-    stream: GeneratorStream,
-    z,
-    N: int,
-    radius: float,
-    side: str = "left",
-) -> OrbitBoundReport:
-    """Finite-horizon boundedness heuristic for one orbit, by _Escape's rule;
-    the verdict is explicitly a statement about the first N steps only."""
-    engine = _engine(stream, (z,), side)
-    watch, top = _Escape(engine, radius), _omega_raw(0j, engine.values[0])
-    for _ in range(N):
-        top = max(top, watch.advance())
-    return OrbitBoundReport(
-        side=side,
-        radius=radius,
-        horizon=N,
-        max_omega=top,
-        escaped=watch.first is not None,
-        first_escape=watch.first,
-    )
-
-
-def ball_samples(ball: HyperbolicBall):
-    """Center plus _BALL_RING points on the hyperbolic sphere of the given ball."""
-    c = ball.center
-    move = moebius.make_disc_auto(c, 0.0) if c != 0 else None
-    r = math.tanh(ball.radius)
-    pts = [c]
-    for k in range(_BALL_RING):
-        u = r * cmath.exp(2j * math.pi * k / _BALL_RING)
-        pts.append(moebius.apply(move, u) if move is not None else u)
-    return tuple(pts)
-
-
-@dataclass(frozen=True)
-class CompactDivergenceReport:
-    horizon: int
-    disjoint_flags: tuple
-    first_permanent: int | None  # first index from which every later step is disjoint
-
-
-def compact_divergence(
-    stream: GeneratorStream,
-    ball: HyperbolicBall,
-    N: int,
-    side: str = "left",
-) -> CompactDivergenceReport:
-    """Track whether the orbit of a ball leaves that ball for good.
-
-    Finite-horizon heuristic: `first_permanent` is the first index whose
-    entire tail (within the horizon) has sampled image disjoint from the
-    ball.  It says nothing beyond the horizon.
-    """
-    engine = _engine(stream, ball_samples(ball), side)
-    flags = []
-    for _ in range(1, N + 1):
-        engine.advance()
-        outside = all(
-            _omega_raw(ball.center, v) > ball.radius for v in engine.values
-        )
-        flags.append(outside)
-    first = None
-    for i in range(len(flags) - 1, -1, -1):
-        if flags[i]:
-            first = i + 1
-        else:
-            break
-    return CompactDivergenceReport(
-        horizon=N, disjoint_flags=tuple(flags), first_permanent=first
     )

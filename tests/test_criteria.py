@@ -1,6 +1,7 @@
 """Distortion series, limit classification, and fixed-point tracking."""
 
 import cmath
+import itertools
 import math
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ifslab import criteria, holomap, ifs, moebius
 from ifslab.holomap import Blaschke, Compose, Constant, HalfPlaneAffine, InconclusiveError, Mobius, Monomial, Scale
-from ifslab.ifs import GeneratorStream
+from ifslab.ifs import GeneratorStream, LeftOrbitCursor
 from ifslab.criteria import (
     SeriesConfig,
     TrackingRefusal,
@@ -379,11 +380,51 @@ def test_axis_translations_escape_at_the_predicted_step(t, step):
     radius = criteria._ESCAPE_RADIUS
     assert step == math.ceil(radius / math.atanh(t))
     stream = GeneratorStream.from_cycle([Mobius(moebius.make_disc_auto(t, 0.0))])
-    assert ifs.orbit_bounded(stream, 0j, 20, radius).first_escape == step
-    first_n = step + ifs._ESCAPE_RUN - 1
+    first_n = step + criteria._ESCAPE_RUN - 1
     assert classify_left_limits(stream, first_n - 1).kind == "inconclusive"
     for n in (first_n, first_n + 1, first_n + 5):
         assert classify_left_limits(stream, n).kind == "not_relatively_compact"
+
+
+def _excursions(t: float, lengths: list) -> GeneratorStream:
+    """A list stream under which the left orbit of 0, moved along the axis
+    (-1, 1) by the automorphisms z |-> (z +- t)/(1 +- t z), goes from
+    omega 2 atanh t out to 3 atanh t and back once for each entry of
+    lengths, staying out for that many consecutive steps: the rotation
+    Scale(-1) holds omega from 0 while the orbit stays out."""
+    right, left, flip = Mobius(moebius.make_disc_auto(t, 0.0)), Mobius(moebius.make_disc_auto(-t, 0.0)), Scale(-1.0)
+    maps, side = [right, right], 1  # the orbit's side of 0 (+1 or -1)
+    for length in lengths:
+        maps.append(right if side > 0 else left)
+        maps += [flip] * (length - 1)
+        side *= (-1) ** (length - 1)
+        maps.append(left if side > 0 else right)
+    return GeneratorStream.from_list(maps)
+
+
+@pytest.mark.parametrize("long_run", [False, True], ids=["short-runs", "one-long-run"])
+def test_the_escape_run_starts_again_when_the_orbit_comes_back(long_run):
+    # omega(0, L_n(0)) moves between 2 atanh 0.77 = 2.04 and 3 atanh 0.77 =
+    # 3.06, on either side of the escape radius 3: with runs of 2 steps
+    # beyond it the run never reaches _ESCAPE_RUN = 3, however many
+    # excursions add up; one run of 3 reads as escape from its last step on
+    lengths = [2, 2, 3, 2, 2, 2] if long_run else [2] * 6
+    stream = _excursions(0.77, lengths)
+    N = len(stream.maps)
+    cursor, beyond = LeftOrbitCursor(stream, (0j,), track_pairs=False), []
+    for _ in range(N):
+        beyond.append(math.atanh(abs(cursor.advance().values[0])) > criteria._ESCAPE_RADIUS)
+    runs = [len(list(g)) for out, g in itertools.groupby(beyond) if out]
+    assert runs == lengths
+    escape = None
+    if long_run:
+        # the run's last step: the 2 steps out, two excursions of 3 steps
+        # (2 beyond the radius, 1 back), then the run's _ESCAPE_RUN steps
+        escape = 2 + 2 * 3 + criteria._ESCAPE_RUN
+        assert beyond[escape - criteria._ESCAPE_RUN : escape] == [True] * criteria._ESCAPE_RUN
+    for n in range(1, N + 1):
+        escaped = classify_left_limits(stream, n).kind == "not_relatively_compact"
+        assert escaped == (escape is not None and n >= escape)
 
 
 class _ReferenceSeries(criteria._Series):

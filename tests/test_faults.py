@@ -276,6 +276,24 @@ def test_a_non_finite_value_inside_a_block_leaves_the_steps_before_it(engine, je
     assert state.n == 4 and state.generator is stream.maps[3]
 
 
+class _NaNDerivative(_Planted):
+    """factor * z, with a NaN derivative."""
+
+    def jet(self, z: complex):
+        return self.factor * z, complex("nan")
+
+
+def test_a_non_finite_right_derivative_is_named_with_its_own_value():
+    # the value 0.15 is finite and only the derivative is not: the abort
+    # names the derivative and prints it, not the value
+    state = RightOrbitState(GeneratorStream.from_cycle([_NaNDerivative(0.5)]), (0.3,), jets=True)
+    before = _right_state(state)
+    with pytest.raises(NonFiniteError, match=r"^right orbit derivative of seed 0 is not finite at n = 1: \(?nan") as exc:
+        state.advance()
+    assert exc.value.partial == {"n": 1, "seed": 0}
+    assert _right_state(state) == before
+
+
 @pytest.mark.parametrize("jets", [False, True], ids=["values", "jets"])
 def test_the_planted_matrix_without_its_expansion_passes(jets):
     state = RightOrbitState(GeneratorStream.from_cycle([_MatrixPlanted(cmath.exp(0.3j))]), (0.5,), jets=jets)

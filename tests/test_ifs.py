@@ -1,4 +1,4 @@
-"""Generator streams, orbit engines, and relative-compactness heuristics."""
+"""Generator streams and orbit engines."""
 
 import cmath
 import dataclasses
@@ -11,21 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 import ifslab
 from ifslab import bounds, geometry, holomap, ifs, moebius
-from ifslab.geometry import HyperbolicBall, disc_distance, disc_point
+from ifslab.geometry import disc_distance, disc_point
 from ifslab.holomap import Blaschke, Compose, HalfPlaneAffine, Mobius, Monomial, Scale
 from ifslab.ifs import (
     BackwardOrbit,
     GeneratorStream,
     LeftOrbitCursor,
     RightOrbitState,
-    ball_samples,
-    compact_divergence,
-    orbit_bounded,
     stream_from_json,
     verify_backward_orbit,
 )
-
-ATANH_03 = 0.30951960420311175  # atanh(0.3)
 
 
 def scale_product_stream(power: int) -> GeneratorStream:
@@ -789,67 +784,6 @@ def test_backward_orbit_detects_corruption():
     pts[4] += 1e-3
     check = verify_backward_orbit(s, BackwardOrbit(tuple(pts)))
     assert not check.ok
-
-
-def test_orbit_bounded_escape():
-    g = Mobius(moebius.MoebiusMap(math.cosh(0.5), math.sinh(0.5), math.sinh(0.5), math.cosh(0.5), moebius.DISC))
-    rep = orbit_bounded(GeneratorStream.from_cycle([g]), 0.0, 40, 2.0)
-    assert rep.escaped
-    # orbit omega grows by 0.5 each step; radius 2 is first exceeded at n=5,
-    # and the flag points at the start of the qualifying run
-    assert rep.first_escape == 5
-    assert rep.max_omega == pytest.approx(20 * 0.5 / 20 * 40 / 2, rel=1e-6) or rep.max_omega > 2.0
-
-
-def test_orbit_bounded_rotation():
-    rep = orbit_bounded(GeneratorStream.from_cycle([Scale(1j)]), 0.3, 50, 1.0)
-    assert not rep.escaped
-    assert rep.first_escape is None
-    assert rep.max_omega == pytest.approx(ATANH_03, abs=1e-12)
-
-
-def test_ball_samples_lie_on_sphere():
-    ball = HyperbolicBall(0.3 - 0.2j, 0.8)
-    pts = ball_samples(ball)
-    assert len(pts) == 1 + ifs._BALL_RING == 9
-    assert pts[0] == ball.center
-    for p in pts[1:]:
-        assert disc_distance(ball.center, p) == pytest.approx(0.8, abs=1e-12)
-
-
-def test_compact_divergence_hyperbolic():
-    g = Mobius(moebius.MoebiusMap(math.cosh(0.5), math.sinh(0.5), math.sinh(0.5), math.cosh(0.5), moebius.DISC))
-    rep = compact_divergence(GeneratorStream.from_cycle([g]), HyperbolicBall(0.0, 1.0), 30)
-    assert rep.first_permanent == 4
-    assert all(rep.disjoint_flags[rep.first_permanent - 1 :])
-
-
-def test_orbit_reports_on_the_right_side():
-    # one generator cycled: R_n = L_n, so the right engine, on its matrix
-    # path, reports what the left one does
-    g = Mobius(moebius.MoebiusMap(math.cosh(0.5), math.sinh(0.5), math.sinh(0.5), math.cosh(0.5), moebius.DISC))
-    stream = GeneratorStream.from_cycle([g])
-    rep = orbit_bounded(stream, 0.0, 20, 2.2, side="right")  # omega(0, R_n(0)) = n / 2
-    assert rep.side == "right" and rep.first_escape == 5
-    assert rep.max_omega == pytest.approx(orbit_bounded(stream, 0.0, 20, 2.2).max_omega, rel=1e-6)
-    div = compact_divergence(stream, HyperbolicBall(0.0, 1.0), 30, side="right")
-    assert div == compact_divergence(stream, HyperbolicBall(0.0, 1.0), 30)
-
-
-def test_orbit_reports_reject_unknown_side():
-    stream = GeneratorStream.from_cycle([Scale(0.5)])
-    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
-        compact_divergence(stream, HyperbolicBall(0.0, 1.0), 5, side="bogus")
-    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
-        orbit_bounded(stream, 0.0, 5, 1.0, side="bogus")
-
-
-def test_compact_divergence_rotation_never_leaves():
-    rep = compact_divergence(
-        GeneratorStream.from_cycle([Scale(1j)]), HyperbolicBall(0.0, 1.0), 20
-    )
-    assert rep.first_permanent is None
-    assert not any(rep.disjoint_flags)
 
 
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=2, max_value=60))
