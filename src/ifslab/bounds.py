@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
 from . import holomap, moebius
-from .geometry import _omega_raw, disc_point
+from .geometry import Record, _omega_raw, disc_point
 from .holomap import Blaschke, Compose, MapExpr, NonFiniteError, Scale, _distortion_from_jet
 from .moebius import MoebiusMap
 
@@ -84,8 +83,7 @@ def _best_automorphism(wv: complex, fw: complex, d: complex) -> MoebiusMap:
     return moebius._trusted(*entries, moebius.DISC)
 
 
-@dataclass(frozen=True)
-class MarginReport:
+class MarginReport(Record):
     kind: str
     z: complex
     w: complex
@@ -140,8 +138,7 @@ def _sides(kind: str, f: MapExpr | None, zv: complex, wv: complex, coefficient: 
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(Record):
     radii: tuple
     ratios: tuple      # (1 - f#(r tau)) / (1 - r)^2 at each radius
     limit: float       # Richardson extrapolate of the ratios
@@ -204,8 +201,7 @@ def _random_point(rng: Random) -> complex:
     return r * cmath.exp(1j * a)
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(Record):
     """The summary of a fuzz run, folded as it draws: the draws themselves
     go to fuzz_margins' row callback, if any, and are not kept."""
 

@@ -10,10 +10,10 @@ other CSV row is one ``%`` of its layout; both give the same bytes.
 gallery.svg's polyline is formatted SVG_CHUNK points to one ``%`` of
 ``"%.2f,%.2f"`` repeated, with the same bytes as point by point.
 
-Every JSON artifact is a report dataclass's fields as they are
+Every JSON artifact is a report record's fields as they are
 (``_report``), converted by the writer's hook as it reaches them
 (``_encode``: a complex becomes ``[re, im]``, a Moebius map its
-``moebius.to_json`` payload, a dataclass its fields), and is written
+``moebius.to_json`` payload, any other record its fields), and is written
 strictly: a JSON artifact never holds NaN or Infinity.  The writer is
 cli's own (``_json_pieces``); its bytes are the standard library's
 sorted, indent-2 form, ``json.dumps(doc, sort_keys=True, indent=2,
@@ -48,12 +48,11 @@ import operator
 import os
 import pathlib
 import sys
-from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote  # the C function
 from math import atanh, isfinite
 
 from . import bounds, criteria, gallery, holomap, ifs, moebius, straighten
-from .geometry import DomainError, _omega_raw, disc_point, json_point
+from .geometry import DomainError, Record, _omega_raw, disc_point, json_point
 
 ORBIT_HEADER = "n,seed_re,seed_im,value_re,value_im,omega_to_origin,step_omega"
 _ORBIT_ROW = "%d,%s,%.17g,%.17g,%.17g,%.17g"
@@ -84,21 +83,21 @@ def _parse_complex(text: str) -> complex:
 
 
 def _report(obj, drop=(), **extra) -> dict:
-    """The fields of the report dataclass obj, minus drop, plus extra, as they are."""
-    out = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}
+    """The fields of the report record obj, minus drop, plus extra, as they are."""
+    out = {name: getattr(obj, name) for name in obj._fields if name not in drop}
     out.update(extra)
     return out
 
 
 def _encode(v):
     """The JSON writer's hook for what JSON has no type for: a complex as
-    [re, im], a Moebius map as its moebius.to_json payload, a dataclass as
-    its fields."""
+    [re, im], a Moebius map as its moebius.to_json payload, any other
+    record as its fields."""
     if isinstance(v, complex):
         return [v.real, v.imag]
     if isinstance(v, moebius.MoebiusMap):
         return moebius.to_json(v)
-    if is_dataclass(v):
+    if isinstance(v, Record):
         return _report(v)
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from . import holomap
-from .geometry import _omega_raw, disc_point
+from .geometry import Record, _omega_raw, disc_point
 from .holomap import ConsistencyError, InconclusiveError
 from .ifs import GeneratorStream, LeftOrbitCursor, RightOrbitState
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
+class SeriesConfig(Record):
     """The fixed verdict thresholds, one record (SERIES) that classify.json reports."""
 
     divergence_threshold: float = 5.0      # partial sum level that, with a
@@ -47,8 +45,7 @@ _CHECKPOINTS = 4
 _POLISH_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(Record):
     """The deficit series along the left orbit of base_point.
 
     verdict and product_residual_max come from the fold (_Series).  Only
@@ -139,10 +136,13 @@ def _series_verdict(s: _Series) -> str:
 
 def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: float = math.inf, row=None):
     """The deficit series along the left orbits of pts, folded (_Series) as
-    one jet-carrying cursor sweeps them; None if by the horizon the first
-    point's reported orbit has lain beyond escape_radius (omega from 0) for
+    one jet-carrying cursor sweeps them; None once the first point's
+    reported orbit has lain beyond escape_radius (omega from 0) for
     _ESCAPE_RUN consecutive steps, a run that starts again at 0 whenever
-    the orbit comes back within it.
+    the orbit comes back within it.  The sweep stops at the step that
+    completes such a run, before it folds that step into any series: a
+    settled escape stands whatever later steps would do, so the stream is
+    read no further and no series error found so far is raised.
     row, when given, is called at each step of the first point's series
     with the tuple (n, term, partial sum, product, L_{n-1}(z)).  A series
     stops at a constant generator (ValueError), where the cursor holds its
@@ -151,14 +151,15 @@ def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: flo
     series ends the sweep where it stops, so the stream is read no further.
     """
     cursor = LeftOrbitCursor(stream, pts, track_pairs=False, jets=True)
-    run, escaped = 0, False  # the steps in a row beyond escape_radius, and whether they reached _ESCAPE_RUN
+    run = 0  # the steps in a row beyond escape_radius
     series = [_Series(z) for z in cursor.seeds]
     first = series[0]
     for n in range(1, N + 1):
         if len(series) == 1 and first.error is not None:
             break  # a lone series ends where it stops: the stream may end there
         run = run + 1 if _omega_raw(0j, cursor.advance().values[0]) > escape_radius else 0
-        escaped = escaped or run == _ESCAPE_RUN
+        if run == _ESCAPE_RUN:
+            return None
         constant = holomap._as_constant(cursor.generator) is not None
         for i, (s, v, dv) in enumerate(zip(series, cursor.computed, cursor.derivs)):
             if s.error is not None:
@@ -177,8 +178,6 @@ def _left_series(stream: GeneratorStream, N: int, pts: tuple, escape_radius: flo
                     continue
                 if row is not None and s is first:
                     row((n, term, s.partial_sum, s.product, at))
-    if escaped:
-        return None
     for s in series:
         if s.error is not None:
             raise s.error
@@ -194,8 +193,7 @@ def distortion_series(stream: GeneratorStream, N: int, z0=0j) -> SeriesReport:
     return s.report(terms, sums, prods, orbit + (s.at,))
 
 
-@dataclass(frozen=True)
-class LeftLimitReport:
+class LeftLimitReport(Record):
     kind: str  # "constant_limits" | "nonconstant_limits" | "not_relatively_compact" | "inconclusive"
     series: tuple  # one SeriesReport per base point
     limit_estimates: tuple  # L_N at each base point
@@ -243,8 +241,7 @@ def classify_left_limits(
     return LeftLimitReport(kind, reports, limits, agreement, _ESCAPE_RADIUS)
 
 
-@dataclass(frozen=True)
-class RightLimitReport:
+class RightLimitReport(Record):
     kind: str  # "constant_limit" | "nonconstant_limit" | "inconclusive"
     limit_estimate: complex
     tail_movement: float
@@ -319,8 +316,7 @@ class TrackingRefusal(RuntimeError):
     limit."""
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(Record):
     points: tuple            # attracting fixed point of each generator
     residual_max: float      # max |f_n(p_n) - p_n|
     limit_estimate: complex  # p_N

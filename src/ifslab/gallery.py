@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import holomap, moebius
-from .geometry import HyperbolicBall, _omega_raw
+from .geometry import HyperbolicBall, Record, _omega_raw
 from .ifs import GeneratorStream
 from .moebius import HALF_PLANE, MoebiusMap
 
@@ -53,8 +52,7 @@ def inward_shift(n: int) -> holomap.HalfPlaneAffine:
 _RATE_GRID = (1j, 0.5 + 1j, -0.5 + 2j, 3j, 2.0 + 0.5j)
 
 
-@dataclass(frozen=True)
-class StageCert:
+class StageCert(Record):
     n: int
     k: int                   # length of the parabolic run
     value_before: complex    # orbit of i entering the stage
@@ -65,8 +63,7 @@ class StageCert:
     shift_rate: float        # sup over a grid of |g_n(w) - (w - 1)|
 
 
-@dataclass(frozen=True)
-class EscapeReturnBuild:
+class EscapeReturnBuild(Record):
     """Maps are 0-indexed; a milestone m marks the composition of maps
     0 through m inclusive, so maps m+1 entries and stream horizon m+1
     both correspond to milestone m."""
@@ -172,8 +169,7 @@ def build_escape_return(n_max: int) -> EscapeReturnBuild:
     )
 
 
-@dataclass(frozen=True)
-class CompactnessCert:
+class CompactnessCert(Record):
     ball: HyperbolicBall
     returns: tuple  # (milestone index, omega to ball center) inside the ball
     exits: tuple    # (milestone index, omega to ball center) outside
@@ -229,8 +225,7 @@ def sup_deviation(m: MoebiusMap) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class DenseStageCert:
+class DenseStageCert(Record):
     index: int
     k: int
     delta: float        # stage budget for one generator's movement
@@ -238,8 +233,7 @@ class DenseStageCert:
     residual: float     # matrix distance between the milestone and the target
 
 
-@dataclass(frozen=True)
-class DenseBuild:
+class DenseBuild(Record):
     targets: tuple
     maps: tuple
     milestones: tuple

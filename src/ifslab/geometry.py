@@ -17,6 +17,15 @@ disc, kept as test oracles and not used in computation:
 
     sinh omega(z, w) = |z - w| / sqrt((1 - |z|^2)(1 - |w|^2))
     cosh omega(z, w) = |1 - z*conj(w)| / sqrt((1 - |z|^2)(1 - |w|^2))
+
+Record is the package's one frozen value type, the base of every map
+node, Moebius map, stream, report and certificate.  Its rule: the fields
+of a class are the names annotated in its body, in order, after its base
+class's fields, and a class-level value is that field's default; an
+instance takes them by position or keyword, cannot be changed once
+built, and is equal to, hashes as and prints as its class and field
+tuple, as a frozen dataclass does.  The rule is written once, here, so
+defining a record class generates no code.
 """
 
 from __future__ import annotations
@@ -24,7 +33,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 EPS_BOUNDARY = 1e-13
 
@@ -39,8 +47,79 @@ class DomainError(ValueError):
     """A point fell outside its required domain."""
 
 
-@dataclass(frozen=True)
-class HyperbolicBall:
+class FrozenInstanceError(AttributeError):
+    """An assignment to or deletion of an attribute of a Record."""
+
+
+class Record:
+    """A frozen record of the fields its class annotates (see the module
+    docstring).
+
+    __init__ stores the fields with object.__setattr__, which keeps the
+    instance's compact attribute storage, then calls __post_init__, which
+    may check them and store normalised values the same way.  Code that
+    builds an instance without its checks does so with object.__new__ and
+    object.__setattr__, and sets every field.
+    """
+
+    _fields = ()  # the field names, in order
+    _defaults = {}  # field name -> default, for the fields that have one
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # cls.__annotations__ is the class body's own (Python 3.10 on)
+        fields = cls._fields + tuple(n for n in cls.__annotations__ if n not in cls._fields)
+        cls._fields = fields
+        cls._defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)} positional arguments")
+        given = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in given:
+                raise TypeError(f"{cls.__name__} got field {name!r} both by position and by keyword")
+            given[name] = value
+        for name in fields:
+            if name in given:
+                value = given[name]
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or normalise the stored fields; a subclass's own rule."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join([f"{n}={getattr(self, n)!r}" for n in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class HyperbolicBall(Record):
     """Closed hyperbolic ball {z : omega(center, z) <= radius}."""
 
     center: complex

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import Union, get_args
 
 from . import moebius
-from .geometry import _EPS, DomainError, disc_point, json_array, json_number, json_point
+from .geometry import _EPS, DomainError, Record, disc_point, json_array, json_number, json_point
 from .moebius import MoebiusMap
 
 # |a| within this of 1 makes Scale(a) a rotation, and Im t within it of 0
@@ -61,8 +60,7 @@ class InconclusiveError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """z |-> z^power, for an integer power >= 1 that converts to a float."""
 
     power: int
@@ -91,8 +89,7 @@ class Monomial:
         return _IDENTITY_ENTRIES if self.power == 1 else None
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(Record):
     """z |-> factor * z with |factor| <= 1."""
 
     factor: complex
@@ -120,8 +117,7 @@ class Scale:
         return self.factor, 0j, 0j, 1.0 + 0j
 
 
-@dataclass(frozen=True)
-class Blaschke:
+class Blaschke(Record):
     """Finite Blaschke product e^{i phase} prod (z - z_j)/(1 - conj(z_j) z).
 
     The zero list must be nonempty; use a Mobius node for automorphisms
@@ -175,8 +171,7 @@ class Blaschke:
         return ph, -ph * z0, -z0.conjugate(), 1.0 + 0j
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Record):
     """The constant map onto an interior point."""
 
     value: complex
@@ -197,8 +192,7 @@ class Constant:
         return None
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Record):
     """A disc automorphism given by its matrix."""
 
     map: MoebiusMap
@@ -224,8 +218,7 @@ class Mobius:
         return self.map.entries()
 
 
-@dataclass(frozen=True)
-class Compose:
+class Compose(Record):
     """Composition; parts[0] is applied last, parts[-1] first."""
 
     parts: tuple
@@ -266,20 +259,20 @@ class Compose:
         return None if m is None else m.entries()
 
 
-@dataclass(frozen=True)
-class HalfPlaneAffine:
+class HalfPlaneAffine(Record):
     """The half-plane map w |-> scale * w + translation, seen on the disc.
 
     Requires a finite translation with Im >= 0 and a finite scale > 0,
     which make the map a self-map of the upper half-plane.  It is stored
     as a disc-side matrix map through the Cayley transform, tagged DISC
     (an automorphism) when Im(translation) <= _AUTO_EPS, GENERIC
-    otherwise, and evaluated as a Mobius node evaluates its matrix.
+    otherwise, and evaluated as a Mobius node evaluates its matrix.  That
+    matrix map, the attribute map, is derived from the two fields, not a
+    field itself: it takes no part in equality, hash or repr.
     """
 
     translation: complex
     scale: float = 1.0
-    map: MoebiusMap = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         t = complex(self.translation)
@@ -384,8 +377,7 @@ def _as_constant(f: MapExpr):
     return None
 
 
-@dataclass(frozen=True)
-class DWReport:
+class DWReport(Record):
     """Denjoy-Wolff data: the attracting point and its multiplier.
 
     kind is one of identity, constant, elliptic_auto, elliptic_strict,

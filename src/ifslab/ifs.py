@@ -39,11 +39,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from . import holomap, moebius
-from .geometry import _EPS, DomainError, _omega_raw, disc_point, json_array, json_number
+from .geometry import _EPS, DomainError, Record, _omega_raw, disc_point, json_array, json_number
 from .holomap import ConsistencyError, MapExpr, NonFiniteError, Scale
 
 LEDGER_SLACK = 1e-10
@@ -84,8 +83,7 @@ RULES: dict[str, Callable[[dict], Callable[[int], MapExpr]]] = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorStream:
+class GeneratorStream(Record):
     """Deterministic source of generators; generator_at(0) is the identity."""
 
     kind: str  # "list" | "cycle" | "rule"
@@ -523,8 +521,7 @@ def _replay(maps, k: int, z: complex, dz: complex | None = None) -> tuple:
     return z, dz
 
 
-@dataclass(frozen=True)
-class BackwardOrbit:
+class BackwardOrbit(Record):
     """Points w_0, w_1, ..., w_N with f_n(w_n) = w_{n-1}."""
 
     points: tuple
@@ -536,8 +533,7 @@ class BackwardOrbit:
         object.__setattr__(self, "points", pts)
 
 
-@dataclass(frozen=True)
-class BackwardOrbitCheck:
+class BackwardOrbitCheck(Record):
     ok: bool
     max_step_residual: float
     composed_residual: float  # |R_N(w_N) - w_0|, diagnostic only

@@ -27,9 +27,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
-from .geometry import DomainError, disc_point, json_array, json_point
+from .geometry import DomainError, Record, disc_point, json_array, json_point
 
 DISC = "disc"
 HALF_PLANE = "half_plane"
@@ -98,8 +97,7 @@ def _real_rep(a, b, c, d):
     return ra, rb, rc, rd
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(Record):
     """Matrix [[a, b], [c, d]] acting as z |-> (a z + b)/(c z + d).
 
     Every map built here has finite entries and a nonzero det; a
@@ -257,8 +255,7 @@ def to_disc(g: MoebiusMap) -> MoebiusMap:
     return _trusted(*_det1(*m), domain)
 
 
-@dataclass(frozen=True)
-class AutClass:
+class AutClass(Record):
     """Classification of a disc (or transported half-plane) automorphism.
 
     Fixed points are given in disc coordinates.  For hyperbolic maps the

@@ -24,10 +24,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from . import holomap, moebius
-from .geometry import _EPS, DomainError, _omega_raw, disc_point
+from .geometry import _EPS, DomainError, Record, _omega_raw, disc_point
 from .holomap import ConsistencyError, InconclusiveError, MapExpr
 from .ifs import (
     LEDGER_SLACK,
@@ -51,8 +50,7 @@ BOUNDARY_GUARD = 1e-11  # the left run and mu_step stop when 1 - |orbit point| d
 PROBE_TOL = 2e-5  # semiconjugacy_probe's bound on its best window
 
 
-@dataclass(frozen=True)
-class StraightenResult:
+class StraightenResult(Record):
     converged: bool
     degenerate: bool
     stopped_at_boundary: bool
@@ -291,8 +289,7 @@ def right_straighten(
     return trail.result(gn_derivs=tuple(gn_derivs))
 
 
-@dataclass(frozen=True)
-class MuStepReport:
+class MuStepReport(Record):
     value: float
     trace: tuple
     exact: bool  # True when computed through the isometry identity
@@ -334,8 +331,7 @@ def mu_step(f: MapExpr, z, mu: int, N: int) -> MuStepReport:
     return MuStepReport(value=trace[-1], trace=tuple(trace), exact=False)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Record):
     kind: str  # "none" | "automorphic" | "semiconjugate_to_auto"
     phi: MoebiusMap | None
     phi_kind: str | None

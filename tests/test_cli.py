@@ -1,7 +1,6 @@
 """End-to-end checks of the command line front end: artifacts, schemas,
 exit codes, and byte-level reproducibility."""
 
-import dataclasses
 import filecmp
 import json
 import math
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifslab import bounds, cli, criteria, gallery, holomap, ifs, moebius, straighten
-from ifslab.geometry import _omega_raw
+from ifslab.geometry import Record, _omega_raw
 
 BASEL = '{"type": "rule", "name": "scale_product", "params": {"power": 2}}'
 HARMONIC = '{"type": "rule", "name": "scale_product", "params": {"power": 1}}'
@@ -474,8 +473,7 @@ def test_write_json_matches_one_shot_dumps(tmp_path, monkeypatch):
     assert (tmp_path / "s.json").read_bytes() == _dumps(doc)
 
 
-@dataclasses.dataclass
-class _Record:
+class _Record(Record):
     name: str
     value: object
 
@@ -711,7 +709,7 @@ _DENSE = ["gallery", "--example", "dense", "--count", "1"]
 _FIXED = ["fixed-points", "--stream", SCALE_05, "-N", "20"]
 
 
-# the JSON artifacts are report dataclass fields walked generically, so a
+# the JSON artifacts are report record fields walked generically, so a
 # field added to a report would reach its artifact unseen without these
 @pytest.mark.parametrize("argv, artifact, path, keys", [
     (_STRAIGHTEN, "straighten.json", (), [

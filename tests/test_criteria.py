@@ -136,6 +136,26 @@ def test_left_classification_escaping():
         assert classify_left_limits(s, 200).kind == "not_relatively_compact"
 
 
+def test_left_classification_stops_at_its_escape():
+    # omega(0, L_n(0)) = 0.4 n lies beyond the escape radius 3 from n = 8
+    # on, so the run of three settles escape at step 10: the sweep fetches
+    # no later generator, whatever N, and a list of 30 maps is long enough
+    g = Mobius(
+        moebius.MoebiusMap(math.cosh(0.4), math.sinh(0.4), math.sinh(0.4), math.cosh(0.4), moebius.DISC)
+    )
+    fetched = []
+
+    def rule(n):
+        fetched.append(n)
+        return g
+
+    for N in (20, 2000):
+        fetched.clear()
+        assert classify_left_limits(GeneratorStream.from_rule(rule), N).kind == "not_relatively_compact"
+        assert fetched == list(range(1, 11))
+    assert classify_left_limits(GeneratorStream.from_list([g] * 30), 100).kind == "not_relatively_compact"
+
+
 def test_left_classification_near_the_circle():
     # L_1(0) lies 1e-9 inside the circle and L_2(0) in the held band: at
     # N = 2 the reported orbit has not escaped, so the series' band abort

@@ -10,7 +10,6 @@ must name it at the first step where it can see it.
 import cmath
 import math
 import re
-from dataclasses import dataclass
 
 import pytest
 
@@ -407,7 +406,6 @@ def test_denjoy_wolff_of_a_rotation_without_a_matrix_is_inconclusive():
     assert holomap.denjoy_wolff(Mobius(moebius.identity())).kind == "identity"
 
 
-@dataclass(frozen=True)
 class _Halfway(_Planted):
     """z |-> (z + p) / 2 with p = factor for Re z >= 0 and p = left
     otherwise: each half of the disc has its own attracting point, which

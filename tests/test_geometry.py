@@ -6,9 +6,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ifslab import geometry
+from ifslab import bounds, criteria, geometry, moebius
 from ifslab.geometry import (
     DomainError,
+    FrozenInstanceError,
+    Record,
     cayley,
     cayley_inv,
     disc_distance,
@@ -18,6 +20,7 @@ from ifslab.geometry import (
     json_number,
     json_point,
 )
+from ifslab.holomap import Blaschke, Compose, Constant, HalfPlaneAffine, Mobius, Monomial, Scale
 
 ATANH_HALF = 0.5493061443340548  # atanh(0.5)
 HALF_LOG_TWO = 0.34657359027997264  # log(2)/2
@@ -142,3 +145,108 @@ def test_distance_finite_near_boundary(z):
     d = disc_distance(0.0, z)
     assert math.isfinite(d)
     assert d <= math.atanh(geometry._RHO_CAP) + 1.0
+
+
+# Record: the frozen-dataclass behaviour every map node, Moebius map,
+# stream and report relies on, pinned against what @dataclass(frozen=True)
+# gave them
+
+
+class _Pair(Record):
+    a: int
+    b: int = 0
+
+
+class _OtherPair(Record):
+    a: int
+    b: int = 0
+
+
+class _Triple(_Pair):
+    c: int = 5
+
+
+def test_record_repr_matches_the_frozen_dataclass_repr():
+    assert repr(Monomial(2)) == "Monomial(power=2)"
+    assert repr(Scale(0.5)) == "Scale(factor=(0.5+0j))"
+    assert repr(Blaschke((0.5,), 0.25)) == "Blaschke(zeros=((0.5+0j),), phase=0.25)"
+    assert repr(Constant(0.2)) == "Constant(value=(0.2+0j))"
+    assert repr(Mobius(moebius.identity())) == "Mobius(map=MoebiusMap(a=(1+0j), b=0j, c=0j, d=(1+0j), domain='disc'))"
+    assert repr(Compose((Scale(0.5), Monomial(2)))) == "Compose(parts=(Scale(factor=(0.5+0j)), Monomial(power=2)))"
+    assert repr(HalfPlaneAffine(1 + 0j)) == "HalfPlaneAffine(translation=(1+0j), scale=1.0)"
+    assert repr(bounds.margin("euclid_gap", None, 0.0, 0.5)) == (
+        "MarginReport(kind='euclid_gap', z=0j, w=(0.5+0j), lhs=0.5, rhs=1.333333333333333, "
+        "margin=0.833333333333333, coefficient=2.0)"
+    )
+    assert repr(criteria.SERIES) == (
+        "SeriesConfig(divergence_threshold=5.0, divergence_product_tol=0.001, summable_window=100, "
+        "summable_tol=1e-05, product_cauchy_tol=1e-05)"
+    )
+
+
+def test_record_equality_and_hash_read_the_class_and_the_fields():
+    assert _Pair(1, 2) == _Pair(a=1, b=2) == _Pair(1, b=2)
+    assert hash(_Pair(1, 2)) == hash(_Pair(1, 2)) == hash((1, 2))
+    assert _Pair(1, 2) != _Pair(1, 3)
+    assert _Pair(1, 2) != _OtherPair(1, 2)  # same fields, another class
+    assert _Pair(1, 0) != _Triple(1, 0)
+    assert _Pair(1, 2) != (1, 2)
+    assert Scale(0.5) == Scale(0.5 + 0j) and hash(Scale(0.5)) == hash(Scale(0.5 + 0j))
+    assert Blaschke((0.5,)) == Blaschke([0.5], 0.0)
+    assert len({Monomial(2), Monomial(2), Monomial(3)}) == 2
+
+
+def test_record_is_frozen():
+    p = _Pair(1, 2)
+    for change in (lambda: setattr(p, "a", 3), lambda: setattr(p, "other", 3),
+                   lambda: delattr(p, "a"), lambda: setattr(Scale(0.5), "factor", 0.25)):
+        with pytest.raises(FrozenInstanceError) as e:
+            change()
+        assert isinstance(e.value, AttributeError)
+    assert p == _Pair(1, 2) and not hasattr(p, "other")
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((), {}, "missing field 'a'"),
+    ((1, 2, 3), {}, "takes 2 fields, got 3 positional arguments"),
+    ((1,), {"c": 3}, "no field 'c'"),
+    ((1,), {"a": 1}, "field 'a' both by position and by keyword"),
+])
+def test_record_arguments_are_checked(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        _Pair(*args, **kwargs)
+
+
+def test_record_defaults_and_post_init():
+    seen = []
+
+    class Checked(_Pair):
+        def __post_init__(self):
+            seen.append((self.a, self.b))
+            object.__setattr__(self, "b", self.b * 10)
+
+    assert _Pair(1).b == 0 and _Pair.b == 0
+    assert Checked(1).b == 0 and Checked(b=2, a=1).b == 20
+    assert seen == [(1, 0), (1, 2)]  # the stored values, defaults included
+    ball = geometry.HyperbolicBall(0, 1.0)  # normalised in __post_init__
+    assert type(ball.center) is complex
+
+
+def test_record_subclass_fields_follow_the_base_fields():
+    assert _Pair._fields == ("a", "b")
+    assert _Triple._fields == ("a", "b", "c")
+    t = _Triple(1, 2)
+    assert (t.a, t.b, t.c) == (1, 2, 5)
+    assert repr(t) == "_Triple(a=1, b=2, c=5)"
+    assert HalfPlaneAffine._fields == ("translation", "scale")
+    assert moebius.MoebiusMap._fields == ("a", "b", "c", "d", "domain")
+
+
+def test_half_plane_affine_map_stays_out_of_equality_hash_and_repr():
+    h = HalfPlaneAffine(0.5 + 0.25j, 2.0)
+    other = object.__new__(HalfPlaneAffine)  # the same fields, another map
+    for name, value in (("translation", h.translation), ("scale", h.scale), ("map", moebius.identity())):
+        object.__setattr__(other, name, value)
+    assert other.map != h.map
+    assert other == h and hash(other) == hash(h) and repr(other) == repr(h)
+    assert "map" not in repr(h)
