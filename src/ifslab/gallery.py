@@ -24,15 +24,11 @@ import math
 from . import holomap, moebius
 from .geometry import HyperbolicBall, Record, _omega_raw
 from .ifs import GeneratorStream
-from .moebius import HALF_PLANE, MoebiusMap
+from .moebius import MoebiusMap
 
-
-def _hp(a, b, c, d) -> MoebiusMap:
-    return MoebiusMap(a, b, c, d, HALF_PLANE)
-
-
-SHIFT = _hp(1.0, -1.0, 0.0, 1.0)           # w -> w - 1
-ANCHOR = _hp(1.0, 0.0, 1.0, 1.0)           # w -> w / (w + 1), parabolic at 0
+# half-plane maps, brought to the disc by moebius.to_disc
+SHIFT = MoebiusMap(1.0, -1.0, 0.0, 1.0)    # w -> w - 1
+ANCHOR = MoebiusMap(1.0, 0.0, 1.0, 1.0)    # w -> w / (w + 1), parabolic at 0
 
 
 def rotated_shift(n: int) -> MoebiusMap:
@@ -40,7 +36,7 @@ def rotated_shift(n: int) -> MoebiusMap:
     unit shift by the elliptic map (nw - 1)/(w + n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    phi = _hp(float(n), -1.0, 1.0, float(n))
+    phi = MoebiusMap(float(n), -1.0, 1.0, float(n))
     return moebius.compose(phi, moebius.compose(SHIFT, moebius.inverse(phi)))
 
 
@@ -97,7 +93,7 @@ def build_escape_return(n_max: int) -> EscapeReturnBuild:
     exceed _ESCAPE_K_CAP, or double precision stops making progress, the
     build stops and reports the last completed stage instead of guessing.
     """
-    maps = [holomap.Mobius(moebius.to_disc(ANCHOR)), holomap.identity_map()]
+    maps = [holomap.Mobius(moebius.to_disc(ANCHOR.entries(), moebius.DISC)), holomap.identity_map()]
     milestones = [0, 1]
     u = moebius.apply(ANCHOR, 1j)  # orbit of i after f_0; the identity f_1 leaves it
     values = [u, u]
@@ -107,7 +103,7 @@ def build_escape_return(n_max: int) -> EscapeReturnBuild:
 
     for n in range(1, n_max + 1):
         g = rotated_shift(n)
-        gd = holomap.Mobius(moebius.to_disc(g))
+        gd = holomap.Mobius(moebius.to_disc(g.entries(), moebius.DISC))
         target = float(n)
         budget = 2.0**-n
         v = u

@@ -264,8 +264,8 @@ class HalfPlaneAffine(Record):
 
     Requires a finite translation with Im >= 0 and a finite scale > 0,
     which make the map a self-map of the upper half-plane.  It is stored
-    as a disc-side matrix map through the Cayley transform, tagged DISC
-    (an automorphism) when Im(translation) <= _AUTO_EPS, GENERIC
+    as the disc map moebius.to_disc gives: tagged DISC, and so checked as
+    an automorphism, when Im(translation) <= _AUTO_EPS, GENERIC
     otherwise, and evaluated as a Mobius node evaluates its matrix.  That
     matrix map, the attribute map, is derived from the two fields, not a
     field itself: it takes no part in equality, hash or repr.
@@ -283,11 +283,8 @@ class HalfPlaneAffine(Record):
             raise DomainError(f"half-plane scale must be finite and positive: {s!r}")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "scale", s)
-        m = moebius._matmul(
-            moebius._matmul(moebius._CAYLEY, (s, t, 0.0, 1.0)), moebius._CAYLEY_ADJ
-        )
         domain = moebius.DISC if t.imag <= _AUTO_EPS else moebius.GENERIC
-        object.__setattr__(self, "map", MoebiusMap(*moebius._det1(*m), domain=domain))
+        object.__setattr__(self, "map", moebius.to_disc((s, t, 0.0, 1.0), domain))
 
     eval, jet, matrix, entries = Mobius.eval, Mobius.jet, Mobius.matrix, Mobius.entries
 

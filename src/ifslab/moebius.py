@@ -4,22 +4,24 @@ A map (a z + b)/(c z + d) is stored by its coefficient matrix up to a
 complex scalar.  Disc automorphisms are exactly the maps whose det-1
 representative has the SU(1,1) shape
 
-    [[alpha, beta], [conj(beta), conj(alpha)]],   |alpha|^2 - |beta|^2 = 1,
+    [[alpha, beta], [conj(beta), conj(alpha)]],   |alpha|^2 - |beta|^2 = 1.
 
-and half-plane automorphisms the ones with a real det-1 representative
-(SL(2,R)).  Classification goes by the absolute trace of that
-representative: < 2 elliptic, = 2 parabolic, > 2 hyperbolic.
+Classification goes by the absolute trace of that representative:
+< 2 elliptic, = 2 parabolic, > 2 hyperbolic.  A map of the upper
+half-plane reaches the disc through to_disc, which conjugates its
+matrix by the Cayley transform and checks the result as any other
+constructed map.
 
-Validation happens once, at the boundary: MoebiusMap(...) and from_json
-check that the matrix is finite and nonsingular and has the structure
-its domain tag promises, and make_disc_auto and translate_to_zero check
-their point with disc_point.  A map derived from maps (or points) that passed those
-checks keeps its structure up to rounding, so it is built by _trusted,
-which sets the fields without re-proving SU(1,1) or SL(2,R) structure:
-compose, inverse, canonical, to_disc, kth_root, power, identity and the
-two point-built automorphisms all return trusted maps, and so do the
-straighteners' per-step coordinate changes gamma_n, built from an orbit
-point and a unit phase.
+Validation happens once, at the boundary: MoebiusMap(...), to_disc and
+from_json check that the matrix is finite and nonsingular and has the
+structure its domain tag promises, and make_disc_auto and
+translate_to_zero check their point with disc_point.  A map derived
+from maps (or points) that passed those checks keeps its structure up
+to rounding, so it is built by _trusted, which sets the fields without
+re-proving SU(1,1) structure: compose, inverse, canonical, kth_root,
+power, identity and the two point-built automorphisms all return
+trusted maps, and so do the straighteners' per-step coordinate changes
+gamma_n, built from an orbit point and a unit phase.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import random
 from .geometry import DomainError, Record, disc_point, json_array, json_point
 
 DISC = "disc"
-HALF_PLANE = "half_plane"
 GENERIC = "generic"
 
 STRUCT_TOL = 1e-10
@@ -80,31 +81,13 @@ def _is_su11(a, b, c, d) -> bool:
     )
 
 
-def _real_rep(a, b, c, d):
-    """Phase-align a matrix to real entries; None when impossible."""
-    entries = (a, b, c, d)
-    piv = max(entries, key=abs)
-    if abs(piv) == 0:
-        return None
-    u = piv / abs(piv)
-    al = tuple(e / u for e in entries)
-    m = max(1.0, _scale(al))
-    if any(abs(e.imag) > STRUCT_TOL * m for e in al):
-        return None
-    ra, rb, rc, rd = (e.real for e in al)
-    if ra * rd - rb * rc <= 0:
-        return None  # orientation-reversing, not a half-plane automorphism
-    return ra, rb, rc, rd
-
-
 class MoebiusMap(Record):
     """Matrix [[a, b], [c, d]] acting as z |-> (a z + b)/(c z + d).
 
     Every map built here has finite entries and a nonzero det; a
     non-finite entry raises DomainError.  The domain tag records which
-    further structure was verified at construction: "disc" and
-    "half_plane" mean automorphism of that domain, "generic" promises
-    nothing more.
+    further structure was verified at construction: "disc" means a disc
+    automorphism, "generic" promises nothing more.
     """
 
     a: complex
@@ -121,9 +104,7 @@ class MoebiusMap(Record):
             raise NonAutomorphismError("singular matrix")
         if self.domain == DISC and not _is_su11(a, b, c, d):
             raise NonAutomorphismError("matrix is not a disc automorphism")
-        if self.domain == HALF_PLANE and _real_rep(a, b, c, d) is None:
-            raise NonAutomorphismError("matrix is not a half-plane automorphism")
-        if self.domain not in (DISC, HALF_PLANE, GENERIC):
+        if self.domain not in (DISC, GENERIC):
             raise ValueError(f"unknown domain tag {self.domain!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -155,7 +136,7 @@ def _trusted(a: complex, b: complex, c: complex, d: complex, domain: str) -> Moe
     return g
 
 
-_IDENTITY = {tag: _trusted(1.0 + 0j, 0j, 0j, 1.0 + 0j, tag) for tag in (DISC, HALF_PLANE, GENERIC)}
+_IDENTITY = {tag: _trusted(1.0 + 0j, 0j, 0j, 1.0 + 0j, tag) for tag in (DISC, GENERIC)}
 
 
 def identity(domain: str = DISC) -> MoebiusMap:
@@ -246,19 +227,23 @@ _CAYLEY = (1.0, -1j, 1.0, 1j)
 _CAYLEY_ADJ = (1j, 1j, -1.0, 1.0)
 
 
-def to_disc(g: MoebiusMap) -> MoebiusMap:
-    """Conjugate a half-plane map by the Cayley transform."""
-    if g.domain == DISC:
-        return g
-    m = _matmul(_matmul(_CAYLEY, g.entries()), _CAYLEY_ADJ)
-    domain = DISC if g.domain == HALF_PLANE else GENERIC
-    return _trusted(*_det1(*m), domain)
+def to_disc(entries, domain: str) -> MoebiusMap:
+    """The disc map of the half-plane matrix entries (a, b, c, d).
+
+    The matrix is conjugated by the Cayley transform, scaled to det 1
+    and checked as MoebiusMap(..., domain) checks it, so a DISC tag
+    holds exactly for a half-plane automorphism: a complex multiple of
+    a real matrix with positive det.
+    """
+    m = _matmul(_matmul(_CAYLEY, entries), _CAYLEY_ADJ)
+    return MoebiusMap(*_det1(*m), domain)
 
 
 class AutClass(Record):
-    """Classification of a disc (or transported half-plane) automorphism.
+    """Classification of a disc automorphism (a half-plane one goes
+    through to_disc first).
 
-    Fixed points are given in disc coordinates.  For hyperbolic maps the
+    Fixed points lie in the closed disc.  For hyperbolic maps the
     attracting point comes first and translation_length is acosh(|tr|/2)
     in this package's metric convention, which equals min_z omega(z, g z).
     """
@@ -270,11 +255,13 @@ class AutClass(Record):
 
 
 def _disc_rep(g: MoebiusMap):
-    """Det-1 SU(1,1) representative with nonnegative real trace."""
-    h = to_disc(g)
-    if not _is_su11(*h.entries()):
-        raise NonAutomorphismError("not (conjugate to) a disc automorphism")
-    a, b, c, d = _det1(*h.entries())
+    """Det-1 SU(1,1) representative with nonnegative real trace.
+
+    The matrix is tested as it is, whatever its tag says.
+    """
+    if not _is_su11(*g.entries()):
+        raise NonAutomorphismError("not a disc automorphism")
+    a, b, c, d = _det1(*g.entries())
     if (a + d).real < 0:
         a, b, c, d = -a, -b, -c, -d
     return a, b, c, d
@@ -336,13 +323,7 @@ def kth_root(g: MoebiusMap, k: int) -> MoebiusMap:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.domain == HALF_PLANE:
-        ra, rb, rc, rd = _real_rep(*g.entries())
-        a, b, c, d = _det1(ra, rb, rc, rd)
-    else:
-        a, b, c, d = _disc_rep(g)
-    if (a + d).real < 0:
-        a, b, c, d = -a, -b, -c, -d
+    a, b, c, d = _disc_rep(g)
     if k == 1:
         return _trusted(a, b, c, d, g.domain)
     tr = (a + d).real
@@ -412,10 +393,5 @@ def from_json(obj: dict) -> MoebiusMap:
     a, b, c, d = (json_point(e, "mobius matrix entry") for e in json_array(obj["matrix"], "mobius matrix", 4))
     domain = obj.get("domain")
     if domain is None:
-        if _is_su11(a, b, c, d):
-            domain = DISC
-        elif _real_rep(a, b, c, d) is not None:
-            domain = HALF_PLANE
-        else:
-            domain = GENERIC
+        domain = DISC if _is_su11(a, b, c, d) else GENERIC
     return MoebiusMap(a, b, c, d, domain)

@@ -347,7 +347,9 @@ def semiconjugacy_probe(f: MapExpr, N: int = 400) -> ProbeReport:
     enough to resolve).  Otherwise the limit h intertwines h o f =
     phi o h with phi the automorphism estimated from consecutive
     coordinate changes; the reported residual is the grid maximum of
-    |h(f z) - phi(h z)|.
+    |h(f z) - phi(h z)|.  For an automorphism f the answer is known:
+    "automorphic", with h the identity, phi = f and the residual
+    |f(z) - phi(z)| on the grid, straight after the scan.
 
     The run happens in two passes.  A scan with the window stop
     disabled runs until the probe collapses, the base orbit exhausts
@@ -362,6 +364,11 @@ def semiconjugacy_probe(f: MapExpr, N: int = 400) -> ProbeReport:
     """
     stream = GeneratorStream.from_cycle([f])
     scan = left_straighten(stream, N, tol=0.0)
+    auto = holomap.as_automorphism(f)
+    if auto is not None:
+        phi = moebius.canonical(auto)
+        residual = max(abs(holomap.eval_raw(f, z) - moebius.apply(phi, z)) for z in DEFAULT_GRID)
+        return ProbeReport("automorphic", phi, moebius.classify_auto(auto).kind, residual, scan)
     if scan.degenerate:
         return ProbeReport("none", None, None, None, scan)
 
@@ -392,7 +399,5 @@ def semiconjugacy_probe(f: MapExpr, N: int = 400) -> ProbeReport:
     residual = max(
         abs(hf - moebius.apply(phi, hz)) for hf, hz in zip(res.h_extra, res.h_grid)
     )
-    auto = holomap.as_automorphism(f)
-    kind = "automorphic" if auto is not None else "semiconjugate_to_auto"
     phi_kind = moebius.classify_auto(phi).kind
-    return ProbeReport(kind, phi, phi_kind, residual, res)
+    return ProbeReport("semiconjugate_to_auto", phi, phi_kind, residual, res)

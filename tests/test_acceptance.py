@@ -101,7 +101,7 @@ def test_criterion_04_telescoping_straightening():
 
 def _canned_streams():
     rots = [moebius.make_disc_auto(0.0, 0.7), moebius.make_disc_auto(0.0, 2.1)]
-    parabolic = moebius.to_disc(moebius.MoebiusMap(1.0, 1.0, 0.0, 1.0, moebius.HALF_PLANE))
+    parabolic = moebius.to_disc((1.0, 1.0, 0.0, 1.0), moebius.DISC)
     streams = [
         _scale_stream(1.0),
         _scale_stream(1.5),

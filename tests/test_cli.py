@@ -428,6 +428,32 @@ def test_non_finite_point_flags_exit_2_before_any_artifact(tmp_path, capsys, arg
     assert not any(tmp_path.iterdir())
 
 
+def test_malformed_seed_point_exits_2_before_any_artifact(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "simulate", "--stream", BASEL, "-N", "5", "--seed-point", "abc"]
+    assert cli.main(argv) == 2
+    assert "ifslab: not a complex number: 'abc'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--stream", BASEL, "-N", "x"], "invalid int value: 'x'"),
+    (["straighten", "--stream", BASEL, "-N", "5", "--tol", "x"], "invalid float value: 'x'"),
+], ids=["N-x", "tol-x"])
+def test_malformed_number_flags_exit_2_before_any_artifact(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_list_shorter_than_the_horizon_exits_2_before_any_artifact(tmp_path, capsys):
+    spec = '{"type": "list", "generators": [{"kind": "scale", "factor": [0.5, 0]}]}'
+    assert cli.main(["--out", str(tmp_path), "simulate", "-N", "5", "--stream", spec]) == 2
+    assert "ifslab: stream of length 1 has no generator 2" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_classify_right_takes_one_base_point(tmp_path, capsys):
     # the right tail follows one point: a second one is refused, not ignored
     argv = ["--out", str(tmp_path), "classify", "--stream", BASEL, "--side", "right", "-N", "5",
@@ -579,6 +605,15 @@ def _svg_reference(points, marks) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def test_gallery_escape_return_exhausted(tmp_path, monkeypatch):
+    monkeypatch.setattr(gallery, "_ESCAPE_K_CAP", 100)
+    rc = cli.main(["--out", str(tmp_path), "gallery", "--example", "escape_return", "--nmax", "5"])
+    assert rc == 0
+    doc = _read_json(tmp_path / "gallery.json")
+    assert doc["exhausted"] is True and doc["achieved_n"] == 3
+    assert doc["map_count"] == doc["milestones"][-1] + 1 == 120
 
 
 def test_gallery_escape_return(tmp_path):
@@ -795,6 +830,15 @@ def test_stream_of_the_wrong_shape_exits_2_naming_the_field(tmp_path, capsys, sp
     assert cli.main(["--out", str(out), "simulate", "--stream", spec]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_half_plane_domain_tag_exits_2(tmp_path, capsys):
+    # a mobius map's domain is "disc" or "generic"; no other tag is read
+    spec = ('{"type": "cycle", "generators": [{"kind": "mobius", "matrix": '
+            '[[1, 0], [1, 0], [0, 0], [1, 0]], "domain": "half_plane"}]}')
+    assert cli.main(["--out", str(tmp_path), "simulate", "-N", "3", "--stream", spec]) == 2
+    assert "unknown domain tag 'half_plane'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_stream_file_with_array_top_level_exits_2(tmp_path, capsys):

@@ -81,14 +81,14 @@ def _dense_by_scan(targets, k_cap=1_000_000):
 def test_anchor_and_shift_shapes():
     assert moebius.apply(SHIFT, 3.0 + 1j) == 2.0 + 1j
     assert moebius.apply(ANCHOR, 0.0) == 0.0
-    assert moebius.classify_auto(moebius.to_disc(ANCHOR)).kind == "parabolic"
+    assert moebius.classify_auto(moebius.to_disc(ANCHOR.entries(), moebius.DISC)).kind == "parabolic"
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_rotated_shift_is_parabolic_at_n(n):
     g = rotated_shift(n)
     assert moebius.apply(g, complex(n)) == pytest.approx(complex(n), abs=1e-12)
-    assert moebius.classify_auto(moebius.to_disc(g)).kind == "parabolic"
+    assert moebius.classify_auto(moebius.to_disc(g.entries(), moebius.DISC)).kind == "parabolic"
 
 
 def test_rotated_shift_approaches_unit_shift():
@@ -114,6 +114,17 @@ def test_escape_return_frozen_shape(build5):
     assert tuple(c.k for c in build5.certs) == ER_RUN_LENGTHS
     assert len(build5.maps) == build5.milestones[-1] + 1
     assert len(build5.milestone_values) == len(build5.milestones)
+
+
+def test_escape_return_stops_exhausted_at_the_run_cap(monkeypatch):
+    # stage 4 needs a parabolic run of 277, past a cap of 100: the build
+    # reports the three stages it completed, and nothing of the fourth
+    monkeypatch.setattr(gallery, "_ESCAPE_K_CAP", 100)
+    b = build_escape_return(5)
+    assert b.requested_n == 5 and b.achieved_n == 3 and b.exhausted
+    assert tuple(c.k for c in b.certs) == ER_RUN_LENGTHS[:3] == (6, 22, 84)
+    assert b.milestones == ER_MILESTONES[:8]
+    assert len(b.maps) == b.milestones[-1] + 1 == 120
 
 
 def test_escape_return_milestone_arithmetic(build5):
@@ -353,7 +364,7 @@ def test_dense_identity_bridge_contributes_nothing():
 
 def test_dense_rejects_half_plane_target():
     with pytest.raises(ValueError):
-        build_dense((moebius.MoebiusMap(1.0, 1.0, 0.0, 1.0, moebius.HALF_PLANE),))
+        build_dense((moebius.MoebiusMap(1.0, 1.0, 0.0, 1.0),))  # w + 1, untagged
 
 
 def test_default_dense_targets():

@@ -129,11 +129,11 @@ def test_node_validation():
         lambda: Compose((Scale(0.5), moebius.identity())),
         lambda: ifs.GeneratorStream.from_cycle([0.5]),
         lambda: ifs.GeneratorStream.from_list([Scale(0.5), None]),
-        # non-finite matrix entries, under every domain tag; a half-plane
-        # scale of 1e300 overflows the Cayley conjugation
+        # non-finite matrix entries, under every domain tag and through
+        # the Cayley conjugation; a half-plane scale of 1e300 overflows it
         lambda: moebius.MoebiusMap(nan, 0.0, 0.0, 1.0),
         lambda: moebius.MoebiusMap(complex(inf, 0.0), 0.0, 0.0, 1.0),
-        lambda: moebius.MoebiusMap(1.0, 0.0, 0.0, complex(0.0, nan), moebius.HALF_PLANE),
+        lambda: moebius.to_disc((1.0, 0.0, 0.0, complex(0.0, nan)), moebius.DISC),
         lambda: moebius.MoebiusMap(1.0, 0.0, nan, 1.0, moebius.DISC),
         lambda: moebius.from_json({"kind": "mobius", "matrix": [[nan, nan]] * 4}),
         lambda: HalfPlaneAffine(1j, 1e300),

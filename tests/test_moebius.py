@@ -12,7 +12,6 @@ from ifslab.geometry import FrozenInstanceError, disc_distance
 from ifslab.moebius import (
     DISC,
     GENERIC,
-    HALF_PLANE,
     MoebiusMap,
     NonAutomorphismError,
     apply,
@@ -73,8 +72,6 @@ def test_structure_validation():
         MoebiusMap(2.0, 0.0, 0.0, 1.0, DISC)  # not SU(1,1) up to scalar
     with pytest.raises(NonAutomorphismError):
         MoebiusMap(1.0, 2.0, 2.0, 4.0, GENERIC)  # singular
-    with pytest.raises(NonAutomorphismError):
-        MoebiusMap(1j, 0.0, 0.0, 1.0, HALF_PLANE)  # not real up to phase
 
 
 def test_structure_check_holds_at_large_entries():
@@ -179,7 +176,7 @@ def test_straightener_gammas_pass_the_public_check():
 
 
 def test_identity_is_shared_and_frozen():
-    for tag in (DISC, HALF_PLANE, GENERIC):
+    for tag in (DISC, GENERIC):
         assert identity(tag) is identity(tag)
         assert identity(tag).domain == tag
     assert identity() is identity(DISC)
@@ -219,8 +216,7 @@ def test_classify_hyperbolic_translation_length():
 
 
 def test_classify_parabolic():
-    shift = MoebiusMap(1.0, 1.0, 0.0, 1.0, HALF_PLANE)  # w + 1
-    c = classify_auto(to_disc(shift))
+    c = classify_auto(to_disc((1.0, 1.0, 0.0, 1.0), DISC))  # w + 1
     assert c.kind == "parabolic"
     assert abs(c.fixed_points[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -249,7 +245,7 @@ def test_kth_root_of_elliptic(k):
 
 @pytest.mark.parametrize("k", [2, 9])
 def test_kth_root_of_parabolic(k):
-    g = to_disc(MoebiusMap(1.0, 1.0, 0.0, 1.0, HALF_PLANE))
+    g = to_disc((1.0, 1.0, 0.0, 1.0), DISC)
     r = kth_root(g, k)
     assert matrix_distance(power(r, k), g) < 1e-11
     assert classify_auto(r).kind == "parabolic"
@@ -257,12 +253,25 @@ def test_kth_root_of_parabolic(k):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_kth_root_of_half_plane_map_with_negative_trace(k):
-    # w |-> (w - 3)/2, whose real det-1 representative has trace -3/sqrt(2):
-    # the root flips its sign and stays in the half-plane's real matrices
-    g = MoebiusMap(-1.0, 3.0, 0.0, -2.0, HALF_PLANE)
+    # w |-> (w - 3)/2 on the disc: its det-1 matrix has trace -3/sqrt(2),
+    # and the root takes the sign of nonnegative trace
+    g = to_disc((-1.0, 3.0, 0.0, -2.0), DISC)
+    assert (g.a + g.d).real < 0
     r = kth_root(g, k)
-    assert r.domain == HALF_PLANE and (r.a + r.d).real > 0
+    assert r.domain == DISC and (r.a + r.d).real > 0
     assert matrix_distance(power(r, k), g) < 1e-11
+
+
+def test_generic_tag_on_a_disc_automorphism_reads_as_the_disc_map():
+    # the tag promises less than the matrix holds; classify_auto and
+    # kth_root test the matrix itself, not a Cayley transport of it
+    g = make_disc_auto(0.5, 0.3)
+    h = MoebiusMap(*g.entries())
+    assert h.domain == GENERIC
+    assert classify_auto(h).kind == classify_auto(g).kind == "hyperbolic"
+    r = kth_root(h, 3)
+    assert r.domain == GENERIC and classify_auto(r).kind == "hyperbolic"
+    assert matrix_distance(power(r, 3), g) < 1e-12
 
 
 def test_kth_root_tends_to_identity():
@@ -289,22 +298,40 @@ def test_canonical_kills_scalar():
 
 def test_halfplane_transport_conjugates_action():
     w = 0.5 + 2.0j
-    for g in (MoebiusMap(1.0, 3.0, 0.0, 1.0, HALF_PLANE), MoebiusMap(2.0, 1.0, 1.0, 1.0, HALF_PLANE)):
+    for g in (MoebiusMap(1.0, 3.0, 0.0, 1.0), MoebiusMap(2.0, 1.0, 1.0, 1.0)):
         lhs = apply(g, w)
         # through the disc: Cayley, act, Cayley back
-        h = to_disc(g)
-        assert h.domain == DISC and to_disc(h) is h
+        h = to_disc(g.entries(), DISC)
+        assert h.domain == DISC
         z = (w - 1j) / (w + 1j)
         z2 = apply(h, z)
         rhs = 1j * (1.0 + z2) / (1.0 - z2)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+@pytest.mark.parametrize("entries, automorphism", [
+    ((1.0, 1.0, 0.0, 1.0), True),     # w + 1
+    ((2.0, 1.0, 1.0, 1.0), True),
+    ((-1.0, 3.0, 0.0, -2.0), True),   # (w - 3)/2, negative trace
+    ((-1.0, 0.0, 0.0, 1.0), False),   # -w reverses the half-plane
+    ((1j, 0.0, 0.0, 1.0), False),     # i w is not real up to phase
+])
+def test_to_disc_accepts_exactly_the_half_plane_automorphisms(entries, automorphism):
+    if automorphism:
+        h = to_disc(entries, DISC)
+        assert h.domain == DISC
+        assert to_disc(entries, GENERIC).entries() == h.entries()
+    else:
+        with pytest.raises(NonAutomorphismError):
+            to_disc(entries, DISC)
+        assert to_disc(entries, GENERIC).domain == GENERIC
+
+
 @pytest.mark.parametrize(
     "matrix, domain",
     [
         ([[1, 0], [0.5, 0], [0.5, 0], [1, 0]], DISC),
-        ([[2, 0], [1, 0], [0, 0], [1, 0]], HALF_PLANE),
+        ([[2, 0], [1, 0], [0, 0], [1, 0]], GENERIC),  # w |-> 2 w + 1, a half-plane map
         ([[0, 0], [1, 0], [1, 0], [0, 0]], GENERIC),  # z |-> 1/z reverses the half-plane
     ],
 )

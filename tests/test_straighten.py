@@ -4,10 +4,11 @@ boundary-step trichotomy probe."""
 import cmath
 import math
 from collections import Counter
+from random import Random
 
 import pytest
 
-from ifslab import holomap, moebius
+from ifslab import bounds, holomap, moebius
 from ifslab.geometry import DomainError, disc_distance
 from ifslab.holomap import (
     Blaschke,
@@ -286,6 +287,29 @@ def test_probe_hyperbolic_auto():
     assert rep.kind == "automorphic"
     assert rep.phi_kind == "hyperbolic"
     assert rep.residual < 1e-8
+
+
+def _hyperbolic_draws():
+    """Draws 2, 5, 6, 11, 12 and 13 of 20 random_disc_auto(rng, 0.9) maps,
+    taken after 60 random_self_map draws from Random(11): the hyperbolic ones."""
+    rng = Random(11)
+    for _ in range(60):
+        bounds.random_self_map(rng)
+    draws = [moebius.random_disc_auto(rng, 0.9) for _ in range(20)]
+    return [draws[i] for i in (2, 5, 6, 11, 12, 13)]
+
+
+@pytest.mark.parametrize("g", _hyperbolic_draws(), ids=["2", "5", "6", "11", "12", "13"])
+def test_probe_reads_every_automorphism_as_itself(g):
+    # the orbit of 0 nears the circle within a few steps, where an
+    # estimated phi lost its structure (NonAutomorphismError) or the scan
+    # was too short for a window (InconclusiveError); for an automorphism
+    # h is the identity and phi is f itself
+    rep = semiconjugacy_probe(Mobius(g))
+    assert rep.kind == "automorphic"
+    assert rep.phi_kind == "hyperbolic"
+    assert moebius.matrix_distance(rep.phi, g) < 1e-14
+    assert rep.residual <= 1e-15
 
 
 def test_probe_parabolic_auto():
